@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError
-from .lambdafile import DEFAULT_BLOCK, LambdaStream
+from .errors import CapacityError, ImpossibleOutcomeError
+from .lambdafile import DEFAULT_BLOCK, LambdaStream, words_to_reals
 from .quantum import (
     OUTCOMES,
     BlochSetting,
@@ -150,12 +150,27 @@ def _threshold_pairs(
 def _gather_trial_lambdas(
     stream: LambdaStream, pair_index: int, trials: int, block: int
 ) -> np.ndarray:
-    """The (trials, 2) lambda values for one setting pair's trial substreams."""
-    lams = np.empty((trials, 2))
-    for t in range(trials):
-        sub = stream.split(pair_index * trials + t, block)
-        lams[t] = sub.take(2)
-    return lams
+    """The (trials, 2) lambda values for one setting pair's trial substreams.
+
+    Trial t of pair k owns substream ``k * trials + t``, so its two lambdas
+    are the first two words of block ``k * trials + t`` of the stream's range:
+    one strided slice of the file gives row t equal to
+    ``stream.split(k * trials + t, block).take(2)``. Like `split`, this
+    ignores the stream's cursor.
+    """
+    if block < 2:
+        # no block this small holds a trial: raise what the first trial's
+        # split(...).take(2) raises (ValueError, CapacityError or exhaustion)
+        stream.split(pair_index * trials, block).take(2)
+    lo = pair_index * trials * block
+    hi = lo + trials * block
+    if hi > stream.length:
+        raise CapacityError(
+            f"substream {(pair_index + 1) * trials - 1} needs words up to {hi}, "
+            f"stream {stream.label!r} holds {stream.length}"
+        )
+    words = stream.file.words[stream.start + lo : stream.start + hi]
+    return words_to_reals(words.reshape(trials, block)[:, :2])
 
 
 def estimate_table(
@@ -169,9 +184,10 @@ def estimate_table(
 ) -> CorrelationTable:
     """Empirical outcome tables from `trials` runs per setting pair.
 
-    Trial t of setting pair k draws from substream ``k * trials + t``, so the
-    estimate is a pure function of the file and is independent of execution
-    order.
+    Trial t of setting pair k draws from substream ``k * trials + t`` (the
+    first two of words ``[(k*trials + t)*block, (k*trials + t + 1)*block)`` of
+    the stream's range), so the estimate is a pure function of the file and is
+    independent of execution order.
     """
     chronology = Chronology(chronology)
     if trials < 1:
@@ -249,21 +265,6 @@ class CovarianceReport:
             }
         return out
 
-    def merged_with(self, other: "CovarianceReport") -> "CovarianceReport":
-        """Combine an exact-part report with a realization-part report."""
-        return CovarianceReport(
-            self.settings_a,
-            self.settings_b,
-            self.distribution_max_diff
-            if self.distribution_max_diff is not None
-            else other.distribution_max_diff,
-            self.divergence_fraction
-            if self.divergence_fraction is not None
-            else other.divergence_fraction,
-            max(self.trials, other.trials),
-            self.tolerance,
-        )
-
 
 def distribution_covariance_check(
     state: TwoQubitState, settings_a, settings_b, tol: float = 1e-12
@@ -291,8 +292,9 @@ def realization_divergence(
 ) -> CovarianceReport:
     """Share of trials whose realized outcome pairs differ between chronologies.
 
-    Both chronologies replay the same substream per trial, so any difference
-    is purely the time order, never the randomness.
+    Both chronologies replay the same substream per trial, laid out as in
+    `estimate_table`, so any difference is purely the time order, never the
+    randomness.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

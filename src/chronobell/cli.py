@@ -11,9 +11,11 @@ locality checks disagreed (internal inconsistency).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -49,8 +51,6 @@ from .quantum import (
     make_singlet,
 )
 from .reporting import canonical_json, correlation_table_csv, correlation_table_dict, write_text
-
-FLASH_BLOCK = 256  # words per run; generous headroom over the ~3*hits+1 needed
 
 _NAMED_STATES = {
     "singlet": make_singlet,
@@ -120,6 +120,11 @@ def _resolve_lambda(args, words_needed: int) -> tuple[LambdaFile, dict]:
         raise ValueError("provide exactly one of --lambda-file or --seed")
     if has_file:
         lf = LambdaFile.load(args.lambda_file)
+        if lf.count < words_needed:
+            raise CapacityError(
+                f"lambda file {args.lambda_file} holds {lf.count} words, "
+                f"this run needs {words_needed}"
+            )
         source = {"lambda_file": args.lambda_file, "words": lf.count}
     else:
         lf = generate_lambda_file(args.seed, words_needed)
@@ -135,13 +140,13 @@ def _emit(args, report: dict) -> None:
 
 
 def cmd_gen_lambda(args) -> int:
-    lf = generate_lambda_file(args.seed, args.count)
-    path = lf.save(args.out)
-    digest = hashlib.sha256(lf.to_bytes()).hexdigest()
+    blob = generate_lambda_file(args.seed, args.count).to_bytes()
+    path = Path(args.out)
+    path.write_bytes(blob)
     report = {
         "command": "gen-lambda",
         "config": {"seed": args.seed, "count": args.count, "out": str(args.out)},
-        "results": {"path": str(path), "sha256": digest},
+        "results": {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()},
     }
     sys.stdout.write(canonical_json(report))
     return 0
@@ -207,7 +212,9 @@ def cmd_covariance(args) -> int:
     table = estimate_table(
         state, settings_a, settings_b, chronology, args.trials, lf.stream()
     )
-    combined = exact_part.merged_with(realized_part)
+    combined = dataclasses.replace(
+        exact_part, divergence_fraction=realized_part.divergence_fraction, trials=args.trials
+    )
 
     report = {
         "command": "covariance",
@@ -278,14 +285,20 @@ def cmd_nogo(args) -> int:
 
 
 def cmd_flash(args) -> int:
-    if args.rate <= 0 or args.duration <= 0:
-        raise ValueError("--rate and --duration must be positive")
+    if not (0 < args.rate < math.inf and 0 < args.duration < math.inf):
+        raise ValueError("--rate and --duration must be positive and finite")
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
+    if args.sites > flash_mod.MAX_EXACT_SITES:
+        raise ValueError(
+            f"--sites must be at most {flash_mod.MAX_EXACT_SITES} "
+            f"(the exact ordering check), got {args.sites}"
+        )
     kernel = flash_mod.make_hit_kernel(args.sites, args.sigma)
     psi0 = flash_mod.make_entangled_pair(args.sites, args.sites // 4, (3 * args.sites) // 4)
+    block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
 
-    lf, source = _resolve_lambda(args, args.runs * FLASH_BLOCK)
+    lf, source = _resolve_lambda(args, args.runs * block)
     root = lf.stream()
 
     hit_counts = np.zeros(args.runs, dtype=np.int64)
@@ -293,7 +306,7 @@ def cmd_flash(args) -> int:
     lines: list[str] = []
     for run in range(args.runs):
         history = flash_mod.run_flash_process(
-            psi0, kernel, args.rate, args.duration, root.split(run, FLASH_BLOCK)
+            psi0, kernel, args.rate, args.duration, root.split(run, block)
         )
         hit_counts[run] = len(history)
         if history.records:

@@ -37,6 +37,10 @@ DEFAULT_WIDTH = 2.0
 DEFAULT_RATE = 1.0
 DEFAULT_DURATION = 4.0
 
+MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
+MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
+OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
@@ -282,6 +286,34 @@ def run_flash_process(
     return FlashHistory(records, final, stream.label)
 
 
+def flash_block(mean_hits: float) -> int:
+    """Words per run such that a run needs more with probability <= OVERRUN_PROBABILITY.
+
+    A run reads 3 words per hit plus the overshooting waiting time, and its
+    hit count N is Poisson with mean `mean_hits`. The Chernoff bound
+    ``P(N >= k) <= exp(-mu) * (e * mu / k)**k`` (k > mu) decreases in k; the
+    smallest k that brings it to the tail gives ``3 * k + 1`` words, never
+    fewer than MIN_FLASH_BLOCK.
+    """
+    if not 0.0 < mean_hits < math.inf:
+        raise ValueError(f"mean hit count must be positive and finite, got {mean_hits!r}")
+    log_tail = math.log(OVERRUN_PROBABILITY)
+
+    def within(k: int) -> bool:
+        return -mean_hits + k * (1.0 + math.log(mean_hits / k)) <= log_tail
+
+    # k >= e**2 * mu makes the exponent at most -mu - k, so hi is within; the
+    # bound holds only for k > mu, and every k tried lies above lo = floor(mu)
+    lo, hi = math.floor(mean_hits), math.ceil(max(math.e**2 * mean_hits, -log_tail)) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            hi = mid
+        else:
+            lo = mid
+    return max(MIN_FLASH_BLOCK, 3 * hi + 1)
+
+
 @dataclass(frozen=True, eq=False)
 class OrderingReport:
     """Exact joint first-hit distributions under both hit orders, compared."""
@@ -308,8 +340,8 @@ def ordering_invariance_exact(
     """
     if psi.n_particles != 2:
         raise ValueError("ordering check needs a two-particle wavefunction")
-    if psi.n_sites > 32:
-        raise ValueError("exact check is limited to grids of at most 32 sites")
+    if psi.n_sites > MAX_EXACT_SITES:
+        raise ValueError(f"exact check is limited to grids of at most {MAX_EXACT_SITES} sites")
 
     def sequential_joint(first_particle: int) -> np.ndarray:
         second_particle = 1 - first_particle

@@ -20,11 +20,14 @@ exactly 1.0.
 
 Splitting is fixed-block: substream ``i`` of a stream owns words
 ``[i*block, (i+1)*block)`` of that stream's range, making per-substream values
-independent of the order in which substreams are consumed.
+independent of the order in which substreams are consumed. Because the layout
+fixes where every word is, a batch of substreams can be read as one strided
+slice of `LambdaFile.words` instead of one `split` per substream.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,12 +62,25 @@ class LambdaFile:
     seed_note: int = 0
 
     def __post_init__(self) -> None:
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, words: np.ndarray, seed_note: int = 0) -> "LambdaFile":
+        """Take ownership of a fresh array that nothing else references, uncopied."""
+        lf = object.__new__(cls)
+        object.__setattr__(lf, "words", words)
+        object.__setattr__(lf, "seed_note", seed_note)
+        lf._freeze(copy=False)
+        return lf
+
+    def _freeze(self, copy: bool) -> None:
         words = np.ascontiguousarray(self.words, dtype=np.uint64)
         if words.ndim != 1:
             raise LambdaFormatError("payload must be a flat word sequence")
         if words.size == 0:
             raise EmptyFileError("a lambda file must contain at least one word")
-        words = words.copy()
+        if copy:
+            words = words.copy()
         words.flags.writeable = False
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "seed_note", int(self.seed_note) & (2**64 - 1))
@@ -87,24 +103,13 @@ class LambdaFile:
 
     def to_bytes(self) -> bytes:
         header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.count, self.seed_note)
-        return header + self.words.astype("<u8").tobytes()
+        return b"".join((header, memoryview(self.words.astype("<u8", copy=False))))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LambdaFile":
-        if len(blob) < _HEADER.size:
-            raise LambdaFormatError("file too short for a lambda header")
-        magic, version, count, seed_note = _HEADER.unpack_from(blob)
-        if magic != MAGIC:
-            raise LambdaFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise LambdaFormatError(f"unsupported format version {version}")
-        payload = blob[_HEADER.size:]
-        if len(payload) != 8 * count:
-            raise LambdaFormatError(
-                f"payload holds {len(payload)} bytes, header promises {8 * count}"
-            )
-        words = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-        return cls(words, seed_note)
+        count, seed_note = _parse_header(blob)
+        _check_payload(len(blob) - _HEADER.size, count)
+        return cls(np.frombuffer(blob, dtype="<u8", offset=_HEADER.size), seed_note)
 
     def save(self, path) -> Path:
         path = Path(path)
@@ -113,11 +118,35 @@ class LambdaFile:
 
     @classmethod
     def load(cls, path) -> "LambdaFile":
-        return cls.from_bytes(Path(path).read_bytes())
+        """Read a stored file, holding its payload in memory once."""
+        path = Path(path)
+        with path.open("rb") as fh:
+            count, seed_note = _parse_header(fh.read(_HEADER.size))
+            _check_payload(os.fstat(fh.fileno()).st_size - _HEADER.size, count)
+            words = np.fromfile(fh, dtype="<u8", count=count)
+        _check_payload(8 * words.size, count)  # the file shrank after the size check
+        return cls._adopt(words, seed_note)
 
     def stream(self, label: str = "root") -> "LambdaStream":
         """A cursor over the whole file."""
         return LambdaStream(self, 0, self.count, label)
+
+
+def _parse_header(blob: bytes) -> tuple[int, int]:
+    """(word count, seed note) from the first bytes of a stored file."""
+    if len(blob) < _HEADER.size:
+        raise LambdaFormatError("file too short for a lambda header")
+    magic, version, count, seed_note = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
+        raise LambdaFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise LambdaFormatError(f"unsupported format version {version}")
+    return count, seed_note
+
+
+def _check_payload(n_bytes: int, count: int) -> None:
+    if n_bytes != 8 * count:
+        raise LambdaFormatError(f"payload holds {n_bytes} bytes, header promises {8 * count}")
 
 
 def generate_lambda_file(seed: int, count: int) -> LambdaFile:
@@ -132,8 +161,7 @@ def generate_lambda_file(seed: int, count: int) -> LambdaFile:
     count = int(count)
     if count < 1:
         raise EmptyFileError("count must be at least 1")
-    words = np.random.PCG64(seed).random_raw(count)
-    return LambdaFile(np.asarray(words, dtype=np.uint64), seed_note=seed)
+    return LambdaFile._adopt(np.random.PCG64(seed).random_raw(count), seed_note=seed)
 
 
 @dataclass(eq=False)

@@ -11,13 +11,17 @@ The exact fractions were computed with it before the tests were written:
     product |00>, a = b = z            -> 0.0
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
+from chronobell.chronology import _gather_trial_lambdas
 
 SQRT2 = math.sqrt(2.0)
 
@@ -329,14 +333,64 @@ class TestReplayDeterminism:
 
 
 class TestCovarianceReport:
-    def test_merge(self, singlet, zz_settings):
+    def test_to_dict_with_both_parts(self, singlet, zz_settings):
+        """The CLI's combined report: the exact part plus the realized divergence."""
         a, b = zz_settings
         exact = cb.distribution_covariance_check(singlet, [a], [b])
         stream = cb.generate_lambda_file(seed=53, count=100 * 64).stream()
         realized = cb.realization_divergence(singlet, [a], [b], 100, stream)
-        merged = exact.merged_with(realized)
-        assert merged.distribution_pass
-        assert merged.max_divergence == realized.max_divergence
-        data = merged.to_dict()
+        combined = dataclasses.replace(
+            exact, divergence_fraction=realized.divergence_fraction, trials=100
+        )
+        assert combined.distribution_pass
+        assert combined.max_divergence == realized.max_divergence
+        data = combined.to_dict()
+        assert data["trials"] == 100
         assert data["distribution"]["pass"] is True
         assert data["realization"]["max_divergence"] == 1.0
+
+
+def oracle_trial_lambdas(stream, pair_index, trials, block):
+    """One split/take per trial: the layout read the long way round."""
+    rows = [stream.split(pair_index * trials + t, block).take(2) for t in range(trials)]
+    return np.array(rows).reshape(trials, 2)
+
+
+class TestGatherTrialLambdas:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 600),
+        start=st.integers(0, 100),
+        cursor=st.integers(0, 20),
+        pair_index=st.integers(0, 4),
+        trials=st.integers(1, 30),
+        block=st.integers(2, 16),
+    )
+    def test_matches_split_take_oracle(self, seed, count, start, cursor, pair_index, trials, block):
+        lf = cb.generate_lambda_file(seed, count + start)
+        stream = cb.LambdaStream(lf, start, count)
+        stream.take(min(cursor, count))  # the cursor is ignored, as by split
+        try:
+            expected = oracle_trial_lambdas(stream, pair_index, trials, block)
+        except cb.CapacityError:
+            with pytest.raises(cb.CapacityError):
+                _gather_trial_lambdas(stream, pair_index, trials, block)
+            return
+        got = _gather_trial_lambdas(stream, pair_index, trials, block)
+        assert got.dtype == expected.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_capacity_error_names_the_last_trial(self):
+        stream = cb.generate_lambda_file(seed=1, count=64 * 7).stream()
+        with pytest.raises(cb.CapacityError, match="substream 7 needs words up to 512"):
+            _gather_trial_lambdas(stream, 1, 4, 64)
+
+    def test_small_blocks_fail_like_split_take(self):
+        stream = cb.generate_lambda_file(seed=1, count=64).stream()
+        with pytest.raises(ValueError):
+            _gather_trial_lambdas(stream, 0, 4, 0)
+        with pytest.raises(cb.StreamExhaustedError):
+            _gather_trial_lambdas(stream, 0, 4, 1)
+        with pytest.raises(cb.CapacityError):
+            _gather_trial_lambdas(stream, 100, 4, 1)

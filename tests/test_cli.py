@@ -1,5 +1,6 @@
 """Command-line interface tests: reports, exit statuses, byte-level replay."""
 
+import hashlib
 import json
 import math
 
@@ -223,6 +224,40 @@ class TestFlash:
         code, _, _ = run_cli(capsys, "flash", "--runs", "0", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_rejected(self, capsys, value):
+        code, _, _ = run_cli(capsys, "flash", "--rate", value, "--seed", "1")
+        assert code == 2
+
+    def test_high_rate_gets_a_large_enough_block(self, capsys):
+        code, report, _ = run_json(
+            capsys, "flash", "--seed", "1", "--runs", "10", "--rate", "100"
+        )
+        assert code == 0
+        hits = report["results"]["hits"]
+        assert hits["expected"] == 800.0
+        assert abs(hits["mean"] - 800.0) <= 5 * math.sqrt(800.0 / 10)
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        """Fail the test if any flash run is simulated."""
+        def simulate(*args, **kwargs):
+            raise AssertionError("a run was simulated")
+
+        monkeypatch.setattr(cli.flash_mod, "run_flash_process", simulate)
+
+    def test_oversized_grid_rejected_before_any_run(self, capsys, no_runs):
+        code, _, err = run_cli(capsys, "flash", "--sites", "40", "--seed", "1", "--runs", "5")
+        assert code == 2
+        assert "--sites" in err
+
+    def test_undersized_lambda_file_rejected_before_any_run(self, capsys, tmp_path, no_runs):
+        path = tmp_path / "small.bin"
+        cb.generate_lambda_file(seed=1, count=256 * 4).save(path)
+        code, _, err = run_cli(capsys, "flash", "--runs", "5", "--lambda-file", str(path))
+        assert code == 3
+        assert "1024 words" in err
+
 
 class TestGenLambda:
     def test_roundtrip_through_commands(self, capsys, tmp_path):
@@ -251,6 +286,57 @@ class TestGenLambda:
             "--out", str(tmp_path / "x.bin"),
         )
         assert code == 2
+
+
+# sha256 of reports and files written before lambda gathering became index
+# arithmetic; a mismatch is a replay break, not a refactoring detail
+GOLDEN_STDOUT = {
+    ("covariance", "--seed", "3", "--trials", "200", "--angles", "0,90/45,135"):
+        "f26e9cbd23c76e7d44774ee281160d8775b9ff31166a18540a823b8b05c9320a",
+    ("flash", "--seed", "1", "--runs", "20"):
+        "22fee53589c02f7e67d203b9c136040e23af12ebacc44fcd33afab13684b5426",
+    ("chsh",): "e1e7da5f8b57a1a920e433a4f79e809573a0a101ee81d397d2db6dbc854f5054",
+    ("nogo", "--alphabet-size", "2"):
+        "e6b94a3c385d939b48b7863bedae42afa304edb40d421aec98b5d5e088786442",
+}
+GOLDEN_FLASH_HISTORY = "4b1486defd6f5f27cd34e7d2e21c391fa8724a4ddcc8939a138c154fab976858"
+GOLDEN_LAMBDA_FILE = "35f4e8bc53035751f2513e970b7c3c97701828482c518f45cbcd4323f2d7e1fc"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+    def test_stdout(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sha256(out.encode()) == GOLDEN_STDOUT[argv]
+
+    def test_flash_history(self, capsys, tmp_path):
+        out = tmp_path / "history.txt"
+        code, report, _ = run_json(capsys, "flash", "--seed", "1", "--runs", "20", "--out", str(out))
+        assert code == 0
+        assert sha256(out.read_bytes()) == GOLDEN_FLASH_HISTORY
+        assert report["results"]["history_sha256"] == GOLDEN_FLASH_HISTORY
+
+    def test_gen_lambda_writes_and_hashes_the_same_bytes(self, capsys, tmp_path):
+        out = tmp_path / "lam.bin"
+        code, report, _ = run_json(
+            capsys, "gen-lambda", "--seed", "5", "--count", "1000", "--out", str(out)
+        )
+        assert code == 0
+        assert sha256(out.read_bytes()) == GOLDEN_LAMBDA_FILE
+        assert report["results"] == {"path": str(out), "sha256": GOLDEN_LAMBDA_FILE}
+
+    def test_covariance_from_file_matches_seed(self, capsys, tmp_path):
+        path = tmp_path / "lam.bin"
+        argv = ("covariance", "--trials", "200", "--angles", "0,90/45,135", "--chronology", "ba")
+        cb.generate_lambda_file(seed=3, count=4 * 200 * 64).save(path)
+        _, from_file, _ = run_json(capsys, *argv, "--lambda-file", str(path))
+        _, from_seed, _ = run_json(capsys, *argv, "--seed", "3")
+        assert from_file["results"] == from_seed["results"]
 
 
 class TestReportStability:

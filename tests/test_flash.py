@@ -12,9 +12,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
+from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, flash_block
 
 
 def random_grid_state(rng, n_sites, n_particles=1):
@@ -251,6 +255,40 @@ class TestRunFlashProcess:
     def test_history_line_format(self):
         history = cb.FlashHistory([cb.FlashRecord(0.5, 3, 1)], None, "root[0]")
         assert history.to_lines() == ["0.5\t1\t3"]
+
+
+class TestFlashBlock:
+    @pytest.mark.parametrize("mean_hits", [8.0, 16.0])
+    def test_default_and_benchmark_rates_keep_the_minimum(self, mean_hits):
+        assert flash_block(mean_hits) == MIN_FLASH_BLOCK == 256
+
+    @settings(max_examples=200, deadline=None)
+    @given(mean_hits=st.floats(1e-3, 5e3))
+    def test_overrun_probability_within_tail(self, mean_hits):
+        block = flash_block(mean_hits)
+        max_hits = (block - 1) // 3
+        assert scipy.stats.poisson.sf(max_hits, mean_hits) <= OVERRUN_PROBABILITY
+        assert flash_block(mean_hits * 1.5) >= block
+
+    def test_bound_is_not_wasteful(self):
+        # rate 100 on the default grid: 800 hits expected, and the exact 1e-12
+        # quantile of the hit count is 1007; the Chernoff bound gives 1020
+        assert flash_block(800.0) == 3 * 1020 + 1
+
+    @pytest.mark.parametrize("mean_hits", [0.0, -1.0, math.inf, math.nan])
+    def test_invalid_mean_rejected(self, mean_hits):
+        with pytest.raises(ValueError):
+            flash_block(mean_hits)
+
+    def test_high_rate_run_fits_its_block(self):
+        psi = cb.make_entangled_pair(16, 4, 12)
+        kernel = cb.make_hit_kernel(16, 2.0)
+        block = flash_block(100.0 * 4.0 * 2)
+        root = cb.generate_lambda_file(seed=1, count=3 * block).stream()
+        for run in range(3):
+            sub = root.split(run, block)
+            history = cb.run_flash_process(psi, kernel, 100.0, 4.0, sub)
+            assert sub.position == 3 * len(history) + 1
 
 
 class TestOrderingInvariance:

@@ -194,3 +194,61 @@ class TestFileFormat:
         blob[4] = 9
         with pytest.raises(cb.LambdaFormatError):
             cb.LambdaFile.from_bytes(bytes(blob))
+
+
+def _corrupt(blob: bytes, how: str) -> bytes:
+    if how == "truncated":
+        return blob[:-3]
+    if how == "header-only-part":
+        return blob[:10]
+    if how == "bad-magic":
+        return b"NOPE" + blob[4:]
+    if how == "bad-version":
+        return blob[:4] + bytes([9]) + blob[5:]
+    if how == "over-long":
+        return blob + bytes(8)
+    raise ValueError(how)
+
+
+class TestLoad:
+    @pytest.mark.parametrize(
+        "how", ["truncated", "header-only-part", "bad-magic", "bad-version", "over-long"]
+    )
+    def test_corrupt_file_rejected_like_from_bytes(self, tmp_path, how):
+        blob = _corrupt(cb.generate_lambda_file(seed=1, count=4).to_bytes(), how)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        with pytest.raises(cb.LambdaFormatError) as from_file:
+            cb.LambdaFile.load(path)
+        with pytest.raises(cb.LambdaFormatError) as from_blob:
+            cb.LambdaFile.from_bytes(blob)
+        assert str(from_file.value) == str(from_blob.value)
+
+    def test_empty_payload_rejected(self, tmp_path):
+        blob = struct.pack("<4sBQQ", MAGIC, FORMAT_VERSION, 0, 5)
+        path = tmp_path / "empty.bin"
+        path.write_bytes(blob)
+        with pytest.raises(cb.EmptyFileError):
+            cb.LambdaFile.load(path)
+        with pytest.raises(cb.EmptyFileError):
+            cb.LambdaFile.from_bytes(blob)
+
+    def test_loaded_words_are_read_only(self, tmp_path):
+        path = cb.generate_lambda_file(seed=2, count=8).save(tmp_path / "lam.bin")
+        loaded = cb.LambdaFile.load(path)
+        assert loaded.words.dtype == np.uint64
+        with pytest.raises(ValueError):
+            loaded.words[0] = 1
+
+    def test_save_load_bytes_identical(self, tmp_path):
+        lf = cb.generate_lambda_file(seed=2, count=1000)
+        path = lf.save(tmp_path / "lam.bin")
+        assert path.read_bytes() == lf.to_bytes()
+        assert cb.LambdaFile.load(path).to_bytes() == lf.to_bytes()
+
+    def test_user_arrays_are_still_copied(self):
+        words = np.arange(4, dtype=np.uint64)
+        lf = cb.LambdaFile(words)
+        words[0] = 99
+        assert lf.words[0] == 0
+        assert words.flags.writeable
