@@ -58,8 +58,6 @@ from .lambdafile import (
     LambdaFile,
     LambdaStream,
     generate_lambda_file,
-    next_real,
-    split_stream,
 )
 from .localpolytope import (
     BehaviorVector,

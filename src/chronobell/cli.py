@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -140,35 +139,45 @@ def _emit(args, report: dict) -> None:
 
 
 def cmd_gen_lambda(args) -> int:
-    blob = generate_lambda_file(args.seed, args.count).to_bytes()
-    path = Path(args.out)
-    path.write_bytes(blob)
+    lf = generate_lambda_file(args.seed, args.count)
+    path = lf.save(args.out)
+    digest = hashlib.sha256()
+    for buf in lf.buffers():
+        digest.update(buf)
     report = {
         "command": "gen-lambda",
         "config": {"seed": args.seed, "count": args.count, "out": str(args.out)},
-        "results": {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()},
+        "results": {"path": str(path), "sha256": digest.hexdigest()},
     }
     sys.stdout.write(canonical_json(report))
     return 0
 
 
-def cmd_chsh(args) -> int:
+def _certified_target(args, command: str, tol: float = 1e-9):
+    """The --state behavior at the 4 --angles settings, checked by both locality oracles.
+
+    `tol` goes to both oracles; its default is theirs.
+    """
     state = parse_state(args.state)
     tokens = [t for t in args.angles.split(",") if t.strip()]
     if len(tokens) != 4:
-        raise ValueError("chsh needs 4 settings: a,a2,b,b2")
+        raise ValueError(f"{command} needs 4 settings: a,a2,b,b2")
     a, a2 = (BlochSetting(parse_direction(t), Party.A) for t in tokens[:2])
     b, b2 = (BlochSetting(parse_direction(t), Party.B) for t in tokens[2:])
-
-    value = chsh_value(state, a, a2, b, b2)
     behavior = quantum_behavior(state, a, a2, b, b2)
-    facet = chsh_facet_check(behavior, args.tol)
-    membership = local_membership_lp(behavior, args.tol)
+    facet = chsh_facet_check(behavior, tol)
+    membership = local_membership_lp(behavior, tol)
     if membership.local != facet.local:
         raise OracleDisagreementError(
             f"membership LP says local={membership.local}, "
             f"facet check says local={facet.local}"
         )
+    return state, (a, a2, b, b2), behavior, facet, membership
+
+
+def cmd_chsh(args) -> int:
+    state, (a, a2, b, b2), _, facet, membership = _certified_target(args, "chsh", args.tol)
+    value = chsh_value(state, a, a2, b, b2)
 
     report = {
         "command": "chsh",
@@ -244,21 +253,8 @@ def cmd_nogo(args) -> int:
         raise ValueError(
             f"--alphabet-size must be at most {MAX_SEARCH_ALPHABET}, got {args.alphabet_size}"
         )
-    state = parse_state(args.state)
-    tokens = [t for t in args.angles.split(",") if t.strip()]
-    if len(tokens) != 4:
-        raise ValueError("nogo needs 4 settings: a,a2,b,b2")
-    a, a2 = (BlochSetting(parse_direction(t), Party.A) for t in tokens[:2])
-    b, b2 = (BlochSetting(parse_direction(t), Party.B) for t in tokens[2:])
-
-    target = quantum_behavior(state, a, a2, b, b2)
-    facet = chsh_facet_check(target)
-    membership = local_membership_lp(target)
-    if membership.local != facet.local:
-        raise OracleDisagreementError(
-            f"membership LP says local={membership.local}, "
-            f"facet check says local={facet.local}"
-        )
+    # --tol is the search tolerance; the oracles keep their default
+    _, _, target, facet, membership = _certified_target(args, "nogo")
     result = exhaustive_nogo_search(args.alphabet_size, target, args.tol)
 
     report = {

@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import ImpossibleFlashError, InvalidStateError
 from .lambdafile import LambdaStream
+from .quantum import ATOL, _fix_global_phase, _readonly
 
-ATOL = 1e-12
 _ZERO_CENTER = 1e-24
-_PHASE_CUTOFF = 1e-12
 
 DEFAULT_SITES = 16
 DEFAULT_WIDTH = 2.0
@@ -40,12 +39,6 @@ DEFAULT_DURATION = 4.0
 MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +157,6 @@ def flash_distribution(
     if psi.n_particles == 2:
         site_probs = site_probs.sum(axis=1 - particle)
     return kernel.squared() @ site_probs
-
-
-def _fix_global_phase(amps: np.ndarray) -> np.ndarray:
-    for value in amps.ravel():
-        if abs(value) > _PHASE_CUTOFF:
-            return amps * (value.conjugate() / abs(value))
-    return amps
 
 
 def apply_hit(

@@ -101,9 +101,13 @@ class LambdaFile:
         words = np.floor(values * 2.0**64).astype(np.uint64)
         return cls(words, seed_note)
 
-    def to_bytes(self) -> bytes:
+    def buffers(self) -> tuple[bytes, memoryview]:
+        """The stored file as its header and its little-endian payload, uncopied."""
         header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.count, self.seed_note)
-        return b"".join((header, memoryview(self.words.astype("<u8", copy=False))))
+        return header, memoryview(self.words.astype("<u8", copy=False))
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self.buffers())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LambdaFile":
@@ -113,7 +117,9 @@ class LambdaFile:
 
     def save(self, path) -> Path:
         path = Path(path)
-        path.write_bytes(self.to_bytes())
+        with path.open("wb") as fh:
+            for buf in self.buffers():
+                fh.write(buf)
         return path
 
     @classmethod
@@ -243,10 +249,3 @@ class LambdaStream:
             f"{self.label}[{trial_index}]",
         )
 
-
-def next_real(stream: LambdaStream) -> float:
-    return stream.next_real()
-
-
-def split_stream(stream: LambdaStream, trial_index: int, block: int = DEFAULT_BLOCK) -> LambdaStream:
-    return stream.split(trial_index, block)

@@ -13,9 +13,10 @@ ordering-consistent quadruple can reproduce them.
 Membership in the local polytope is decided by two independent routes that
 must agree: a dense phase-1 simplex over the 16 vertices, and the 8 CHSH
 facet inequalities, which together with positivity are complete for this
-scenario. The exhaustive search grinds over every uniform-weight quadruple
-at alphabet sizes 1..5; it illustrates concretely what the facet bound
-proves for arbitrary finite mixtures.
+scenario. The exhaustive search covers every uniform-weight quadruple at
+alphabet sizes 1..5 by evaluating each multiset of L vertices once; it
+illustrates concretely what the facet bound proves for arbitrary finite
+mixtures.
 """
 
 from __future__ import annotations
@@ -28,28 +29,16 @@ import numpy as np
 
 from .chronology import Chronology
 from .errors import NotReducibleError, SearchSpaceError
-from .quantum import BlochSetting, TwoQubitState, joint_distribution
+from .quantum import LOCAL_BOUND, BlochSetting, TwoQubitState, joint_distribution
 from .simplex import solve_feasibility
 
 N_SETTINGS = 2
 N_OUTCOMES = 2
-LOCAL_BOUND = 2.0
 MAX_SEARCH_ALPHABET = 5
 
 _ENTRY_FLOOR = -1e-12
 _BLOCK_TOL = 1e-9
 _NS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Scenario222:
-    """Two parties, two settings each, outcomes +1/-1: the canonical scenario."""
-
-    n_settings: int = N_SETTINGS
-    n_outcomes: int = N_OUTCOMES
-
-
-SCENARIO = Scenario222()
 
 
 def _sign_table(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -441,17 +430,6 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     return MembershipResult(True, weights, error, None)
 
 
-def _all_sign_tables(alphabet_size: int) -> np.ndarray:
-    """Every (setting, lambda) response table, shape (4**L, 2, L), entries +/-1."""
-    n = 4**alphabet_size
-    idx = np.arange(n, dtype=np.int64)
-    bits = np.empty((n, N_SETTINGS, alphabet_size), dtype=np.int64)
-    for a in range(N_SETTINGS):
-        for lam in range(alphabet_size):
-            bits[:, a, lam] = (idx >> (a * alphabet_size + lam)) & 1
-    return 1 - 2 * bits
-
-
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     found: bool
@@ -476,51 +454,44 @@ class SearchResult:
 def exhaustive_nogo_search(
     alphabet_size: int, target: BehaviorVector, tol: float
 ) -> SearchResult:
-    """Enumerate every uniform-weight ordering-consistent quadruple.
+    """Search every uniform-weight ordering-consistent quadruple.
 
-    Consistency leaves only the two first-responder tables free, so the
-    search space is all (4**L)^2 table pairs. Returns the closest behavior's
-    distance to `target` (max absolute entrywise difference) and the largest
-    CHSH facet value met anywhere in the search; the latter equals the local
-    bound 2 exactly, because correlators are integer sums divided by L once.
+    Consistency leaves only the two first-responder tables free, so the space
+    covered is all (4**L)^2 table pairs. Each lambda column of a pair is one
+    of the 16 deterministic vertices, and a uniform mixture ignores column
+    order, so only the C(L+15, 15) multisets of L vertices are evaluated
+    (Fine's vertex description of the local polytope). Returns the closest
+    behavior's distance to `target` (max absolute entrywise difference) and
+    the largest CHSH facet value met anywhere in the search; the latter equals
+    the local bound 2 exactly, because correlators are integer sums divided by
+    L once.
     """
     if not 1 <= alphabet_size <= MAX_SEARCH_ALPHABET:
         raise SearchSpaceError(
             f"alphabet size must be in 1..{MAX_SEARCH_ALPHABET}, got {alphabet_size}"
         )
-    tables = _all_sign_tables(alphabet_size)
-    indicators = _indicator(tables)  # (n, 2, 2, L): [candidate, setting, outcome, lam]
-    n = tables.shape[0]
-    target_probs = target.probs
+    vertices = _vertex_models()
+    vertex_counts = _vertex_matrix().T.reshape(len(vertices), 2, 2, 2, 2).astype(np.int64)
+    picks = np.array(
+        list(itertools.combinations_with_replacement(range(len(vertices)), alphabet_size))
+    )
+    counts = vertex_counts[picks].sum(axis=1)  # [pick, a, b, alpha_idx, beta_idx]
+    distances = np.max(np.abs(counts / alphabet_size - target.probs), axis=(1, 2, 3, 4))
+    best = int(np.argmin(distances))
 
-    best_distance = np.inf
-    best_pair = (0, 0)
-    max_corr_int = 0
-    chunk = max(1, 2**16 // n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        counts = np.einsum("nail,mbjl->nmabij", indicators[lo:hi], indicators)
-        distances = np.max(
-            np.abs(counts / alphabet_size - target_probs[None, None]), axis=(2, 3, 4, 5)
-        )
-        flat_arg = int(np.argmin(distances))
-        i, j = np.unravel_index(flat_arg, distances.shape)
-        if distances[i, j] < best_distance:
-            best_distance = float(distances[i, j])
-            best_pair = (lo + int(i), int(j))
+    corr_int = counts[..., 0, 0] - counts[..., 0, 1] - counts[..., 1, 0] + counts[..., 1, 1]
+    max_corr_int = int(np.abs(np.einsum("sab,nab->ns", _CHSH_PATTERNS, corr_int)).max())
 
-        corr_int = np.einsum("nal,mbl->nmab", tables[lo:hi], tables)
-        for signs in _CHSH_PATTERNS:
-            value = int(np.max(np.abs(np.einsum("ab,nmab->nm", signs, corr_int))))
-            max_corr_int = max(max_corr_int, value)
-
-    best_model = LocalModel.uniform(tables[best_pair[0]], tables[best_pair[1]])
+    chosen = [vertices[v] for v in picks[best]]
+    best_model = LocalModel.uniform(
+        np.hstack([m.responses_a for m in chosen]), np.hstack([m.responses_b for m in chosen])
+    )
     return SearchResult(
-        found=bool(best_distance <= tol),
+        found=bool(distances[best] <= tol),
         best=StrategyQuadruple.from_local(best_model),
-        best_distance=best_distance,
+        best_distance=float(distances[best]),
         max_chsh=max_corr_int / alphabet_size,
         alphabet_size=alphabet_size,
         tolerance=tol,
-        n_candidates=n * n,
+        n_candidates=16**alphabet_size,
     )

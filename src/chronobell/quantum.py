@@ -175,7 +175,7 @@ def born_marginal(state: TwoQubitState, setting: BlochSetting, outcome: int) -> 
 
 
 def _fix_global_phase(amps: np.ndarray) -> np.ndarray:
-    for value in amps:
+    for value in amps.ravel():
         if abs(value) > _PHASE_CUTOFF:
             return amps * (value.conjugate() / abs(value))
     return amps

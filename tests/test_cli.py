@@ -298,6 +298,9 @@ GOLDEN_STDOUT = {
     ("chsh",): "e1e7da5f8b57a1a920e433a4f79e809573a0a101ee81d397d2db6dbc854f5054",
     ("nogo", "--alphabet-size", "2"):
         "e6b94a3c385d939b48b7863bedae42afa304edb40d421aec98b5d5e088786442",
+    # recorded while the search still enumerated every (4**L)^2 table pair
+    ("nogo", "--alphabet-size", "5"):
+        "433f8af8833319b3020e73d611697d1437f426c6e2bca271c479e9d9d40dbdbd",
 }
 GOLDEN_FLASH_HISTORY = "4b1486defd6f5f27cd34e7d2e21c391fa8724a4ddcc8939a138c154fab976858"
 GOLDEN_LAMBDA_FILE = "35f4e8bc53035751f2513e970b7c3c97701828482c518f45cbcd4323f2d7e1fc"

@@ -110,13 +110,6 @@ class TestStream:
         with pytest.raises(cb.StreamExhaustedError):
             stream.take(3)
 
-    def test_functional_wrappers(self):
-        lf = cb.generate_lambda_file(seed=3, count=128)
-        stream = lf.stream()
-        assert cb.next_real(stream) == lf.stream().next_real()
-        sub = cb.split_stream(lf.stream(), 1)
-        assert sub.take(3).tolist() == lf.stream().split(1).take(3).tolist()
-
 
 class TestSplitting:
     def test_order_independence(self):

@@ -12,9 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
+from chronobell.localpolytope import chsh_sign_patterns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -25,6 +28,7 @@ FROZEN_BEST_DISTANCE = {
     2: 0.4267766952966369,
     3: 0.2601100286299702,
     4: 0.1767766952966369,
+    5: 0.22677669529663663,
 }
 
 
@@ -53,6 +57,30 @@ def oracle_behavior_of_quadruple(q, chronology):
                 alpha = int(q.second_ba[b, a, lam])
             probs[a, b, (1 - alpha) // 2, (1 - beta) // 2] += q.weights[lam]
     return probs
+
+
+def oracle_table_pair_search(alphabet_size, target):
+    """The no-go search over every (4**L)^2 pair of uniform-weight response tables.
+
+    Returns (best_distance, max_chsh) with the same float operations as the
+    vertex-multiset search: integer counts and correlators divided by L once.
+    """
+    n = 4**alphabet_size
+    bits = (np.arange(n)[:, None] >> np.arange(2 * alphabet_size)) & 1
+    tables = (1 - 2 * bits).reshape(n, 2, alphabet_size)  # [candidate, setting, lam]
+    indicators = np.stack([tables == 1, tables == -1], axis=-2).astype(np.int64)
+    best_distance = np.inf
+    max_corr_int = 0
+    chunk = max(1, 2**16 // n)
+    for lo in range(0, n, chunk):
+        counts = np.einsum("nail,mbjl->nmabij", indicators[lo:lo + chunk], indicators)
+        distances = np.max(np.abs(counts / alphabet_size - target.probs), axis=(2, 3, 4, 5))
+        best_distance = min(best_distance, float(distances.min()))
+        corr_int = np.einsum("nal,mbl->nmab", tables[lo:lo + chunk], tables)
+        for signs in chsh_sign_patterns():
+            value = int(np.abs(np.einsum("ab,nmab->nm", signs, corr_int)).max())
+            max_corr_int = max(max_corr_int, value)
+    return best_distance, max_corr_int / alphabet_size
 
 
 class TestLocalModel:
@@ -260,8 +288,6 @@ class TestFacetCheck:
         assert facet.max_facet_value == 0.0
 
     def test_eight_patterns(self):
-        from chronobell.localpolytope import chsh_sign_patterns
-
         patterns = chsh_sign_patterns()
         assert len(patterns) == 8
         for signs in patterns:
@@ -347,6 +373,37 @@ class TestExhaustiveSearch:
         for size, expected in FROZEN_BEST_DISTANCE.items():
             result = cb.exhaustive_nogo_search(size, target, tol=1e-6)
             assert result.best_distance == pytest.approx(expected, abs=1e-12)
+            assert result.max_chsh == 2.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alphabet_size=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        vertex=st.integers(0, 15),
+        mix=st.floats(0.0, 1.0),
+        tol=st.sampled_from([0.0, 1e-6, 0.1, 0.3]),
+    )
+    def test_matches_table_pair_oracle(self, alphabet_size, seed, vertex, mix, tol):
+        rng = np.random.default_rng(seed)
+        quantum = cb.quantum_behavior(
+            cb.random_pure_state(rng),
+            cb.random_setting(rng, "A"),
+            cb.random_setting(rng, "A"),
+            cb.random_setting(rng, "B"),
+            cb.random_setting(rng, "B"),
+        )
+        corner = cb.enumerate_deterministic_strategies()[vertex]
+        target = cb.BehaviorVector.from_flat(mix * quantum.flat + (1 - mix) * corner.flat)
+
+        result = cb.exhaustive_nogo_search(alphabet_size, target, tol)
+        best_distance, max_chsh = oracle_table_pair_search(alphabet_size, target)
+        assert result.best_distance == best_distance
+        assert result.max_chsh == max_chsh
+        assert result.found == (best_distance <= tol)
+        assert result.n_candidates == 16**alphabet_size
+        assert cb.check_covariance_constraints(result.best).holds
+        reached = cb.behavior_of(result.best, "AB").max_abs_diff(target)
+        assert abs(reached - result.best_distance) <= 1e-15
 
     def test_best_distance_monotone_in_alphabet(self):
         target = singlet_target()
