@@ -53,9 +53,8 @@ print(f"divergence over {runs} shared-lambda draws: {differs / runs:.3f}")
 
 print()
 print("=== Poisson statistics over an ensemble ===")
-counts = np.array([
-    len(cb.run_flash_process(psi, kernel, 1.0, 4.0, lam.stream().split(r, block=256)))
-    for r in range(1_000)
-])
+# run r of the batch equals run_flash_process on lam.stream().split(r, block=256)
+ensemble = cb.run_flash_processes(psi, kernel, 1.0, 4.0, lam.stream(), runs=1_000, block=256)
+counts = ensemble.hit_counts
 print(f"mean hits {counts.mean():.3f} (expected 8.0), "
       f"variance/mean {counts.var() / counts.mean():.3f} (Poisson: 1)")

@@ -37,6 +37,7 @@ from .errors import (
     StreamExhaustedError,
 )
 from .flash import (
+    FlashEnsemble,
     FlashHistory,
     FlashRecord,
     GridWavefunction,
@@ -50,6 +51,7 @@ from .flash import (
     make_uniform,
     ordering_invariance_exact,
     run_flash_process,
+    run_flash_processes,
     sample_flash_pair,
     sample_hit_center,
 )

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -249,9 +250,9 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_nogo(args) -> int:
-    if args.alphabet_size > MAX_SEARCH_ALPHABET:
+    if not 1 <= args.alphabet_size <= MAX_SEARCH_ALPHABET:
         raise ValueError(
-            f"--alphabet-size must be at most {MAX_SEARCH_ALPHABET}, got {args.alphabet_size}"
+            f"--alphabet-size must be in 1..{MAX_SEARCH_ALPHABET}, got {args.alphabet_size}"
         )
     # --tol is the search tolerance; the oracles keep their default
     _, _, target, facet, membership = _certified_target(args, "nogo")
@@ -295,25 +296,17 @@ def cmd_flash(args) -> int:
     block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
 
     lf, source = _resolve_lambda(args, args.runs * block)
-    root = lf.stream()
-
-    hit_counts = np.zeros(args.runs, dtype=np.int64)
-    first_flash_counts = np.zeros(args.sites, dtype=np.int64)
-    lines: list[str] = []
-    for run in range(args.runs):
-        history = flash_mod.run_flash_process(
-            psi0, kernel, args.rate, args.duration, root.split(run, block)
-        )
-        hit_counts[run] = len(history)
-        if history.records:
-            first_flash_counts[history.records[0].site] += 1
-        lines.extend(f"{run}\t{line}" for line in history.to_lines())
+    ensemble = flash_mod.run_flash_processes(
+        psi0, kernel, args.rate, args.duration, lf.stream(), args.runs, block
+    )
+    hit_counts = ensemble.hit_counts
+    first_flash_counts = np.bincount(ensemble.first_sites(), minlength=args.sites)
+    history = ensemble.history_bytes()
 
     ordering = flash_mod.ordering_invariance_exact(psi0, kernel, args.tol)
     mean_hits = float(hit_counts.mean())
     dispersion = float(hit_counts.var() / mean_hits) if mean_hits > 0 else 0.0
 
-    history_text = "\n".join(lines) + "\n" if lines else ""
     results = {
         "runs": args.runs,
         "hits": {
@@ -328,10 +321,10 @@ def cmd_flash(args) -> int:
             "tolerance": ordering.tolerance,
             "pass": ordering.passed,
         },
-        "history_sha256": hashlib.sha256(history_text.encode()).hexdigest(),
+        "history_sha256": hashlib.sha256(history).hexdigest(),
     }
     if args.out:
-        write_text(args.out, history_text)
+        Path(args.out).write_bytes(history)
         results["history_file"] = str(args.out)
 
     report = {

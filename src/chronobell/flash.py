@@ -16,6 +16,16 @@ boundary with per-column renormalization (makes hit-center probabilities sum
 to 1 exactly on a finite grid), and no wave evolution between hits - the
 point is hit-order covariance, not dynamics. Defaults (16 sites, width 2,
 rate 1, duration 4) keep exact oracles cheap while still localizing visibly.
+
+Ensembles run through `run_flash_processes`, which advances many runs in
+lockstep and gives each run the flashes of `run_flash_process` on its
+substream; the scalar function stays as the reference it is tested against.
+The batch keeps no amplitude grid per run. Because hits act diagonally on
+separate tensor factors and nothing evolves between hits, a run's density
+is exactly the initial one times a real weight vector per particle (the
+product of that particle's squared kernel rows). Waiting times are computed
+word by word with `math.log1p`, as in the scalar run: `np.log1p` is off by
+one ulp on some inputs, and the history file prints times with `repr`.
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImpossibleFlashError, InvalidStateError
-from .lambdafile import LambdaStream
+from .errors import ImpossibleFlashError, InvalidStateError, StreamExhaustedError
+from .lambdafile import LambdaStream, words_to_reals
 from .quantum import ATOL, _fix_global_phase, _readonly
 
 _ZERO_CENTER = 1e-24
@@ -39,6 +49,8 @@ DEFAULT_DURATION = 4.0
 MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
+FLASH_CHUNK_RUNS = 512  # runs run_flash_processes advances together; bounds its memory
+FORMAT_SLICE = 4096  # history lines FlashEnsemble.history_bytes formats at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +227,17 @@ class FlashHistory:
         return [f"{r.time!r}\t{r.particle}\t{r.site}" for r in self.records]
 
 
+def _check_process(
+    psi0: GridWavefunction, kernel: HitKernel, rate: float, duration: float
+) -> None:
+    if rate <= 0.0:
+        raise ValueError(f"hit rate must be positive, got {rate!r}")
+    if duration <= 0.0:
+        raise ValueError(f"duration must be positive, got {duration!r}")
+    if kernel.n_sites != psi0.n_sites:
+        raise ValueError("kernel and wavefunction grids differ")
+
+
 def run_flash_process(
     psi0: GridWavefunction,
     kernel: HitKernel,
@@ -229,13 +252,7 @@ def run_flash_process(
     hit center. The final waiting-time draw that overshoots `duration` is
     still consumed.
     """
-    if rate <= 0.0:
-        raise ValueError(f"hit rate must be positive, got {rate!r}")
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration!r}")
-    if kernel.n_sites != psi0.n_sites:
-        raise ValueError("kernel and wavefunction grids differ")
-
+    _check_process(psi0, kernel, rate, duration)
     n_particles = psi0.n_particles
     total_rate = rate * n_particles
     kernel_sq = kernel.squared()
@@ -270,6 +287,134 @@ def run_flash_process(
 
     final = GridWavefunction(_fix_global_phase(amps), psi0.spacing)
     return FlashHistory(records, final, stream.label)
+
+
+@dataclass(frozen=True, eq=False)
+class FlashEnsemble:
+    """The flashes of many runs as flat arrays in (run, time) order, plus hits per run."""
+
+    run: np.ndarray
+    time: np.ndarray
+    particle: np.ndarray
+    site: np.ndarray
+    hit_counts: np.ndarray
+
+    def first_sites(self) -> np.ndarray:
+        """The site of each run's first flash, for the runs that have one."""
+        starts = np.cumsum(self.hit_counts) - self.hit_counts
+        return self.site[starts[self.hit_counts > 0]]
+
+    def history_bytes(self) -> bytearray:
+        """History file: one ``run, time, particle, site`` line per flash, tab-separated.
+
+        Each line is `FlashHistory.to_lines` of its run, prefixed by the run
+        index and ended by a newline. Lines are formatted FORMAT_SLICE at a
+        time, so no Python object per flash outlives its slice.
+        """
+        history = bytearray()
+        for lo in range(0, self.run.size, FORMAT_SLICE):
+            rows = slice(lo, lo + FORMAT_SLICE)
+            columns = (c[rows].tolist() for c in (self.run, self.time, self.particle, self.site))
+            history += "".join(f"{r}\t{t!r}\t{p}\t{s}\n" for r, t, p, s in zip(*columns)).encode()
+        return history
+
+
+def run_flash_processes(
+    psi0: GridWavefunction,
+    kernel: HitKernel,
+    rate: float,
+    duration: float,
+    stream: LambdaStream,
+    runs: int,
+    block: int,
+) -> FlashEnsemble:
+    """Runs 0..runs-1, each equal to ``run_flash_process(..., stream.split(run, block))``.
+
+    The runs advance together, one hit per step, over those still inside
+    `duration`, in chunks of FLASH_CHUNK_RUNS. At step k run r reads words
+    3k (waiting time), 3k+1 (particle) and 3k+2 (center) of its block, found
+    by index arithmetic into the file. Times and particles come from the
+    same floating-point operations as in the scalar run. Each particle's
+    state is a weight vector w (see the module docstring), so with
+    ``P0 = |psi0|**2`` the marginals are ``w0 * (P0 @ w1)`` and
+    ``w1 * (P0.T @ w0)``; they sum in another order than the scalar run's,
+    so a center could differ only where a word falls within rounding of a
+    step of the CDF.
+
+    Like the scalar runs taken in order, raises `CapacityError` up front
+    when ``runs * block`` exceeds the stream, and `StreamExhaustedError`
+    naming the first run whose hits overrun its block. The result lists
+    flashes in (run, time) order.
+    """
+    _check_process(psi0, kernel, rate, duration)
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    if block < 1:
+        raise ValueError("block size must be positive")
+    if runs * block > stream.length:
+        stream.split(stream.length // block, block)  # raises for the first run past the end
+
+    run_ids = np.arange(runs)
+    chunks = [
+        _run_chunk(psi0, kernel, rate, duration, stream, block, run_ids[lo : lo + FLASH_CHUNK_RUNS])
+        for lo in range(0, runs, FLASH_CHUNK_RUNS)
+    ]
+    return FlashEnsemble(*(np.concatenate(parts) for parts in zip(*chunks)))
+
+
+def _run_chunk(psi0, kernel, rate, duration, stream, block, run_ids):
+    """(run, time, particle, site, hit_counts) arrays of the runs `run_ids`."""
+    n_particles = psi0.n_particles
+    total_rate = rate * n_particles
+    kernel_sq = kernel.squared()
+    density = psi0.site_probabilities()
+    words = stream.file.words
+    base = stream.start + run_ids * block
+
+    def draw(offset: int, active: np.ndarray) -> np.ndarray:
+        if offset >= block:
+            label = f"{stream.label}[{run_ids[active[0]]}]"
+            raise StreamExhaustedError(f"stream {label!r} exhausted after {block} words")
+        return words_to_reals(words[base[active] + offset])
+
+    weights = np.ones((n_particles, run_ids.size, psi0.n_sites))
+    now = np.zeros(run_ids.size)
+    active = np.arange(run_ids.size)
+    no_runs = np.zeros(0, dtype=np.intp)
+    steps = [(no_runs, np.zeros(0), no_runs, no_runs)]  # typed even when no run is hit
+    offset = 0
+    while active.size:
+        now[active] += [-math.log1p(-u) / total_rate for u in draw(offset, active).tolist()]
+        active = active[now[active] <= duration]
+        if not active.size:
+            break
+        particle = np.minimum(
+            (draw(offset + 1, active) * n_particles).astype(np.intp), n_particles - 1
+        )
+
+        w = weights[:, active]
+        if n_particles == 1:
+            marginal = density * w[0]
+        else:
+            marginal = np.where(
+                particle[:, None] == 0,
+                w[0] * np.einsum("ij,rj->ri", density, w[1]),
+                w[1] * np.einsum("ij,ri->rj", density, w[0]),
+            )
+        marginal /= marginal.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(np.einsum("cj,rj->rc", kernel_sq, marginal), axis=1)
+        u_center = draw(offset + 2, active)
+        center = np.minimum((cdf <= u_center[:, None]).sum(axis=1), kernel.n_sites - 1)
+
+        hit = weights[particle, active] * kernel_sq[center]
+        weights[particle, active] = hit / hit.sum(axis=1, keepdims=True)
+        steps.append((active, now[active], particle, center))
+        offset += 3
+
+    index, time, particle, site = (np.concatenate(column) for column in zip(*steps))
+    order = np.argsort(index, kind="stable")
+    hit_counts = np.bincount(index, minlength=run_ids.size)
+    return run_ids[index[order]], time[order], particle[order], site[order], hit_counts
 
 
 def flash_block(mean_hits: float) -> int:

@@ -282,13 +282,10 @@ def test_08_flash_statistics(rng):
     rate, duration = 1.0, 4.0
     expected_hits = rate * duration * psi.n_particles
     root = cb.generate_lambda_file(seed=808, count=runs * 64).stream()
-    counts = np.zeros(n_sites)
-    hit_counts = np.empty(runs)
-    for r in range(runs):
-        history = cb.run_flash_process(psi, kernel, rate, duration, root.split(r))
-        hit_counts[r] = len(history)
-        if history.records:
-            counts[history.records[0].site] += 1
+    # run r equals run_flash_process(..., root.split(r)), pinned in test_flash.py
+    ensemble = cb.run_flash_processes(psi, kernel, rate, duration, root, runs, block=64)
+    counts = np.bincount(ensemble.first_sites(), minlength=n_sites)
+    hit_counts = ensemble.hit_counts
 
     tv = 0.5 * float(np.abs(counts / counts.sum() - exact).sum())
     mean = float(hit_counts.mean())

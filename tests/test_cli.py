@@ -168,9 +168,24 @@ class TestNogo:
         assert report["results"]["search"]["found"] is True
         assert report["results"]["target"]["lp_local"] is True
 
-    def test_oversized_alphabet(self, capsys):
+    @pytest.fixture
+    def no_oracles(self, monkeypatch):
+        """Fail the test if the target behavior or a locality oracle is computed."""
+        def oracle(*args, **kwargs):
+            raise AssertionError("an oracle ran")
+
+        for name in ("quantum_behavior", "chsh_facet_check", "local_membership_lp"):
+            monkeypatch.setattr(cli, name, oracle)
+
+    def test_oversized_alphabet(self, capsys, no_oracles):
         code, _, err = run_cli(capsys, "nogo", "--alphabet-size", "6")
         assert code == 2
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_alphabet_size_below_one_rejected_before_any_oracle(self, capsys, no_oracles, size):
+        code, _, err = run_cli(capsys, "nogo", "--alphabet-size", size)
+        assert code == 2
+        assert "--alphabet-size must be in 1..5" in err
 
     def test_verdict_disagreement_exits_4(self, capsys, monkeypatch):
         """A forced wrong facet verdict must trip the internal-inconsistency path."""
@@ -245,6 +260,7 @@ class TestFlash:
             raise AssertionError("a run was simulated")
 
         monkeypatch.setattr(cli.flash_mod, "run_flash_process", simulate)
+        monkeypatch.setattr(cli.flash_mod, "run_flash_processes", simulate)
 
     def test_oversized_grid_rejected_before_any_run(self, capsys, no_runs):
         code, _, err = run_cli(capsys, "flash", "--sites", "40", "--seed", "1", "--runs", "5")
@@ -303,6 +319,14 @@ GOLDEN_STDOUT = {
         "433f8af8833319b3020e73d611697d1437f426c6e2bca271c479e9d9d40dbdbd",
 }
 GOLDEN_FLASH_HISTORY = "4b1486defd6f5f27cd34e7d2e21c391fa8724a4ddcc8939a138c154fab976858"
+# recorded while every flash run was still simulated one at a time
+GOLDEN_STDOUT[("flash", "--seed", "1", "--runs", "2", "--rate", "100")] = (
+    "27d75b65a983a8d142b28c116dd439766defb0c156c71888a9b518b5303f5f18"
+)
+GRID32_FLASH_ARGV = ("flash", "--seed", "1", "--sites", "32", "--rate", "2", "--runs", "50")
+GOLDEN_GRID32_HISTORY = "81e83044ca6c68d139e70d329baf9f0711e8482f6300a70317d02a623cd045d4"
+# stdout with the --out path replaced by "<out>"
+GOLDEN_GRID32_STDOUT = "ea4b58334dc8bb169408157c717552e73c00b24ed4d3a44a495c9a7fc0fe615c"
 GOLDEN_LAMBDA_FILE = "35f4e8bc53035751f2513e970b7c3c97701828482c518f45cbcd4323f2d7e1fc"
 
 
@@ -323,6 +347,13 @@ class TestGolden:
         assert code == 0
         assert sha256(out.read_bytes()) == GOLDEN_FLASH_HISTORY
         assert report["results"]["history_sha256"] == GOLDEN_FLASH_HISTORY
+
+    def test_grid32_flash_history_and_stdout(self, capsys, tmp_path):
+        out = tmp_path / "history32.txt"
+        code, stdout, _ = run_cli(capsys, *GRID32_FLASH_ARGV, "--out", str(out))
+        assert code == 0
+        assert sha256(out.read_bytes()) == GOLDEN_GRID32_HISTORY
+        assert sha256(stdout.replace(str(out), "<out>").encode()) == GOLDEN_GRID32_STDOUT
 
     def test_gen_lambda_writes_and_hashes_the_same_bytes(self, capsys, tmp_path):
         out = tmp_path / "lam.bin"

@@ -9,6 +9,8 @@ rectangle decomposition of the (u1, u2) unit square.
 
 import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
+from chronobell import flash
 from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, flash_block
 
 
@@ -255,6 +258,103 @@ class TestRunFlashProcess:
     def test_history_line_format(self):
         history = cb.FlashHistory([cb.FlashRecord(0.5, 3, 1)], None, "root[0]")
         assert history.to_lines() == ["0.5\t1\t3"]
+
+
+def scalar_ensemble(psi, kernel, rate, duration, stream, runs, block):
+    """The oracle for run_flash_processes: one run_flash_process per split, in order."""
+    records, counts = [], []
+    for run in range(runs):
+        history = cb.run_flash_process(psi, kernel, rate, duration, stream.split(run, block))
+        records.extend((run, record) for record in history.records)
+        counts.append(len(history))
+    return records, counts
+
+
+def batched_ensemble(psi, kernel, rate, duration, stream, runs, block):
+    ensemble = cb.run_flash_processes(psi, kernel, rate, duration, stream, runs, block)
+    columns = (ensemble.run, ensemble.time, ensemble.site, ensemble.particle)
+    records = [(r, cb.FlashRecord(t, s, p)) for r, t, s, p in zip(*(c.tolist() for c in columns))]
+    return records, ensemble.hit_counts.tolist()
+
+
+def outcome(ensemble, *args):
+    try:
+        return ensemble(*args)
+    except cb.StreamExhaustedError as exc:
+        return str(exc)
+
+
+class TestRunFlashProcesses:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_particles=st.sampled_from([1, 2]),
+        n_sites=st.integers(2, 32),
+        width=st.floats(0.5, 4.0),
+        rate=st.floats(0.05, 8.0),
+        duration=st.floats(0.05, 4.0),
+        runs=st.integers(1, 10),
+        start=st.integers(1, 40),
+        cursor=st.integers(0, 5),
+        short_block=st.none() | st.integers(1, 16),
+        chunk=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_runs(
+        self, n_particles, n_sites, width, rate, duration, runs, start, cursor, short_block,
+        chunk, seed,
+    ):
+        psi = random_grid_state(np.random.default_rng(seed), n_sites, n_particles)
+        kernel = cb.make_hit_kernel(n_sites, width)
+        block = short_block or flash_block(rate * duration * n_particles)
+        lf = cb.generate_lambda_file(seed, start + runs * block + 7)
+        stream = cb.LambdaStream(lf, start, runs * block + 7, "s")
+        stream.take(cursor)  # splits ignore the cursor; so must the batch
+        args = (psi, kernel, rate, duration, stream, runs, block)
+        expected = outcome(scalar_ensemble, *args)
+        with mock.patch.object(flash, "FLASH_CHUNK_RUNS", chunk):  # several chunks per batch
+            assert outcome(batched_ensemble, *args) == expected
+        if short_block is None:
+            assert not isinstance(expected, str)
+
+    def test_exhaustion_names_the_first_overrunning_run(self):
+        # 13 words hold 4 hits; at 4 expected hits runs 0..2 fit, run 3 does not
+        psi = cb.make_uniform(16)
+        kernel = cb.make_hit_kernel(16, 2.0)
+        stream = cb.generate_lambda_file(seed=4, count=40 * 13).stream()
+        args = (psi, kernel, 1.0, 4.0, stream, 40, 13)
+        message = outcome(scalar_ensemble, *args)
+        assert message == "stream 'root[3]' exhausted after 13 words"
+        with pytest.raises(cb.StreamExhaustedError, match=re.escape(message)):
+            batched_ensemble(*args)
+
+    def test_capacity_checked_up_front(self):
+        psi = cb.make_uniform(8)
+        kernel = cb.make_hit_kernel(8, 2.0)
+        stream = cb.generate_lambda_file(seed=1, count=5 * 64 + 10).stream()
+        with pytest.raises(cb.CapacityError) as scalar:
+            scalar_ensemble(psi, kernel, 1.0, 4.0, stream, 6, 64)
+        with pytest.raises(cb.CapacityError, match=re.escape(str(scalar.value))):
+            cb.run_flash_processes(psi, kernel, 1.0, 4.0, stream, 6, 64)
+
+    def test_first_sites_and_history_bytes(self):
+        ensemble = cb.FlashEnsemble(
+            run=np.array([0, 0, 2]),
+            time=np.array([0.5, 1.25, 0.1]),
+            particle=np.array([1, 0, 0]),
+            site=np.array([3, 4, 7]),
+            hit_counts=np.array([2, 0, 1]),
+        )
+        assert ensemble.first_sites().tolist() == [3, 7]
+        assert ensemble.history_bytes() == b"0\t0.5\t1\t3\n0\t1.25\t0\t4\n2\t0.1\t0\t7\n"
+
+    def test_parameter_errors(self):
+        psi = cb.make_uniform(8)
+        kernel = cb.make_hit_kernel(8, 2.0)
+        stream = cb.generate_lambda_file(seed=1, count=64).stream()
+        for rate, duration, runs, block in [(0.0, 4.0, 1, 64), (1.0, 0.0, 1, 64),
+                                            (1.0, 4.0, 0, 64), (1.0, 4.0, 1, 0)]:
+            with pytest.raises(ValueError):
+                cb.run_flash_processes(psi, kernel, rate, duration, stream, runs, block)
 
 
 class TestFlashBlock:
