@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from .errors import (
     OracleDisagreementError,
     StreamExhaustedError,
 )
-from .lambdafile import DEFAULT_BLOCK, LambdaFile, generate_lambda_file
+from .lambdafile import DEFAULT_BLOCK, LambdaFile, file_header, word_blocks
 from .localpolytope import (
     MAX_SEARCH_ALPHABET,
     chsh_facet_check,
@@ -112,24 +113,19 @@ def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting
     return parse_direction_list(part_a, Party.A), parse_direction_list(part_b, Party.B)
 
 
-def _resolve_lambda(args, words_needed: int) -> tuple[LambdaFile, dict]:
-    """Exactly one of --lambda-file / --seed, expanded to `words_needed` words."""
-    has_file = getattr(args, "lambda_file", None) is not None
-    has_seed = getattr(args, "seed", None) is not None
-    if has_file == has_seed:
+def _resolve_lambda(args, n_blocks: int, block: int, keep: int) -> tuple[LambdaFile, dict]:
+    """The first `keep` words of each of `n_blocks` blocks, read from --lambda-file or --seed."""
+    has_file = args.lambda_file is not None
+    if has_file == (args.seed is not None):
         raise ValueError("provide exactly one of --lambda-file or --seed")
-    if has_file:
-        lf = LambdaFile.load(args.lambda_file)
-        if lf.count < words_needed:
-            raise CapacityError(
-                f"lambda file {args.lambda_file} holds {lf.count} words, "
-                f"this run needs {words_needed}"
-            )
-        source = {"lambda_file": args.lambda_file, "words": lf.count}
-    else:
-        lf = generate_lambda_file(args.seed, words_needed)
-        source = {"seed": args.seed, "words": lf.count}
-    return lf, source
+    source = {"lambda_file": args.lambda_file} if has_file else {"seed": args.seed}
+    source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed)
+    kept = np.empty((n_blocks, keep), dtype=np.uint64)
+    row = 0
+    for chunk in chunks:
+        kept[row : row + len(chunk)] = chunk[:, :keep]
+        row += len(chunk)
+    return LambdaFile._adopt(kept.reshape(-1)), source
 
 
 def _emit(args, report: dict) -> None:
@@ -140,11 +136,13 @@ def _emit(args, report: dict) -> None:
 
 
 def cmd_gen_lambda(args) -> int:
-    lf = generate_lambda_file(args.seed, args.count)
-    path = lf.save(args.out)
+    _, chunks = word_blocks(args.count, 1, seed=args.seed)
+    path = Path(args.out)
     digest = hashlib.sha256()
-    for buf in lf.buffers():
-        digest.update(buf)
+    with path.open("wb") as fh:
+        for buf in itertools.chain([file_header(args.count, args.seed)], chunks):
+            fh.write(buf)
+            digest.update(buf)
     report = {
         "command": "gen-lambda",
         "config": {"seed": args.seed, "count": args.count, "out": str(args.out)},
@@ -211,16 +209,16 @@ def cmd_covariance(args) -> int:
         raise ValueError("--trials must be at least 1")
     chronology = Chronology(args.chronology.upper())
 
+    # a trial reads the first 2 words of its block; keep only those
     n_pairs = len(settings_a) * len(settings_b)
-    words_needed = n_pairs * args.trials * DEFAULT_BLOCK
-    lf, source = _resolve_lambda(args, words_needed)
+    lf, source = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK, 2)
 
     exact_part = distribution_covariance_check(state, settings_a, settings_b, args.tol)
     realized_part = realization_divergence(
-        state, settings_a, settings_b, args.trials, lf.stream()
+        state, settings_a, settings_b, args.trials, lf.stream(), block=2
     )
     table = estimate_table(
-        state, settings_a, settings_b, chronology, args.trials, lf.stream()
+        state, settings_a, settings_b, chronology, args.trials, lf.stream(), block=2
     )
     combined = dataclasses.replace(
         exact_part, divergence_fraction=realized_part.divergence_fraction, trials=args.trials
@@ -282,8 +280,8 @@ def cmd_nogo(args) -> int:
 
 
 def cmd_flash(args) -> int:
-    if not (0 < args.rate < math.inf and 0 < args.duration < math.inf):
-        raise ValueError("--rate and --duration must be positive and finite")
+    if not all(0 < value < math.inf for value in (args.rate, args.duration, args.sigma)):
+        raise ValueError("--rate, --duration and --sigma must be positive and finite")
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
     if args.sites > flash_mod.MAX_EXACT_SITES:
@@ -295,7 +293,7 @@ def cmd_flash(args) -> int:
     psi0 = flash_mod.make_entangled_pair(args.sites, args.sites // 4, (3 * args.sites) // 4)
     block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
 
-    lf, source = _resolve_lambda(args, args.runs * block)
+    lf, source = _resolve_lambda(args, args.runs, block, block)
     ensemble = flash_mod.run_flash_processes(
         psi0, kernel, args.rate, args.duration, lf.stream(), args.runs, block
     )
@@ -341,7 +339,7 @@ def cmd_flash(args) -> int:
         "results": results,
     }
     sys.stdout.write(canonical_json(report))
-    return 0
+    return 0 if ordering.passed else 1
 
 
 def _add_lambda_flags(parser: argparse.ArgumentParser) -> None:
@@ -409,6 +407,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # before any work
+            raise ValueError(f"--tol must be nonnegative and finite, got {args.tol}")
         return args.func(args)
     except (StreamExhaustedError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

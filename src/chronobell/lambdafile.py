@@ -22,7 +22,8 @@ Splitting is fixed-block: substream ``i`` of a stream owns words
 ``[i*block, (i+1)*block)`` of that stream's range, making per-substream values
 independent of the order in which substreams are consumed. Because the layout
 fixes where every word is, a batch of substreams can be read as one strided
-slice of `LambdaFile.words` instead of one `split` per substream.
+slice of `LambdaFile.words` instead of one `split` per substream. Commands read
+their words in chunks (`word_blocks`) and keep only the words a trial reads.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
 MAGIC = b"LMDA"
 FORMAT_VERSION = 1
 DEFAULT_BLOCK = 64
+CHUNK_WORDS = 1 << 15  # words per chunk of word_blocks (256 KiB); bounds its memory
 
 _HEADER = struct.Struct("<4sBQQ")
 
@@ -101,13 +103,9 @@ class LambdaFile:
         words = np.floor(values * 2.0**64).astype(np.uint64)
         return cls(words, seed_note)
 
-    def buffers(self) -> tuple[bytes, memoryview]:
-        """The stored file as its header and its little-endian payload, uncopied."""
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.count, self.seed_note)
-        return header, memoryview(self.words.astype("<u8", copy=False))
-
     def to_bytes(self) -> bytes:
-        return b"".join(self.buffers())
+        payload = self.words.astype("<u8", copy=False).tobytes()
+        return file_header(self.count, self.seed_note) + payload
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LambdaFile":
@@ -118,8 +116,8 @@ class LambdaFile:
     def save(self, path) -> Path:
         path = Path(path)
         with path.open("wb") as fh:
-            for buf in self.buffers():
-                fh.write(buf)
+            fh.write(file_header(self.count, self.seed_note))
+            fh.write(memoryview(self.words.astype("<u8", copy=False)))
         return path
 
     @classmethod
@@ -136,6 +134,11 @@ class LambdaFile:
     def stream(self, label: str = "root") -> "LambdaStream":
         """A cursor over the whole file."""
         return LambdaStream(self, 0, self.count, label)
+
+
+def file_header(count: int, seed_note: int) -> bytes:
+    """The 21 header bytes of a stored file of `count` words."""
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, count, seed_note)
 
 
 def _parse_header(blob: bytes) -> tuple[int, int]:
@@ -161,13 +164,50 @@ def generate_lambda_file(seed: int, count: int) -> LambdaFile:
     Same (seed, count) always yields byte-identical files; the generator's
     statistical quality is enforced by the uniformity tests, not by decree.
     """
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
-    count = int(count)
-    if count < 1:
-        raise EmptyFileError("count must be at least 1")
-    return LambdaFile._adopt(np.random.PCG64(seed).random_raw(count), seed_note=seed)
+    _, (words,) = word_blocks(1, int(count), seed=seed)  # one block is one chunk
+    return LambdaFile._adopt(words.reshape(-1), seed_note=int(seed))
+
+
+def word_blocks(n_blocks: int, block: int, *, path=None, seed=None):
+    """(words available, chunks of the first `n_blocks` blocks of `block` words).
+
+    The words come from the stored file at `path` if it is given, else from
+    `seed`. Each chunk is a (rows, block) array of at most `CHUNK_WORDS` words,
+    or one block. Bad input raises before this returns; a file that shrinks
+    raises when the missing chunk is read.
+    """
+    needed = n_blocks * block
+    if path is None:
+        seed = int(seed)
+        if not 0 <= seed < 2**64:
+            raise ValueError("seed must fit in 64 bits")
+        if needed < 1:
+            raise EmptyFileError("count must be at least 1")
+        bits = np.random.PCG64(seed)  # random_raw is sequential: chunks equal one call
+        return needed, _chunks(lambda lo, n: bits.random_raw(n), needed, block)
+    with Path(path).open("rb") as fh:
+        available, _ = _parse_header(fh.read(_HEADER.size))
+        _check_payload(os.fstat(fh.fileno()).st_size - _HEADER.size, available)
+    if available == 0:
+        raise EmptyFileError("a lambda file must contain at least one word")
+    if available < needed:
+        raise CapacityError(f"lambda file {path} holds {available} words, this run needs {needed}")
+
+    def read(lo: int, n: int) -> np.ndarray:
+        return np.fromfile(path, dtype="<u8", count=n, offset=_HEADER.size + 8 * lo)
+
+    return available, _chunks(read, needed, block)
+
+
+def _chunks(read, needed: int, block: int):
+    """Words [0, needed) as (rows, block) chunks, words [lo, lo + n) from `read(lo, n)`."""
+    step = max(1, CHUNK_WORDS // block) * block
+    for lo in range(0, needed, step):
+        n = min(step, needed - lo)
+        words = read(lo, n)
+        if words.size != n:
+            raise LambdaFormatError(f"lambda words ran out after {lo + words.size} of {needed}")
+        yield words.astype("<u8", copy=False).reshape(-1, block)
 
 
 @dataclass(eq=False)

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import chronobell as cb
 from chronobell import cli
 
 SQRT2 = math.sqrt(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +27,24 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
+
+
+BAD_TOLERANCES = ["-1", "nan", "inf"]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any lambda word, oracle, trial or flash run is computed."""
+    def work(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    for name in (
+        "_resolve_lambda", "quantum_behavior", "chsh_facet_check", "local_membership_lp",
+        "distribution_covariance_check", "realization_divergence", "estimate_table",
+    ):
+        monkeypatch.setattr(cli, name, work)
+    for name in ("make_hit_kernel", "run_flash_process", "run_flash_processes"):
+        monkeypatch.setattr(cli.flash_mod, name, work)
 
 
 class TestChsh:
@@ -79,6 +102,17 @@ class TestChsh:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_tolerance_rejected_before_any_oracle(self, capsys, no_work, tol):
+        code, _, err = run_cli(capsys, "chsh", "--tol", tol)
+        assert code == 2
+        assert "--tol must be nonnegative and finite" in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, report, _ = run_json(capsys, "chsh", "--tol", "0")
+        assert code == 0
+        assert report["config"]["tol"] == 0.0
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -141,6 +175,12 @@ class TestCovariance:
         assert header.startswith("a_index,b_index,p_pp")
         assert row.startswith("0,0,")
 
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_tolerance_rejected_before_any_trial(self, capsys, no_work, tol):
+        code, _, err = run_cli(capsys, "covariance", "--seed", "1", "--tol", tol)
+        assert code == 2
+        assert "--tol must be nonnegative and finite" in err
+
     def test_chronology_flag(self, capsys):
         code, report, _ = run_json(
             capsys, "covariance", "--trials", "500", "--seed", "5", "--chronology", "ba"
@@ -186,6 +226,12 @@ class TestNogo:
         code, _, err = run_cli(capsys, "nogo", "--alphabet-size", size)
         assert code == 2
         assert "--alphabet-size must be in 1..5" in err
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_tolerance_rejected_before_any_oracle(self, capsys, no_work, tol):
+        code, _, err = run_cli(capsys, "nogo", "--alphabet-size", "1", "--tol", tol)
+        assert code == 2
+        assert "--tol must be nonnegative and finite" in err
 
     def test_verdict_disagreement_exits_4(self, capsys, monkeypatch):
         """A forced wrong facet verdict must trip the internal-inconsistency path."""
@@ -243,6 +289,24 @@ class TestFlash:
     def test_non_finite_rate_rejected(self, capsys, value):
         code, _, _ = run_cli(capsys, "flash", "--rate", value, "--seed", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_tolerance_rejected_before_any_run(self, capsys, no_work, tol):
+        code, _, err = run_cli(capsys, "flash", "--seed", "1", "--runs", "2", "--tol", tol)
+        assert code == 2
+        assert "--tol must be nonnegative and finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma_rejected_before_any_kernel(self, capsys, no_work, value):
+        code, _, err = run_cli(capsys, "flash", "--seed", "1", "--runs", "2", "--sigma", value)
+        assert code == 2
+        assert "--sigma must be positive and finite" in err
+
+    def test_failed_ordering_check_exits_1(self, capsys):
+        code, report, _ = run_json(capsys, "flash", "--seed", "1", "--runs", "2", "--tol", "0")
+        assert code == 1
+        assert report["results"]["ordering_invariance"]["pass"] is False
 
     def test_high_rate_gets_a_large_enough_block(self, capsys):
         code, report, _ = run_json(
@@ -328,6 +392,15 @@ GOLDEN_GRID32_HISTORY = "81e83044ca6c68d139e70d329baf9f0711e8482f6300a70317d02a6
 # stdout with the --out path replaced by "<out>"
 GOLDEN_GRID32_STDOUT = "ea4b58334dc8bb169408157c717552e73c00b24ed4d3a44a495c9a7fc0fe615c"
 GOLDEN_LAMBDA_FILE = "35f4e8bc53035751f2513e970b7c3c97701828482c518f45cbcd4323f2d7e1fc"
+# recorded while covariance, flash and gen-lambda still held every word of the run
+# in memory; the sizes are not multiples of any power-of-two chunk
+GOLDEN_STDOUT[("covariance", "--seed", "17", "--trials", "777", "--angles", "0,90/45,135")] = (
+    "431b9e611c48366b07fb75f21390fe93e2c7806fa4077eeb2a846980c2a13d0c"
+)
+# `covariance --trials 777 --angles 0,90/45,135 --chronology ba --lambda-file lam.bin`
+# on a 199912-word file (seed 4), 1000 words more than the run reads
+GOLDEN_OVERSIZED_FILE_STDOUT = "e5ea1192b49de90acad5b0cfa23af41724f94c7aeae73e6d6de64dd5944a3fbf"
+GOLDEN_LONG_LAMBDA_FILE = "98c6043e884fd9f683389c9d6611bfcd9539990f1c382aefa416b1c3893c5ea0"
 
 
 def sha256(data: bytes) -> str:
@@ -364,6 +437,25 @@ class TestGolden:
         assert sha256(out.read_bytes()) == GOLDEN_LAMBDA_FILE
         assert report["results"] == {"path": str(out), "sha256": GOLDEN_LAMBDA_FILE}
 
+    def test_long_gen_lambda_file(self, capsys, tmp_path):
+        out = tmp_path / "long.bin"
+        code, report, _ = run_json(
+            capsys, "gen-lambda", "--seed", "23", "--count", "100003", "--out", str(out)
+        )
+        assert code == 0
+        assert sha256(out.read_bytes()) == GOLDEN_LONG_LAMBDA_FILE
+        assert report["results"] == {"path": str(out), "sha256": GOLDEN_LONG_LAMBDA_FILE}
+
+    def test_covariance_from_an_oversized_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the report names the file as given
+        cb.generate_lambda_file(seed=4, count=4 * 777 * 64 + 1000).save("lam.bin")
+        code, out, _ = run_cli(
+            capsys, "covariance", "--trials", "777", "--angles", "0,90/45,135",
+            "--chronology", "ba", "--lambda-file", "lam.bin",
+        )
+        assert code == 0
+        assert sha256(out.encode()) == GOLDEN_OVERSIZED_FILE_STDOUT
+
     def test_covariance_from_file_matches_seed(self, capsys, tmp_path):
         path = tmp_path / "lam.bin"
         argv = ("covariance", "--trials", "200", "--angles", "0,90/45,135", "--chronology", "ba")
@@ -394,3 +486,26 @@ class TestReportStability:
         parsed = json.loads(out)
         assert list(parsed) == sorted(parsed)
         assert list(parsed["results"]) == sorted(parsed["results"])
+
+
+def _peak_rss_mb(*argv) -> float:
+    """Peak resident memory, in MB, of `python -m chronobell argv` in a child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chronobell", *argv], env=env, stdout=subprocess.DEVNULL
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # Popen must not wait again
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024  # kilobytes on Linux
+
+
+class TestPeakMemory:
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_covariance_seed_rss_flat_in_trials(self):
+        argv = ("covariance", "--seed", "1", "--angles", "0,90/45,135", "--trials")
+        small = _peak_rss_mb(*argv, "10000")
+        large = _peak_rss_mb(*argv, "100000")
+        # every word generated and kept would add 4 * 9e4 * 64 * 8 bytes = 184 MB
+        assert large - small < 25.0

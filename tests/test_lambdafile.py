@@ -1,13 +1,18 @@
 """Lambda file and stream tests: determinism, format, splitting, uniformity."""
 
+import argparse
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chronobell as cb
-from chronobell.lambdafile import FORMAT_VERSION, MAGIC, words_to_reals
+from chronobell import cli, lambdafile
+from chronobell.lambdafile import FORMAT_VERSION, MAGIC, word_blocks, words_to_reals
 
 # first words of the stored generator at seed 1, frozen so that any change to
 # the expansion algorithm is caught as a replay break
@@ -245,3 +250,85 @@ class TestLoad:
         words[0] = 99
         assert lf.words[0] == 0
         assert words.flags.writeable
+
+
+def _lambda_args(path=None, seed=None) -> argparse.Namespace:
+    return argparse.Namespace(lambda_file=None if path is None else str(path), seed=seed)
+
+
+class TestWordBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_blocks=st.integers(1, 40),
+        block=st.integers(1, 24),
+        chunk=st.integers(1, 64),
+        spare=st.integers(1, 50),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_chunks_replay_the_stored_and_generated_words(
+        self, tmp_path_factory, n_blocks, block, chunk, spare, seed, data
+    ):
+        keep = data.draw(st.integers(1, block), label="keep")
+        needed = n_blocks * block
+        path = cb.generate_lambda_file(seed, needed + spare).save(
+            tmp_path_factory.mktemp("blocks") / "lam.bin"
+        )
+        expected = cb.LambdaFile.load(path).words[:needed].reshape(n_blocks, block)
+        np.testing.assert_array_equal(
+            cb.generate_lambda_file(seed, needed).words.reshape(n_blocks, block), expected
+        )
+        with mock.patch.object(lambdafile, "CHUNK_WORDS", chunk):  # several chunks per run
+            for source, available in (({"path": path}, needed + spare), ({"seed": seed}, needed)):
+                count, chunks = word_blocks(n_blocks, block, **source)
+                chunks = list(chunks)
+                assert count == available
+                for c in chunks:
+                    assert c.dtype == np.uint64 and c.shape[1] == block
+                    assert c.size <= max(chunk, block)
+                np.testing.assert_array_equal(np.concatenate(chunks), expected)
+
+                lf, report = cli._resolve_lambda(_lambda_args(**source), n_blocks, block, keep)
+                np.testing.assert_array_equal(lf.words, expected[:, :keep].ravel())
+                assert report["words"] == available
+
+    @pytest.mark.parametrize(
+        "how", ["truncated", "header-only-part", "bad-magic", "bad-version", "over-long"]
+    )
+    def test_corrupt_file_rejected_like_load(self, tmp_path, how):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(_corrupt(cb.generate_lambda_file(seed=1, count=4).to_bytes(), how))
+        with pytest.raises(cb.LambdaFormatError) as from_load:
+            cb.LambdaFile.load(path)
+        with pytest.raises(cb.LambdaFormatError) as from_blocks:
+            word_blocks(2, 2, path=path)
+        assert str(from_blocks.value) == str(from_load.value)
+
+    def test_empty_payload_rejected_like_load(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(struct.pack("<4sBQQ", MAGIC, FORMAT_VERSION, 0, 5))
+        with pytest.raises(cb.EmptyFileError, match="at least one word"):
+            word_blocks(1, 1, path=path)
+
+    def test_undersized_file_names_both_counts(self, tmp_path):
+        path = cb.generate_lambda_file(seed=1, count=10).save(tmp_path / "small.bin")
+        with pytest.raises(cb.CapacityError) as exc:
+            word_blocks(3, 4, path=path)
+        assert str(exc.value) == f"lambda file {path} holds 10 words, this run needs 12"
+
+    def test_file_that_shrinks_while_read(self, tmp_path):
+        path = cb.generate_lambda_file(seed=1, count=100).save(tmp_path / "lam.bin")
+        with mock.patch.object(lambdafile, "CHUNK_WORDS", 10):
+            _, chunks = word_blocks(10, 10, path=path)
+            next(chunks)
+            with path.open("r+b") as fh:
+                fh.truncate(21 + 8 * 15)
+            with pytest.raises(cb.LambdaFormatError, match="ran out after 15 of 100"):
+                list(chunks)
+
+    @pytest.mark.parametrize("seed, count", [(-1, 4), (2**64, 4), (1, 0)])
+    def test_bad_seed_or_count_rejected_like_generate(self, seed, count):
+        with pytest.raises((ValueError, cb.EmptyFileError)) as from_generate:
+            cb.generate_lambda_file(seed, count)
+        with pytest.raises(type(from_generate.value), match=str(from_generate.value)):
+            word_blocks(count, 1, seed=seed)
