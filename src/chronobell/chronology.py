@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, ImpossibleOutcomeError
+from .errors import ImpossibleOutcomeError
 from .lambdafile import DEFAULT_BLOCK, LambdaStream, words_to_reals
 from .quantum import (
     OUTCOMES,
@@ -113,64 +113,73 @@ def run_trial(
 
 def _conditional_thresholds(
     state: TwoQubitState, first: BlochSetting, second: BlochSetting
-) -> tuple[float, dict[int, float]]:
-    """P(first=+) and P(second=+ | first outcome), nan on impossible branches."""
-    p_first = born_marginal(state, first, 1)
-    q: dict[int, float] = {}
+) -> list[float]:
+    """P(first=+), then P(second=+ | first=+) and P(second=+ | first=-), nan if impossible."""
+    thresholds = [born_marginal(state, first, 1)]
     for outcome in OUTCOMES:
         try:
-            q[outcome] = born_marginal(collapse(state, first, outcome), second, 1)
+            thresholds.append(born_marginal(collapse(state, first, outcome), second, 1))
         except ImpossibleOutcomeError:
-            q[outcome] = math.nan
-    return p_first, q
+            thresholds.append(math.nan)
+    return thresholds
 
 
-def _threshold_pairs(
-    state: TwoQubitState,
-    a: BlochSetting,
-    b: BlochSetting,
-    chronology: Chronology,
-    lams: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) arrays for rows of (lam1, lam2).
+def _outcome_codes(thresholds: np.ndarray, lams: np.ndarray, chronology: Chronology) -> np.ndarray:
+    """Code ``2 * (alpha == -1) + (beta == -1)`` of each row of (lam1, lam2).
 
-    Vectorized form of the run_trial sampling rule; the tests pin the two
-    paths to each other trial by trial.
+    Row r is sampled by the run_trial rule with thresholds[r] = (P(first=+),
+    P(second=+ | first=+), P(second=+ | first=-)); the tests pin the two
+    paths to each other row by row.
     """
-    first, second = (a, b) if chronology is Chronology.AB else (b, a)
-    p_first, q = _conditional_thresholds(state, first, second)
-    first_out = np.where(lams[:, 0] < p_first, 1, -1)
-    cutoffs = np.where(first_out == 1, q[1], q[-1])
-    second_out = np.where(lams[:, 1] < cutoffs, 1, -1)
-    if chronology is Chronology.AB:
-        return first_out, second_out
-    return second_out, first_out
+    p_first, q_plus, q_minus = thresholds.T
+    first_minus = ~(lams[:, 0] < p_first)
+    second_minus = ~(lams[:, 1] < np.where(first_minus, q_minus, q_plus))
+    if chronology is Chronology.BA:
+        first_minus, second_minus = second_minus, first_minus
+    return 2 * first_minus + second_minus
 
 
-def _gather_trial_lambdas(
-    stream: LambdaStream, pair_index: int, trials: int, block: int
-) -> np.ndarray:
-    """The (trials, 2) lambda values for one setting pair's trial substreams.
+def covariance_pass(
+    state: TwoQubitState, settings_a, settings_b, trials: int, chunks
+) -> tuple[dict[Chronology, CorrelationTable], np.ndarray]:
+    """Empirical tables per chronology and the realized divergence, in one pass.
 
-    Trial t of pair k owns substream ``k * trials + t``, so its two lambdas
-    are the first two words of block ``k * trials + t`` of the stream's range:
-    one strided slice of the file gives row t equal to
-    ``stream.split(k * trials + t, block).take(2)``. Like `split`, this
-    ignores the stream's cursor.
+    `chunks` yields (rows, block) lambda words, block >= 2. Row r is trial
+    ``r % trials`` of setting pair ``r // trials`` (pairs in row-major order)
+    and reads the first two words of its row. Both chronologies replay each
+    row, so `divergence[i, j]` is the share of pair (i, j)'s trials whose
+    realized (alpha, beta) differ between AB and BA: purely the time order,
+    never the randomness.
     """
-    if block < 2:
-        # no block this small holds a trial: raise what the first trial's
-        # split(...).take(2) raises (ValueError, CapacityError or exhaustion)
-        stream.split(pair_index * trials, block).take(2)
-    lo = pair_index * trials * block
-    hi = lo + trials * block
-    if hi > stream.length:
-        raise CapacityError(
-            f"substream {(pair_index + 1) * trials - 1} needs words up to {hi}, "
-            f"stream {stream.label!r} holds {stream.length}"
-        )
-    words = stream.file.words[stream.start + lo : stream.start + hi]
-    return words_to_reals(words.reshape(trials, block)[:, :2])
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
+    pairs = [(a, b) for a in settings_a for b in settings_b]
+    thresholds = {
+        Chronology.AB: np.array([_conditional_thresholds(state, a, b) for a, b in pairs]),
+        Chronology.BA: np.array([_conditional_thresholds(state, b, a) for a, b in pairs]),
+    }
+    counts = {chronology: np.zeros(4 * len(pairs), dtype=np.int64) for chronology in Chronology}
+    diverging = np.zeros(len(pairs), dtype=np.int64)
+    row = 0
+    for words in chunks:
+        if words.shape[1] < 2:
+            raise ValueError("a trial reads 2 lambda words, blocks must hold at least 2")
+        pair = (row + np.arange(len(words))) // trials
+        row += len(words)
+        lams = words_to_reals(words[:, :2])
+        codes = {c: _outcome_codes(thresholds[c][pair], lams, c) for c in Chronology}
+        for chronology, code in codes.items():
+            counts[chronology] += np.bincount(4 * pair + code, minlength=4 * len(pairs))
+        differs = codes[Chronology.AB] != codes[Chronology.BA]
+        diverging += np.bincount(pair[differs], minlength=len(pairs))
+    shape = (len(settings_a), len(settings_b))
+    tables = {}
+    for chronology, count in counts.items():
+        freqs = count.reshape(*shape, 2, 2) / trials
+        stderr = np.sqrt(freqs * (1.0 - freqs) / trials)
+        tables[chronology] = CorrelationTable(settings_a, settings_b, freqs, stderr, trials)
+    return tables, (diverging / trials).reshape(shape)
 
 
 def estimate_table(
@@ -190,22 +199,9 @@ def estimate_table(
     independent of execution order.
     """
     chronology = Chronology(chronology)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    settings_a = tuple(settings_a)
-    settings_b = tuple(settings_b)
-    cells = np.zeros((len(settings_a), len(settings_b), 2, 2))
-    stderr = np.zeros_like(cells)
-    for k, (i, j) in enumerate(
-        (i, j) for i in range(len(settings_a)) for j in range(len(settings_b))
-    ):
-        lams = _gather_trial_lambdas(stream, k, trials, block)
-        alpha, beta = _threshold_pairs(state, settings_a[i], settings_b[j], chronology, lams)
-        flat = (alpha == -1) * 2 + (beta == -1)
-        freqs = np.bincount(flat, minlength=4).reshape(2, 2) / trials
-        cells[i, j] = freqs
-        stderr[i, j] = np.sqrt(freqs * (1.0 - freqs) / trials)
-    return CorrelationTable(settings_a, settings_b, cells, stderr, trials)
+    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
+    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, block)
+    return covariance_pass(state, settings_a, settings_b, trials, chunks)[0][chronology]
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,18 +292,7 @@ def realization_divergence(
     `estimate_table`, so any difference is purely the time order, never the
     randomness.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    settings_a = tuple(settings_a)
-    settings_b = tuple(settings_b)
-    fractions = np.zeros((len(settings_a), len(settings_b)))
-    for k, (i, j) in enumerate(
-        (i, j) for i in range(len(settings_a)) for j in range(len(settings_b))
-    ):
-        lams = _gather_trial_lambdas(stream, k, trials, block)
-        a, b = settings_a[i], settings_b[j]
-        alpha_ab, beta_ab = _threshold_pairs(state, a, b, Chronology.AB, lams)
-        alpha_ba, beta_ba = _threshold_pairs(state, a, b, Chronology.BA, lams)
-        differs = (alpha_ab != alpha_ba) | (beta_ab != beta_ba)
-        fractions[i, j] = float(np.mean(differs))
+    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
+    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, block)
+    _, fractions = covariance_pass(state, settings_a, settings_b, trials, chunks)
     return CovarianceReport(settings_a, settings_b, None, fractions, trials, tol)

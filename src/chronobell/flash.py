@@ -17,9 +17,10 @@ to 1 exactly on a finite grid), and no wave evolution between hits - the
 point is hit-order covariance, not dynamics. Defaults (16 sites, width 2,
 rate 1, duration 4) keep exact oracles cheap while still localizing visibly.
 
-Ensembles run through `run_flash_processes`, which advances many runs in
-lockstep and gives each run the flashes of `run_flash_process` on its
-substream; the scalar function stays as the reference it is tested against.
+Ensembles run through `flash_batches`, which advances the runs of each chunk
+of lambda words in lockstep, keeps nothing across chunks, and gives each run
+the flashes of `run_flash_process` on its substream; the scalar function
+stays as the reference it is tested against.
 The batch keeps no amplitude grid per run. Because hits act diagonally on
 separate tensor factors and nothing evolves between hits, a run's density
 is exactly the initial one times a real weight vector per particle (the
@@ -49,8 +50,6 @@ DEFAULT_DURATION = 4.0
 MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
-FLASH_CHUNK_RUNS = 512  # runs run_flash_processes advances together; bounds its memory
-FORMAT_SLICE = 4096  # history lines FlashEnsemble.history_bytes formats at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +221,6 @@ class FlashHistory:
     def __len__(self) -> int:
         return len(self.records)
 
-    def to_lines(self) -> list[str]:
-        """Line-oriented serialization: time, particle, site (tab-separated)."""
-        return [f"{r.time!r}\t{r.particle}\t{r.site}" for r in self.records]
-
 
 def _check_process(
     psi0: GridWavefunction, kernel: HitKernel, rate: float, duration: float
@@ -304,19 +299,14 @@ class FlashEnsemble:
         starts = np.cumsum(self.hit_counts) - self.hit_counts
         return self.site[starts[self.hit_counts > 0]]
 
-    def history_bytes(self) -> bytearray:
+    def history_bytes(self) -> bytes:
         """History file: one ``run, time, particle, site`` line per flash, tab-separated.
 
-        Each line is `FlashHistory.to_lines` of its run, prefixed by the run
-        index and ended by a newline. Lines are formatted FORMAT_SLICE at a
-        time, so no Python object per flash outlives its slice.
+        The time is printed with `repr`, so it replays exactly; the lines of
+        consecutive batches concatenate to the history of their union.
         """
-        history = bytearray()
-        for lo in range(0, self.run.size, FORMAT_SLICE):
-            rows = slice(lo, lo + FORMAT_SLICE)
-            columns = (c[rows].tolist() for c in (self.run, self.time, self.particle, self.site))
-            history += "".join(f"{r}\t{t!r}\t{p}\t{s}\n" for r, t, p, s in zip(*columns)).encode()
-        return history
+        columns = (c.tolist() for c in (self.run, self.time, self.particle, self.site))
+        return "".join(f"{r}\t{t!r}\t{p}\t{s}\n" for r, t, p, s in zip(*columns)).encode()
 
 
 def run_flash_processes(
@@ -330,17 +320,6 @@ def run_flash_processes(
 ) -> FlashEnsemble:
     """Runs 0..runs-1, each equal to ``run_flash_process(..., stream.split(run, block))``.
 
-    The runs advance together, one hit per step, over those still inside
-    `duration`, in chunks of FLASH_CHUNK_RUNS. At step k run r reads words
-    3k (waiting time), 3k+1 (particle) and 3k+2 (center) of its block, found
-    by index arithmetic into the file. Times and particles come from the
-    same floating-point operations as in the scalar run. Each particle's
-    state is a weight vector w (see the module docstring), so with
-    ``P0 = |psi0|**2`` the marginals are ``w0 * (P0 @ w1)`` and
-    ``w1 * (P0.T @ w0)``; they sum in another order than the scalar run's,
-    so a center could differ only where a word falls within rounding of a
-    step of the CDF.
-
     Like the scalar runs taken in order, raises `CapacityError` up front
     when ``runs * block`` exceeds the stream, and `StreamExhaustedError`
     naming the first run whose hits overrun its block. The result lists
@@ -349,37 +328,49 @@ def run_flash_processes(
     _check_process(psi0, kernel, rate, duration)
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    if block < 1:
-        raise ValueError("block size must be positive")
-    if runs * block > stream.length:
-        stream.split(stream.length // block, block)  # raises for the first run past the end
-
-    run_ids = np.arange(runs)
-    chunks = [
-        _run_chunk(psi0, kernel, rate, duration, stream, block, run_ids[lo : lo + FLASH_CHUNK_RUNS])
-        for lo in range(0, runs, FLASH_CHUNK_RUNS)
-    ]
-    return FlashEnsemble(*(np.concatenate(parts) for parts in zip(*chunks)))
+    batches = flash_batches(psi0, kernel, rate, duration, stream.blocks(runs, block), stream.label)
+    columns = zip(*(vars(batch).values() for batch in batches))
+    return FlashEnsemble(*(np.concatenate(column) for column in columns))
 
 
-def _run_chunk(psi0, kernel, rate, duration, stream, block, run_ids):
-    """(run, time, particle, site, hit_counts) arrays of the runs `run_ids`."""
+def flash_batches(psi0, kernel, rate, duration, chunks, label="root"):
+    """One `FlashEnsemble` per (runs, block) chunk of lambda words, run ids counted on.
+
+    Row r of the chunks is the block of run r. The runs of a chunk advance
+    together, one hit per step, over those still inside `duration`. At step
+    k run r reads words 3k (waiting time), 3k+1 (particle) and 3k+2 (center)
+    of its row. Times and particles come from the same floating-point
+    operations as in the scalar run. Each particle's state is a weight
+    vector w (see the module docstring), so with ``P0 = |psi0|**2`` the
+    marginals are ``w0 * (P0 @ w1)`` and ``w1 * (P0.T @ w0)``; they sum in
+    another order than the scalar run's, so a center could differ only where
+    a word falls within rounding of a step of the CDF. A run that overruns
+    its row raises `StreamExhaustedError` naming ``label[r]``.
+    """
+    _check_process(psi0, kernel, rate, duration)
+    first_run = 0
+    for words in chunks:
+        yield FlashEnsemble(*_run_chunk(psi0, kernel, rate, duration, words, label, first_run))
+        first_run += len(words)
+
+
+def _run_chunk(psi0, kernel, rate, duration, words, label, first_run):
+    """(run, time, particle, site, hit_counts) arrays of the runs whose blocks are `words`."""
     n_particles = psi0.n_particles
     total_rate = rate * n_particles
     kernel_sq = kernel.squared()
     density = psi0.site_probabilities()
-    words = stream.file.words
-    base = stream.start + run_ids * block
+    runs, block = words.shape
 
     def draw(offset: int, active: np.ndarray) -> np.ndarray:
         if offset >= block:
-            label = f"{stream.label}[{run_ids[active[0]]}]"
-            raise StreamExhaustedError(f"stream {label!r} exhausted after {block} words")
-        return words_to_reals(words[base[active] + offset])
+            name = f"{label}[{first_run + active[0]}]"
+            raise StreamExhaustedError(f"stream {name!r} exhausted after {block} words")
+        return words_to_reals(words[active, offset])
 
-    weights = np.ones((n_particles, run_ids.size, psi0.n_sites))
-    now = np.zeros(run_ids.size)
-    active = np.arange(run_ids.size)
+    weights = np.ones((n_particles, runs, psi0.n_sites))
+    now = np.zeros(runs)
+    active = np.arange(runs)
     no_runs = np.zeros(0, dtype=np.intp)
     steps = [(no_runs, np.zeros(0), no_runs, no_runs)]  # typed even when no run is hit
     offset = 0
@@ -413,8 +404,8 @@ def _run_chunk(psi0, kernel, rate, duration, stream, block, run_ids):
 
     index, time, particle, site = (np.concatenate(column) for column in zip(*steps))
     order = np.argsort(index, kind="stable")
-    hit_counts = np.bincount(index, minlength=run_ids.size)
-    return run_ids[index[order]], time[order], particle[order], site[order], hit_counts
+    hit_counts = np.bincount(index, minlength=runs)
+    return first_run + index[order], time[order], particle[order], site[order], hit_counts
 
 
 def flash_block(mean_hits: float) -> int:

@@ -21,9 +21,9 @@ exactly 1.0.
 Splitting is fixed-block: substream ``i`` of a stream owns words
 ``[i*block, (i+1)*block)`` of that stream's range, making per-substream values
 independent of the order in which substreams are consumed. Because the layout
-fixes where every word is, a batch of substreams can be read as one strided
-slice of `LambdaFile.words` instead of one `split` per substream. Commands read
-their words in chunks (`word_blocks`) and keep only the words a trial reads.
+fixes where every word is, the vectorized consumers read consecutive
+substreams only as chunks, (rows, block) arrays of at most `CHUNK_WORDS` words,
+from a file or a seed (`word_blocks`) or from memory (`LambdaStream.blocks`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
 MAGIC = b"LMDA"
 FORMAT_VERSION = 1
 DEFAULT_BLOCK = 64
-CHUNK_WORDS = 1 << 15  # words per chunk of word_blocks (256 KiB); bounds its memory
+CHUNK_WORDS = 1 << 17  # words per chunk (1 MiB), unless one block is larger
 
 _HEADER = struct.Struct("<4sBQQ")
 
@@ -266,6 +266,18 @@ class LambdaStream:
         lo = self.start + self._cursor
         self._cursor += n
         return words_to_reals(self.file.words[lo:lo + n])
+
+    def blocks(self, n_blocks: int, block: int):
+        """Substreams 0..n_blocks-1 of `split(i, block)` as (rows, block) read-only views.
+
+        Like `split`, ignores the cursor; raises for the first block past the end up front.
+        """
+        if block < 1:
+            raise ValueError("block size must be positive")
+        if n_blocks * block > self.length:
+            self.split(self.length // block, block)  # raises CapacityError
+        words = self.file.words[self.start :]
+        return _chunks(lambda lo, n: words[lo : lo + n], n_blocks * block, block)
 
     def split(self, trial_index: int, block: int = DEFAULT_BLOCK) -> "LambdaStream":
         """Substream owning words [i*block, (i+1)*block) of this stream's range.

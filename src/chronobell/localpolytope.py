@@ -39,6 +39,10 @@ MAX_SEARCH_ALPHABET = 5
 _ENTRY_FLOOR = -1e-12
 _BLOCK_TOL = 1e-9
 _NS_TOL = 1e-9
+# the phase-1 residual of local_membership_lp is 5/2 of the CHSH violation |S| - 2
+# (to 1.3e-5 over PR-box mixtures with |S| - 2 from 1e-10 to 1e-4, the rounding of
+# S), so the LP tests |S| - 2 <= tol, as chsh_facet_check does
+RESIDUAL_PER_VIOLATION = 2.5
 
 
 def _sign_table(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -417,13 +421,14 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     """Decide membership in the local polytope by phase-1 simplex.
 
     Feasibility of p = sum_v w_v * vertex_v with w >= 0, sum w = 1 over the
-    16 deterministic strategies. On infeasibility the most violated CHSH
-    facet is attached as the separating certificate.
+    16 deterministic strategies, with the residual allowed RESIDUAL_PER_VIOLATION
+    * tol. On infeasibility the most violated CHSH facet is attached as the
+    separating certificate.
     """
     vertex_cols = _vertex_matrix()
     A = np.vstack([vertex_cols, np.ones((1, vertex_cols.shape[1]))])
     b = np.append(p.flat, 1.0)
-    weights = solve_feasibility(A, b, tol=tol)
+    weights = solve_feasibility(A, b, tol=tol, residual_tol=RESIDUAL_PER_VIOLATION * tol)
     if weights is None:
         return MembershipResult(False, None, None, chsh_facet_check(p, tol))
     error = float(np.max(np.abs(A @ weights - b)))

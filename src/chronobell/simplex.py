@@ -26,11 +26,14 @@ def solve_feasibility(
     b: np.ndarray,
     tol: float = 1e-9,
     max_iterations: int = 10_000,
+    *,
+    residual_tol: float | None = None,
 ) -> np.ndarray | None:
     """Find x >= 0 with A x = b, or None if no such x exists (within tol).
 
     Minimizes the sum of artificial variables; feasible iff that optimum is
-    ~0. Entering variable: smallest index with a negative reduced cost.
+    at most `residual_tol` (default `tol`, which also bounds the pivots).
+    Entering variable: smallest index with a negative reduced cost.
     Leaving variable: among minimal-ratio rows, the one whose basic variable
     has the smallest index (Bland).
     """
@@ -85,7 +88,7 @@ def solve_feasibility(
         raise ArithmeticError(f"simplex did not converge in {max_iterations} pivots")
 
     residual = -tableau[m, -1]  # value of sum-of-artificials at the optimum
-    if residual > tol:
+    if residual > (tol if residual_tol is None else residual_tol):
         return None
     x = np.zeros(n)
     for i, var in enumerate(basis):

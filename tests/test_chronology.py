@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
-from chronobell.chronology import _gather_trial_lambdas
+from chronobell.chronology import covariance_pass
 
 SQRT2 = math.sqrt(2.0)
 
@@ -243,13 +243,15 @@ class TestDistributionCovariance:
         assert report.distribution_pass
         assert report.max_distribution_diff <= 1e-12
 
-    def test_random_states(self, rng):
-        for _ in range(10):
-            state = cb.random_pure_state(rng)
-            report = cb.distribution_covariance_check(
-                state, [cb.random_setting(rng, "A")], [cb.random_setting(rng, "B")]
-            )
-            assert report.distribution_pass
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_states(self, seed):
+        rng = np.random.default_rng(seed)
+        state = cb.random_pure_state(rng)
+        settings_a = [cb.random_setting(rng, "A") for _ in range(2)]
+        settings_b = [cb.random_setting(rng, "B") for _ in range(2)]
+        report = cb.distribution_covariance_check(state, settings_a, settings_b)
+        assert report.max_distribution_diff <= 1e-12
 
     def test_product_state(self, zz_settings):
         a, b = zz_settings
@@ -350,47 +352,47 @@ class TestCovarianceReport:
         assert data["realization"]["max_divergence"] == 1.0
 
 
-def oracle_trial_lambdas(stream, pair_index, trials, block):
-    """One split/take per trial: the layout read the long way round."""
-    rows = [stream.split(pair_index * trials + t, block).take(2) for t in range(trials)]
-    return np.array(rows).reshape(trials, 2)
+# words whose reals 0, 1/4 and 1/2 land exactly on thresholds of the fixed states
+WORD = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**62, 2**63, 2**64 - 1])
 
 
-class TestGatherTrialLambdas:
-    @settings(max_examples=200, deadline=None)
+class TestCovariancePass:
+    @settings(max_examples=150, deadline=None)
     @given(
-        seed=st.integers(0, 2**64 - 1),
-        count=st.integers(1, 600),
-        start=st.integers(0, 100),
-        cursor=st.integers(0, 20),
-        pair_index=st.integers(0, 4),
-        trials=st.integers(1, 30),
-        block=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        words=st.lists(st.tuples(WORD, WORD), min_size=1, max_size=12),
+        cut=st.integers(0, 12),
+        kind=st.sampled_from(["random", "product", "singlet"]),
     )
-    def test_matches_split_take_oracle(self, seed, count, start, cursor, pair_index, trials, block):
-        lf = cb.generate_lambda_file(seed, count + start)
-        stream = cb.LambdaStream(lf, start, count)
-        stream.take(min(cursor, count))  # the cursor is ignored, as by split
-        try:
-            expected = oracle_trial_lambdas(stream, pair_index, trials, block)
-        except cb.CapacityError:
-            with pytest.raises(cb.CapacityError):
-                _gather_trial_lambdas(stream, pair_index, trials, block)
-            return
-        got = _gather_trial_lambdas(stream, pair_index, trials, block)
-        assert got.dtype == expected.dtype == np.float64
-        np.testing.assert_array_equal(got, expected)
+    def test_rows_follow_run_trial(self, seed, words, cut, kind):
+        """With one trial per setting pair, each row's table cell is run_trial's pair."""
+        rng = np.random.default_rng(seed)
+        words = np.array(words, dtype=np.uint64)
+        if kind == "product":  # P(first=+) is exactly 1/2 (AB) or 1, with a nan branch (BA)
+            state, settings_a, b = cb.make_product_state(), [A(90)] * len(words), B(0)
+        elif kind == "singlet":  # thresholds of exactly 0 and 1
+            state, settings_a, b = cb.make_singlet(), [A(0)] * len(words), B(0)
+        else:
+            state = cb.random_pure_state(rng)
+            settings_a = [cb.random_setting(rng, "A") for _ in words]
+            b = cb.random_setting(rng, "B")
+        chunks = [words[:cut], words[cut:]]  # rows counted on across chunks
+        tables, divergence = covariance_pass(state, settings_a, [b], 1, iter(chunks))
+        for r, a in enumerate(settings_a):
+            pairs = {}
+            for chronology in cb.Chronology:
+                pairs[chronology] = alpha, beta = cb.run_trial(
+                    state, a, b, chronology, cb.LambdaFile(words[r]).stream()
+                ).pair
+                cell = np.zeros((2, 2))
+                cell[int(alpha == -1), int(beta == -1)] = 1.0
+                np.testing.assert_array_equal(tables[chronology].cells[r, 0], cell)
+            assert divergence[r, 0] == float(pairs[cb.Chronology.AB] != pairs[cb.Chronology.BA])
 
-    def test_capacity_error_names_the_last_trial(self):
-        stream = cb.generate_lambda_file(seed=1, count=64 * 7).stream()
-        with pytest.raises(cb.CapacityError, match="substream 7 needs words up to 512"):
-            _gather_trial_lambdas(stream, 1, 4, 64)
-
-    def test_small_blocks_fail_like_split_take(self):
+    def test_blocks_too_small_for_a_trial(self, singlet, zz_settings):
+        a, b = zz_settings
         stream = cb.generate_lambda_file(seed=1, count=64).stream()
-        with pytest.raises(ValueError):
-            _gather_trial_lambdas(stream, 0, 4, 0)
-        with pytest.raises(cb.StreamExhaustedError):
-            _gather_trial_lambdas(stream, 0, 4, 1)
-        with pytest.raises(cb.CapacityError):
-            _gather_trial_lambdas(stream, 100, 4, 1)
+        with pytest.raises(ValueError, match="blocks must hold at least 2"):
+            cb.estimate_table(singlet, [a], [b], "AB", 4, stream, block=1)
+        with pytest.raises(ValueError, match="block size must be positive"):
+            cb.realization_divergence(singlet, [a], [b], 4, stream, block=0)

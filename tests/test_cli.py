@@ -1,5 +1,6 @@
 """Command-line interface tests: reports, exit statuses, byte-level replay."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import chronobell as cb
-from chronobell import cli
+from chronobell import cli, lambdafile
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,10 +41,10 @@ def no_work(monkeypatch):
 
     for name in (
         "_resolve_lambda", "quantum_behavior", "chsh_facet_check", "local_membership_lp",
-        "distribution_covariance_check", "realization_divergence", "estimate_table",
+        "distribution_covariance_check", "covariance_pass",
     ):
         monkeypatch.setattr(cli, name, work)
-    for name in ("make_hit_kernel", "run_flash_process", "run_flash_processes"):
+    for name in ("make_hit_kernel", "run_flash_process", "run_flash_processes", "flash_batches"):
         monkeypatch.setattr(cli.flash_mod, name, work)
 
 
@@ -108,6 +109,42 @@ class TestChsh:
         code, _, err = run_cli(capsys, "chsh", "--tol", tol)
         assert code == 2
         assert "--tol must be nonnegative and finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--state", "0,0.9772869898252907,-0.2119201253260814,0", "--angles", "0,90,45,135"),
+            ("--tol", "1e-6", "--state", "0,0.9772869487069313,-0.21192031494666996,0"),
+        ],
+    )
+    def test_states_just_inside_the_tolerance_are_local(self, capsys, argv):
+        # |S| - 2 is tol / 2 here, so the LP residual, 5/2 of |S| - 2, exceeds tol
+        code, report, _ = run_json(capsys, "chsh", *argv)
+        assert code == 0
+        results = report["results"]
+        assert results["lp_local"] is results["facet_local"] is results["local"] is True
+        assert "boundary" not in results
+
+    def test_disagreement_within_rounding_of_tol_takes_the_facet_verdict(
+        self, capsys, monkeypatch
+    ):
+        _, plain, _ = run_json(capsys, "chsh")
+        real_lp = cli.local_membership_lp
+
+        def contrary_lp(behavior, tol):
+            verdict = cli.chsh_facet_check(behavior, tol).local
+            return dataclasses.replace(real_lp(behavior, tol), local=not verdict)
+
+        monkeypatch.setattr(cli, "local_membership_lp", contrary_lp)
+        on_facet = repr(plain["results"]["chsh_magnitude"] - 2.0)  # |S| - 2 == tol
+        code, report, _ = run_json(capsys, "chsh", "--tol", on_facet)
+        assert code == 0
+        results = report["results"]
+        assert results["boundary"] is True
+        assert results["local"] is results["facet_local"] is True
+        assert results["lp_local"] is False
+        code, _, err = run_cli(capsys, "chsh")
+        assert code == 4 and "inconsistency" in err
 
     def test_zero_tolerance_accepted(self, capsys):
         code, report, _ = run_json(capsys, "chsh", "--tol", "0")
@@ -325,6 +362,7 @@ class TestFlash:
 
         monkeypatch.setattr(cli.flash_mod, "run_flash_process", simulate)
         monkeypatch.setattr(cli.flash_mod, "run_flash_processes", simulate)
+        monkeypatch.setattr(cli.flash_mod, "flash_batches", simulate)
 
     def test_oversized_grid_rejected_before_any_run(self, capsys, no_runs):
         code, _, err = run_cli(capsys, "flash", "--sites", "40", "--seed", "1", "--runs", "5")
@@ -337,6 +375,17 @@ class TestFlash:
         code, _, err = run_cli(capsys, "flash", "--runs", "5", "--lambda-file", str(path))
         assert code == 3
         assert "1024 words" in err
+
+    def test_exhaustion_mid_batch_leaves_no_history_file(self, capsys, tmp_path, monkeypatch):
+        # 31 words hold 10 hits: run 13 overruns, in the fourth chunk of 4 runs
+        monkeypatch.setattr(cli.flash_mod, "flash_block", lambda mean_hits: 31)
+        monkeypatch.setattr(lambdafile, "CHUNK_WORDS", 4 * 31)
+        out = tmp_path / "history.txt"
+        argv = ("flash", "--seed", "3", "--runs", "40", "--out", str(out))
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert stdout == "" and "stream 'root[13]' exhausted after 31 words" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenLambda:
@@ -401,6 +450,11 @@ GOLDEN_STDOUT[("covariance", "--seed", "17", "--trials", "777", "--angles", "0,9
 # on a 199912-word file (seed 4), 1000 words more than the run reads
 GOLDEN_OVERSIZED_FILE_STDOUT = "e5ea1192b49de90acad5b0cfa23af41724f94c7aeae73e6d6de64dd5944a3fbf"
 GOLDEN_LONG_LAMBDA_FILE = "98c6043e884fd9f683389c9d6611bfcd9539990f1c382aefa416b1c3893c5ea0"
+# recorded while flash still held every run's words and flashes in memory; 1300
+# runs span three chunks of runs (stdout with the --out path replaced by "<out>")
+GOLDEN_MULTI_CHUNK_FLASH_ARGV = ("flash", "--seed", "1", "--runs", "1300")
+GOLDEN_MULTI_CHUNK_HISTORY = "92d6befc73c97f1e47e76273857289778c835afdc99eefce01c56f45ce11c090"
+GOLDEN_MULTI_CHUNK_STDOUT = "53cba54951bb912efd26da1f6adaac598c5be1aba86902efaab66f31cfbb06cc"
 
 
 def sha256(data: bytes) -> str:
@@ -427,6 +481,13 @@ class TestGolden:
         assert code == 0
         assert sha256(out.read_bytes()) == GOLDEN_GRID32_HISTORY
         assert sha256(stdout.replace(str(out), "<out>").encode()) == GOLDEN_GRID32_STDOUT
+
+    def test_multi_chunk_flash_history_and_stdout(self, capsys, tmp_path):
+        out = tmp_path / "history.txt"
+        code, stdout, _ = run_cli(capsys, *GOLDEN_MULTI_CHUNK_FLASH_ARGV, "--out", str(out))
+        assert code == 0
+        assert sha256(out.read_bytes()) == GOLDEN_MULTI_CHUNK_HISTORY
+        assert sha256(stdout.replace(str(out), "<out>").encode()) == GOLDEN_MULTI_CHUNK_STDOUT
 
     def test_gen_lambda_writes_and_hashes_the_same_bytes(self, capsys, tmp_path):
         out = tmp_path / "lam.bin"
@@ -509,3 +570,18 @@ class TestPeakMemory:
         large = _peak_rss_mb(*argv, "100000")
         # every word generated and kept would add 4 * 9e4 * 64 * 8 bytes = 184 MB
         assert large - small < 25.0
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_covariance_seed_rss_flat_at_a_million_trials(self):
+        argv = ("covariance", "--seed", "1", "--angles", "0,90/45,135", "--trials")
+        small = _peak_rss_mb(*argv, "10000")
+        large = _peak_rss_mb(*argv, "1000000")
+        assert large - small < 15.0
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_flash_rss_flat_in_runs(self):
+        argv = ("flash", "--seed", "1", "--runs")
+        small = _peak_rss_mb(*argv, "10000")
+        large = _peak_rss_mb(*argv, "100000")
+        # the words, flashes and history of every run would add about 250 MB
+        assert large - small < 15.0

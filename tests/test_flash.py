@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
-from chronobell import flash
+from chronobell import lambdafile
 from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, flash_block
 
 
@@ -255,10 +255,6 @@ class TestRunFlashProcess:
         with pytest.raises(ValueError):
             cb.run_flash_process(psi, kernel, 1.0, 0.0, stream)
 
-    def test_history_line_format(self):
-        history = cb.FlashHistory([cb.FlashRecord(0.5, 3, 1)], None, "root[0]")
-        assert history.to_lines() == ["0.5\t1\t3"]
-
 
 def scalar_ensemble(psi, kernel, rate, duration, stream, runs, block):
     """The oracle for run_flash_processes: one run_flash_process per split, in order."""
@@ -311,7 +307,7 @@ class TestRunFlashProcesses:
         stream.take(cursor)  # splits ignore the cursor; so must the batch
         args = (psi, kernel, rate, duration, stream, runs, block)
         expected = outcome(scalar_ensemble, *args)
-        with mock.patch.object(flash, "FLASH_CHUNK_RUNS", chunk):  # several chunks per batch
+        with mock.patch.object(lambdafile, "CHUNK_WORDS", chunk * block):  # chunk runs each
             assert outcome(batched_ensemble, *args) == expected
         if short_block is None:
             assert not isinstance(expected, str)

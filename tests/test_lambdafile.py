@@ -1,6 +1,7 @@
 """Lambda file and stream tests: determinism, format, splitting, uniformity."""
 
 import argparse
+import re
 import struct
 from unittest import mock
 
@@ -158,7 +159,32 @@ class TestSplitting:
         np.testing.assert_array_equal(before, after)
 
 
+def _blob(magic, version, count, seed_note, payload):
+    """A header over `payload`; a count of None is the payload's whole words."""
+    count = len(payload) // 8 if count is None else count
+    return struct.pack("<4sBQQ", magic, version, count, seed_note) + payload
+
+
+BLOBS = st.binary(max_size=64) | st.builds(
+    _blob,
+    st.sampled_from([MAGIC, b"LMDB"]),
+    st.sampled_from([FORMAT_VERSION, 0, 2]),
+    st.none() | st.integers(0, 9) | st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.binary(max_size=80),
+)
+
+
 class TestFileFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(blob=BLOBS)
+    def test_arbitrary_bytes_round_trip_or_raise_format_errors(self, blob):
+        try:
+            lf = cb.LambdaFile.from_bytes(blob)
+        except (cb.LambdaFormatError, cb.EmptyFileError):
+            return
+        assert lf.to_bytes() == blob
+
     def test_header_layout(self):
         lf = cb.generate_lambda_file(seed=11, count=3)
         blob = lf.to_bytes()
@@ -264,33 +290,29 @@ class TestWordBlocks:
         chunk=st.integers(1, 64),
         spare=st.integers(1, 50),
         seed=st.integers(0, 2**64 - 1),
-        data=st.data(),
     )
     def test_chunks_replay_the_stored_and_generated_words(
-        self, tmp_path_factory, n_blocks, block, chunk, spare, seed, data
+        self, tmp_path_factory, n_blocks, block, chunk, spare, seed
     ):
-        keep = data.draw(st.integers(1, block), label="keep")
         needed = n_blocks * block
         path = cb.generate_lambda_file(seed, needed + spare).save(
             tmp_path_factory.mktemp("blocks") / "lam.bin"
         )
-        expected = cb.LambdaFile.load(path).words[:needed].reshape(n_blocks, block)
+        loaded = cb.LambdaFile.load(path)
+        expected = loaded.words[:needed].reshape(n_blocks, block)
         np.testing.assert_array_equal(
             cb.generate_lambda_file(seed, needed).words.reshape(n_blocks, block), expected
         )
         with mock.patch.object(lambdafile, "CHUNK_WORDS", chunk):  # several chunks per run
-            for source, available in (({"path": path}, needed + spare), ({"seed": seed}, needed)):
-                count, chunks = word_blocks(n_blocks, block, **source)
+            stored, from_file = cli._resolve_lambda(_lambda_args(path=path), n_blocks, block)
+            generated, from_seed = cli._resolve_lambda(_lambda_args(seed=seed), n_blocks, block)
+            assert (stored["words"], generated["words"]) == (needed + spare, needed)
+            for chunks in (loaded.stream().blocks(n_blocks, block), from_file, from_seed):
                 chunks = list(chunks)
-                assert count == available
                 for c in chunks:
                     assert c.dtype == np.uint64 and c.shape[1] == block
                     assert c.size <= max(chunk, block)
                 np.testing.assert_array_equal(np.concatenate(chunks), expected)
-
-                lf, report = cli._resolve_lambda(_lambda_args(**source), n_blocks, block, keep)
-                np.testing.assert_array_equal(lf.words, expected[:, :keep].ravel())
-                assert report["words"] == available
 
     @pytest.mark.parametrize(
         "how", ["truncated", "header-only-part", "bad-magic", "bad-version", "over-long"]
@@ -332,3 +354,46 @@ class TestWordBlocks:
             cb.generate_lambda_file(seed, count)
         with pytest.raises(type(from_generate.value), match=str(from_generate.value)):
             word_blocks(count, 1, seed=seed)
+
+
+class TestStreamBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 600),
+        start=st.integers(0, 100),
+        cursor=st.integers(0, 20),
+        n_blocks=st.integers(0, 60),
+        block=st.integers(1, 16),
+        chunk=st.integers(1, 64),
+    )
+    def test_matches_split_take_oracle(self, seed, count, start, cursor, n_blocks, block, chunk):
+        lf = cb.generate_lambda_file(seed, count + start)
+        stream = cb.LambdaStream(lf, start, count)
+        stream.take(min(cursor, count))  # the cursor is ignored, as by split
+        try:
+            expected = [stream.split(i, block).take(block) for i in range(n_blocks)]
+        except cb.CapacityError as exc:
+            with pytest.raises(cb.CapacityError, match=re.escape(str(exc))):
+                stream.blocks(n_blocks, block)
+            return
+        with mock.patch.object(lambdafile, "CHUNK_WORDS", chunk):
+            chunks = list(stream.blocks(n_blocks, block))
+        for c in chunks:
+            assert c.shape[1] == block and c.size <= max(chunk, block)
+            assert np.shares_memory(c, lf.words) and not c.flags.writeable
+        got = words_to_reals(np.concatenate(chunks)) if chunks else np.zeros((0, block))
+        np.testing.assert_array_equal(got, np.reshape(expected, (n_blocks, block)))
+
+    def test_capacity_error_names_the_first_block_past_the_end(self):
+        stream = cb.generate_lambda_file(seed=1, count=64 * 7).stream()
+        with pytest.raises(cb.CapacityError, match="substream 7 needs words up to 512"):
+            stream.blocks(8, 64)
+
+    def test_bad_block_sizes_rejected(self):
+        stream = cb.generate_lambda_file(seed=1, count=64).stream()
+        for block in (0, -3):
+            with pytest.raises(ValueError, match="block size must be positive"):
+                stream.blocks(4, block)
+        with pytest.raises(cb.CapacityError):
+            stream.blocks(100, 1)

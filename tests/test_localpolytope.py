@@ -353,6 +353,31 @@ class TestOracleAgreement:
             disagreements += lp_verdict != facet_verdict
         assert disagreements == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_tol=st.floats(-10.0, -4.0),
+        excess=st.sampled_from([1 - 1e-3, 1 + 1e-3]),
+    )
+    def test_lp_and_facets_agree_next_to_a_facet(self, seed, log_tol, excess):
+        """A PR box mixed with a random local point at |S| - 2 = tol * (1 -+ 1e-3)."""
+        rng = np.random.default_rng(seed)
+        tol = 10.0**log_tol
+        pr_box = np.zeros((2, 2, 2, 2))  # E = +1 except E[a2, b2] = -1: S = 4
+        for a, b in itertools.product(range(2), repeat=2):
+            agree = 1 - a * b
+            pr_box[a, b, 0, 1 - agree] = pr_box[a, b, 1, agree] = 0.5
+        vertices = np.column_stack([v.flat for v in cb.enumerate_deterministic_strategies()])
+        local = vertices @ rng.dirichlet(np.full(16, 0.5))
+        signs = np.array([[1, 1], [1, -1]])
+        s_local = float(np.sum(signs * cb.BehaviorVector.from_flat(local).correlators()))
+        # S of the mix is linear in v; the other seven facets stay below 2
+        v = (2.0 + excess * tol - s_local) / (4.0 - s_local)
+        behavior = cb.BehaviorVector.from_flat(v * pr_box.reshape(16) + (1 - v) * local)
+        facet = cb.chsh_facet_check(behavior, tol)
+        assert facet.local == (excess < 1)
+        assert cb.local_membership_lp(behavior, tol).local == facet.local
+
 
 class TestExhaustiveSearch:
     def test_vertex_target_found_exactly(self):
