@@ -11,12 +11,14 @@ locality checks disagreed (internal inconsistency).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,22 @@ def _emit(args, report: dict) -> None:
         write_text(args.out, text)
 
 
+@contextlib.contextmanager
+def _replacing(out: Path):
+    """A new hidden sibling file of `out` that replaces it once the block succeeds."""
+    fd, partial = tempfile.mkstemp(prefix=f".{out.name}.", suffix=".part", dir=out.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        umask = os.umask(0)  # read it, then restore it
+        os.umask(umask)
+        os.chmod(partial, 0o666 & ~umask)  # a plain open's mode, not mkstemp's 0600
+        os.replace(partial, out)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
 def cmd_gen_lambda(args) -> int:
     _, chunks = word_blocks(args.count, 1, seed=args.seed)
     path = Path(args.out)
@@ -234,10 +252,8 @@ def cmd_covariance(args) -> int:
             "empirical_table": correlation_table_dict(table),
         },
     }
-    text = canonical_json(report)
-    sys.stdout.write(text)
+    _emit(args, report)
     if args.out:
-        write_text(args.out, text)
         write_text(str(args.out) + ".csv", correlation_table_csv(table))
     return 0 if combined.distribution_pass else 1
 
@@ -286,22 +302,14 @@ def cmd_flash(args) -> int:
     digest = hashlib.sha256()
     hit_counts = []
     first_flash_counts = np.zeros(args.sites, dtype=np.int64)
-    # the history goes to a sibling file that replaces --out only once every run is done
-    partial = Path(f"{args.out}.part") if args.out else None
-    try:
-        with (partial or Path(os.devnull)).open("wb") as fh:
-            for batch in flash_mod.flash_batches(psi0, kernel, args.rate, args.duration, chunks):
-                history = batch.history_bytes()
-                digest.update(history)
-                fh.write(history)
-                hit_counts.append(batch.hit_counts)
-                first_flash_counts += np.bincount(batch.first_sites(), minlength=args.sites)
-        if partial:
-            partial.replace(args.out)
-    except BaseException:
-        if partial:
-            partial.unlink(missing_ok=True)
-        raise
+    # a run that fails leaves --out and every other file as they were
+    with _replacing(Path(args.out)) if args.out else open(os.devnull, "wb") as fh:
+        for batch in flash_mod.flash_batches(psi0, kernel, args.rate, args.duration, chunks):
+            history = batch.history_bytes()
+            digest.update(history)
+            fh.write(history)
+            hit_counts.append(batch.hit_counts)
+            first_flash_counts += np.bincount(batch.first_sites(), minlength=args.sites)
     hit_counts = np.concatenate(hit_counts)
 
     ordering = flash_mod.ordering_invariance_exact(psi0, kernel, args.tol)

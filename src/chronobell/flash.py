@@ -50,6 +50,7 @@ DEFAULT_DURATION = 4.0
 MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
+FORMAT_SLICE = 4096  # history lines FlashEnsemble.history_bytes formats at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,14 +300,19 @@ class FlashEnsemble:
         starts = np.cumsum(self.hit_counts) - self.hit_counts
         return self.site[starts[self.hit_counts > 0]]
 
-    def history_bytes(self) -> bytes:
+    def history_bytes(self) -> bytearray:
         """History file: one ``run, time, particle, site`` line per flash, tab-separated.
 
         The time is printed with `repr`, so it replays exactly; the lines of
-        consecutive batches concatenate to the history of their union.
+        consecutive batches concatenate to the history of their union. No
+        Python object per flash outlives its slice of FORMAT_SLICE lines.
         """
-        columns = (c.tolist() for c in (self.run, self.time, self.particle, self.site))
-        return "".join(f"{r}\t{t!r}\t{p}\t{s}\n" for r, t, p, s in zip(*columns)).encode()
+        history = bytearray()
+        for lo in range(0, self.run.size, FORMAT_SLICE):
+            rows = slice(lo, lo + FORMAT_SLICE)
+            columns = (c[rows].tolist() for c in (self.run, self.time, self.particle, self.site))
+            history += "".join(f"{r}\t{t!r}\t{p}\t{s}\n" for r, t, p, s in zip(*columns)).encode()
+        return history
 
 
 def run_flash_processes(

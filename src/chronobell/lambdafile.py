@@ -22,8 +22,9 @@ Splitting is fixed-block: substream ``i`` of a stream owns words
 ``[i*block, (i+1)*block)`` of that stream's range, making per-substream values
 independent of the order in which substreams are consumed. Because the layout
 fixes where every word is, the vectorized consumers read consecutive
-substreams only as chunks, (rows, block) arrays of at most `CHUNK_WORDS` words,
-from a file or a seed (`word_blocks`) or from memory (`LambdaStream.blocks`).
+substreams only as chunks, (rows, block) arrays of `CHUNK_WORDS` words or
+`CHUNK_ROWS` rows, whichever is more, from a file or a seed (`word_blocks`)
+or from memory (`LambdaStream.blocks`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from .errors import (
 MAGIC = b"LMDA"
 FORMAT_VERSION = 1
 DEFAULT_BLOCK = 64
-CHUNK_WORDS = 1 << 17  # words per chunk (1 MiB), unless one block is larger
+CHUNK_WORDS = 1 << 17  # words per chunk (1 MiB) for blocks of up to 256 words
+CHUNK_ROWS = 512  # blocks per chunk at least: a chunk's flash runs take one step per hit
 
 _HEADER = struct.Struct("<4sBQQ")
 
@@ -172,9 +174,10 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None):
     """(words available, chunks of the first `n_blocks` blocks of `block` words).
 
     The words come from the stored file at `path` if it is given, else from
-    `seed`. Each chunk is a (rows, block) array of at most `CHUNK_WORDS` words,
-    or one block. Bad input raises before this returns; a file that shrinks
-    raises when the missing chunk is read.
+    `seed`. Each chunk is a (rows, block) array of `CHUNK_WORDS` words or
+    `CHUNK_ROWS` rows, whichever is more; the last may be shorter. Bad input
+    raises before this returns; a file that shrinks raises when the missing
+    chunk is read.
     """
     needed = n_blocks * block
     if path is None:
@@ -201,7 +204,7 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None):
 
 def _chunks(read, needed: int, block: int):
     """Words [0, needed) as (rows, block) chunks, words [lo, lo + n) from `read(lo, n)`."""
-    step = max(1, CHUNK_WORDS // block) * block
+    step = max(CHUNK_ROWS, CHUNK_WORDS // block) * block
     for lo in range(0, needed, step):
         n = min(step, needed - lo)
         words = read(lo, n)

@@ -423,7 +423,9 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     Feasibility of p = sum_v w_v * vertex_v with w >= 0, sum w = 1 over the
     16 deterministic strategies, with the residual allowed RESIDUAL_PER_VIOLATION
     * tol. On infeasibility the most violated CHSH facet is attached as the
-    separating certificate.
+    separating certificate. The residual is that multiple of |S| - 2 only for
+    no-signalling `p`, as quantum behaviors are; a signalling defect (up to the
+    1e-9 `BehaviorVector` admits) adds several times itself to the residual.
     """
     vertex_cols = _vertex_matrix()
     A = np.vstack([vertex_cols, np.ones((1, vertex_cols.shape[1]))])

@@ -380,12 +380,34 @@ class TestFlash:
         # 31 words hold 10 hits: run 13 overruns, in the fourth chunk of 4 runs
         monkeypatch.setattr(cli.flash_mod, "flash_block", lambda mean_hits: 31)
         monkeypatch.setattr(lambdafile, "CHUNK_WORDS", 4 * 31)
+        monkeypatch.setattr(lambdafile, "CHUNK_ROWS", 4)
         out = tmp_path / "history.txt"
         argv = ("flash", "--seed", "3", "--runs", "40", "--out", str(out))
         code, stdout, err = run_cli(capsys, *argv)
         assert code == 3
         assert stdout == "" and "stream 'root[13]' exhausted after 31 words" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_history_file_spares_other_files(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "history.txt"
+        out.write_text("old")
+        (tmp_path / "history.txt.part").write_text("kept")
+        (tmp_path / "plain").write_text("")  # the mode a plain open gives
+        argv = ("flash", "--seed", "3", "--runs", "40", "--out", str(out))
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0
+        history = out.read_bytes()
+        assert hashlib.sha256(history).hexdigest() == report["results"]["history_sha256"]
+        assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        # a run that exits 3 keeps the last history and removes only its own file
+        monkeypatch.setattr(cli.flash_mod, "flash_block", lambda mean_hits: 31)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 3
+        assert out.read_bytes() == history
+        assert (tmp_path / "history.txt.part").read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "history.txt", "history.txt.part", "plain"
+        ]
 
 
 class TestGenLambda:

@@ -307,7 +307,7 @@ class TestRunFlashProcesses:
         stream.take(cursor)  # splits ignore the cursor; so must the batch
         args = (psi, kernel, rate, duration, stream, runs, block)
         expected = outcome(scalar_ensemble, *args)
-        with mock.patch.object(lambdafile, "CHUNK_WORDS", chunk * block):  # chunk runs each
+        with mock.patch.multiple(lambdafile, CHUNK_WORDS=1, CHUNK_ROWS=chunk):  # chunk runs each
             assert outcome(batched_ensemble, *args) == expected
         if short_block is None:
             assert not isinstance(expected, str)
@@ -341,7 +341,10 @@ class TestRunFlashProcesses:
             hit_counts=np.array([2, 0, 1]),
         )
         assert ensemble.first_sites().tolist() == [3, 7]
-        assert ensemble.history_bytes() == b"0\t0.5\t1\t3\n0\t1.25\t0\t4\n2\t0.1\t0\t7\n"
+        history = b"0\t0.5\t1\t3\n0\t1.25\t0\t4\n2\t0.1\t0\t7\n"
+        for lines in (1, 2, 3):  # formatted across slice boundaries
+            with mock.patch.object(cb.flash, "FORMAT_SLICE", lines):
+                assert ensemble.history_bytes() == history
 
     def test_parameter_errors(self):
         psi = cb.make_uniform(8)

@@ -288,11 +288,12 @@ class TestWordBlocks:
         n_blocks=st.integers(1, 40),
         block=st.integers(1, 24),
         chunk=st.integers(1, 64),
+        rows=st.integers(1, 8),
         spare=st.integers(1, 50),
         seed=st.integers(0, 2**64 - 1),
     )
     def test_chunks_replay_the_stored_and_generated_words(
-        self, tmp_path_factory, n_blocks, block, chunk, spare, seed
+        self, tmp_path_factory, n_blocks, block, chunk, rows, spare, seed
     ):
         needed = n_blocks * block
         path = cb.generate_lambda_file(seed, needed + spare).save(
@@ -303,16 +304,26 @@ class TestWordBlocks:
         np.testing.assert_array_equal(
             cb.generate_lambda_file(seed, needed).words.reshape(n_blocks, block), expected
         )
-        with mock.patch.object(lambdafile, "CHUNK_WORDS", chunk):  # several chunks per run
+        # several chunks per run, sized by words or by rows
+        with mock.patch.multiple(lambdafile, CHUNK_WORDS=chunk, CHUNK_ROWS=rows):
             stored, from_file = cli._resolve_lambda(_lambda_args(path=path), n_blocks, block)
             generated, from_seed = cli._resolve_lambda(_lambda_args(seed=seed), n_blocks, block)
             assert (stored["words"], generated["words"]) == (needed + spare, needed)
+            step = max(rows, chunk // block)
             for chunks in (loaded.stream().blocks(n_blocks, block), from_file, from_seed):
                 chunks = list(chunks)
                 for c in chunks:
                     assert c.dtype == np.uint64 and c.shape[1] == block
-                    assert c.size <= max(chunk, block)
+                assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
+                assert 0 < len(chunks[-1]) <= step
                 np.testing.assert_array_equal(np.concatenate(chunks), expected)
+
+    @pytest.mark.parametrize(
+        "n_blocks, block, rows", [(70000, 2, [65536, 4464]), (1000, 1024, [512, 488])]
+    )
+    def test_chunks_hold_chunk_words_or_chunk_rows(self, n_blocks, block, rows):
+        _, chunks = word_blocks(n_blocks, block, seed=1)
+        assert [len(c) for c in chunks] == rows
 
     @pytest.mark.parametrize(
         "how", ["truncated", "header-only-part", "bad-magic", "bad-version", "over-long"]
@@ -340,7 +351,7 @@ class TestWordBlocks:
 
     def test_file_that_shrinks_while_read(self, tmp_path):
         path = cb.generate_lambda_file(seed=1, count=100).save(tmp_path / "lam.bin")
-        with mock.patch.object(lambdafile, "CHUNK_WORDS", 10):
+        with mock.patch.multiple(lambdafile, CHUNK_WORDS=10, CHUNK_ROWS=1):
             _, chunks = word_blocks(10, 10, path=path)
             next(chunks)
             with path.open("r+b") as fh:
@@ -366,8 +377,11 @@ class TestStreamBlocks:
         n_blocks=st.integers(0, 60),
         block=st.integers(1, 16),
         chunk=st.integers(1, 64),
+        rows=st.integers(1, 8),
     )
-    def test_matches_split_take_oracle(self, seed, count, start, cursor, n_blocks, block, chunk):
+    def test_matches_split_take_oracle(
+        self, seed, count, start, cursor, n_blocks, block, chunk, rows
+    ):
         lf = cb.generate_lambda_file(seed, count + start)
         stream = cb.LambdaStream(lf, start, count)
         stream.take(min(cursor, count))  # the cursor is ignored, as by split
@@ -377,10 +391,10 @@ class TestStreamBlocks:
             with pytest.raises(cb.CapacityError, match=re.escape(str(exc))):
                 stream.blocks(n_blocks, block)
             return
-        with mock.patch.object(lambdafile, "CHUNK_WORDS", chunk):
+        with mock.patch.multiple(lambdafile, CHUNK_WORDS=chunk, CHUNK_ROWS=rows):
             chunks = list(stream.blocks(n_blocks, block))
         for c in chunks:
-            assert c.shape[1] == block and c.size <= max(chunk, block)
+            assert c.shape[1] == block and len(c) <= max(rows, chunk // block)
             assert np.shares_memory(c, lf.words) and not c.flags.writeable
         got = words_to_reals(np.concatenate(chunks)) if chunks else np.zeros((0, block))
         np.testing.assert_array_equal(got, np.reshape(expected, (n_blocks, block)))
