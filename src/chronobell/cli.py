@@ -33,6 +33,7 @@ from .errors import (
 )
 from .lambdafile import DEFAULT_BLOCK, file_header, word_blocks
 from .localpolytope import (
+    BOUNDARY_ROUNDING,
     MAX_SEARCH_ALPHABET,
     chsh_facet_check,
     exhaustive_nogo_search,
@@ -50,9 +51,6 @@ from .quantum import (
     make_singlet,
 )
 from .reporting import canonical_json, correlation_table_csv, correlation_table_dict, write_text
-
-# |S| - 2 this close to --tol is within rounding, where the two oracles may disagree
-BOUNDARY_ROUNDING = 1e-12
 
 _NAMED_STATES = {
     "singlet": make_singlet,

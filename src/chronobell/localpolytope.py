@@ -14,9 +14,9 @@ Membership in the local polytope is decided by two independent routes that
 must agree: a dense phase-1 simplex over the 16 vertices, and the 8 CHSH
 facet inequalities, which together with positivity are complete for this
 scenario. The exhaustive search covers every uniform-weight quadruple at
-alphabet sizes 1..5 by evaluating each multiset of L vertices once; it
-illustrates concretely what the facet bound proves for arbitrary finite
-mixtures.
+alphabet sizes 1..8 by evaluating each multiset of L vertices once, in
+fixed-size chunks, so its memory is flat in L; it illustrates concretely
+what the facet bound proves for arbitrary finite mixtures.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from .simplex import solve_feasibility
 
 N_SETTINGS = 2
 N_OUTCOMES = 2
-MAX_SEARCH_ALPHABET = 5
+MAX_SEARCH_ALPHABET = 8
+SEARCH_CHUNK = 1024  # vertex multisets evaluated per step of the no-go search
+BOUNDARY_ROUNDING = 1e-12  # |S| - 2 this close to tol is rounding: the oracles may differ
 
 _ENTRY_FLOOR = -1e-12
 _BLOCK_TOL = 1e-9
@@ -301,15 +303,8 @@ def behavior_of(
     model: LocalModel | StrategyQuadruple, chronology: Chronology | str | None = None
 ) -> BehaviorVector:
     """P(alpha, beta | a, b) of a local model or a quadruple under one order."""
-    if isinstance(model, LocalModel):
-        size = model.alphabet_size
-        ind_alpha = np.broadcast_to(
-            _indicator(model.responses_a)[:, None], (2, 2, 2, size)
-        )
-        ind_beta = np.broadcast_to(
-            _indicator(model.responses_b)[None, :], (2, 2, 2, size)
-        )
-        return _behavior_from_indicators(ind_alpha, ind_beta, model.weights)
+    if isinstance(model, LocalModel):  # either order gives the same tables here
+        return behavior_of(StrategyQuadruple.from_local(model), Chronology.AB)
     if not isinstance(model, StrategyQuadruple):
         raise TypeError(f"expected LocalModel or StrategyQuadruple, got {type(model)!r}")
     if chronology is None:
@@ -430,7 +425,8 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     vertex_cols = _vertex_matrix()
     A = np.vstack([vertex_cols, np.ones((1, vertex_cols.shape[1]))])
     b = np.append(p.flat, 1.0)
-    weights = solve_feasibility(A, b, tol=tol, residual_tol=RESIDUAL_PER_VIOLATION * tol)
+    floor = max(tol, BOUNDARY_ROUNDING)  # at tol = 0 rounding alone reads as infeasible
+    weights = solve_feasibility(A, b, tol=floor, residual_tol=RESIDUAL_PER_VIOLATION * floor)
     if weights is None:
         return MembershipResult(False, None, None, chsh_facet_check(p, tol))
     error = float(np.max(np.abs(A @ weights - b)))
@@ -471,7 +467,8 @@ def exhaustive_nogo_search(
     behavior's distance to `target` (max absolute entrywise difference) and
     the largest CHSH facet value met anywhere in the search; the latter equals
     the local bound 2 exactly, because correlators are integer sums divided by
-    L once.
+    L once. Multisets come `SEARCH_CHUNK` at a time in lexicographic order and
+    ties keep the first, so memory is flat in L.
     """
     if not 1 <= alphabet_size <= MAX_SEARCH_ALPHABET:
         raise SearchSpaceError(
@@ -479,24 +476,28 @@ def exhaustive_nogo_search(
         )
     vertices = _vertex_models()
     vertex_counts = _vertex_matrix().T.reshape(len(vertices), 2, 2, 2, 2).astype(np.int64)
-    picks = np.array(
-        list(itertools.combinations_with_replacement(range(len(vertices)), alphabet_size))
-    )
-    counts = vertex_counts[picks].sum(axis=1)  # [pick, a, b, alpha_idx, beta_idx]
-    distances = np.max(np.abs(counts / alphabet_size - target.probs), axis=(1, 2, 3, 4))
-    best = int(np.argmin(distances))
+    multisets = itertools.combinations_with_replacement(range(len(vertices)), alphabet_size)
+    row = np.dtype((np.int64, alphabet_size))
+    best_distance, best_pick, max_corr_int = np.inf, None, 0
+    while len(picks := np.fromiter(itertools.islice(multisets, SEARCH_CHUNK), dtype=row)):
+        counts = vertex_counts[picks].sum(axis=1)  # [pick, a, b, alpha_idx, beta_idx]
+        distances = np.max(np.abs(counts / alphabet_size - target.probs), axis=(1, 2, 3, 4))
+        i = int(np.argmin(distances))
+        # a strict < keeps the first minimum, as argmin does; None admits a NaN target
+        if best_pick is None or distances[i] < best_distance:
+            best_distance, best_pick = distances[i], picks[i]
+        corr_int = counts[..., 0, 0] - counts[..., 0, 1] - counts[..., 1, 0] + counts[..., 1, 1]
+        chunk_max = int(np.abs(np.einsum("sab,nab->ns", _CHSH_PATTERNS, corr_int)).max())
+        max_corr_int = max(max_corr_int, chunk_max)
 
-    corr_int = counts[..., 0, 0] - counts[..., 0, 1] - counts[..., 1, 0] + counts[..., 1, 1]
-    max_corr_int = int(np.abs(np.einsum("sab,nab->ns", _CHSH_PATTERNS, corr_int)).max())
-
-    chosen = [vertices[v] for v in picks[best]]
+    chosen = [vertices[v] for v in best_pick]
     best_model = LocalModel.uniform(
         np.hstack([m.responses_a for m in chosen]), np.hstack([m.responses_b for m in chosen])
     )
     return SearchResult(
-        found=bool(distances[best] <= tol),
+        found=bool(best_distance <= tol),
         best=StrategyQuadruple.from_local(best_model),
-        best_distance=float(distances[best]),
+        best_distance=float(best_distance),
         max_chsh=max_corr_int / alphabet_size,
         alphabet_size=alphabet_size,
         tolerance=tol,

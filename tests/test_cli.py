@@ -151,6 +151,13 @@ class TestChsh:
         assert code == 0
         assert report["config"]["tol"] == 0.0
 
+    def test_zero_tolerance_on_a_local_state(self, capsys):
+        # rounding alone used to make the LP read this product state as nonlocal
+        argv = ("--tol", "0", "--state", "product00", "--angles", "10,20,30,40")
+        code, report, _ = run_json(capsys, "chsh", *argv)
+        assert code == 0
+        assert report["results"]["lp_local"] is report["results"]["facet_local"] is True
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, stdout, _ = run_cli(capsys, "chsh", "--out", str(out))
@@ -255,14 +262,14 @@ class TestNogo:
             monkeypatch.setattr(cli, name, oracle)
 
     def test_oversized_alphabet(self, capsys, no_oracles):
-        code, _, err = run_cli(capsys, "nogo", "--alphabet-size", "6")
+        code, _, err = run_cli(capsys, "nogo", "--alphabet-size", "9")
         assert code == 2
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_alphabet_size_below_one_rejected_before_any_oracle(self, capsys, no_oracles, size):
         code, _, err = run_cli(capsys, "nogo", "--alphabet-size", size)
         assert code == 2
-        assert "--alphabet-size must be in 1..5" in err
+        assert "--alphabet-size must be in 1..8" in err
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES)
     def test_bad_tolerance_rejected_before_any_oracle(self, capsys, no_work, tol):
@@ -571,17 +578,30 @@ class TestReportStability:
         assert list(parsed["results"]) == sorted(parsed["results"])
 
 
+# A child's ru_maxrss also counts the resident set of the process it was forked
+# from (the kernel keeps the larger of the peaks before and after exec), so a
+# child forked from pytest reads pytest's own RSS, about 200 MB late in the suite.
+# A bare launcher forks the measured child instead and prints its peak.
+_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)  # Popen must not wait again
+print(usage.ru_maxrss)
+sys.exit(proc.returncode)
+"""
+
+
 def _peak_rss_mb(*argv) -> float:
     """Peak resident memory, in MB, of `python -m chronobell argv` in a child process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "chronobell", *argv], env=env, stdout=subprocess.DEVNULL
+    launched = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "chronobell", *argv],
+        env=env, capture_output=True, text=True,
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # Popen must not wait again
-    assert proc.returncode == 0
-    return usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert launched.returncode == 0, launched.stderr
+    return int(launched.stdout) / 1024  # kilobytes on Linux
 
 
 class TestPeakMemory:
@@ -599,6 +619,14 @@ class TestPeakMemory:
         small = _peak_rss_mb(*argv, "10000")
         large = _peak_rss_mb(*argv, "1000000")
         assert large - small < 15.0
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_nogo_rss_flat_in_alphabet_size(self):
+        argv = ("nogo", "--state", "singlet", "--angles", "0,90,45,135", "--alphabet-size")
+        small = _peak_rss_mb(*argv, "1")
+        large = _peak_rss_mb(*argv, "8")
+        # the 490,314 multisets of L = 8 as whole arrays would add about 580 MB
+        assert large - small < 5.0
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
     def test_flash_rss_flat_in_runs(self):

@@ -4,11 +4,14 @@ Independent oracles: explicit brute-force loops for the consistency
 equations and for behaviors, Monte Carlo sampling for mixture behaviors, and
 the CHSH facet values recomputed from raw correlator arithmetic. The frozen
 best-distance values for the uniform-alphabet search were computed with a
-standalone enumerator before this module was written.
+standalone enumerator before this module was written (alphabet sizes 1..5)
+and with the whole-array multiset search (6..8). The chunked search is pinned
+to that whole-array search, kept here as `oracle_multiset_search`.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
-from chronobell.localpolytope import chsh_sign_patterns
+from chronobell import localpolytope
+from chronobell.localpolytope import BOUNDARY_ROUNDING, chsh_sign_patterns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,6 +33,9 @@ FROZEN_BEST_DISTANCE = {
     3: 0.2601100286299702,
     4: 0.1767766952966369,
     5: 0.22677669529663663,
+    6: 0.09344336196330356,
+    7: 0.14106240958235106,
+    8: 0.051776695296636935,
 }
 
 
@@ -81,6 +88,39 @@ def oracle_table_pair_search(alphabet_size, target):
             value = int(np.abs(np.einsum("ab,nmab->nm", signs, corr_int)).max())
             max_corr_int = max(max_corr_int, value)
     return best_distance, max_corr_int / alphabet_size
+
+
+def oracle_multiset_search(alphabet_size, target, tol):
+    """The vertex-multiset search with every multiset in one array.
+
+    `np.argmin` takes the first minimum in lexicographic multiset order, the
+    tie-break the chunked search must keep; the CHSH patterns are read from the
+    module at call time, so a test that patches them patches both searches.
+    """
+    vertices = localpolytope._vertex_models()
+    vertex_counts = localpolytope._vertex_matrix().T.reshape(16, 2, 2, 2, 2).astype(np.int64)
+    picks = np.array(list(itertools.combinations_with_replacement(range(16), alphabet_size)))
+    counts = vertex_counts[picks].sum(axis=1)  # [pick, a, b, alpha_idx, beta_idx]
+    distances = np.max(np.abs(counts / alphabet_size - target.probs), axis=(1, 2, 3, 4))
+    best = int(np.argmin(distances))
+
+    corr_int = counts[..., 0, 0] - counts[..., 0, 1] - counts[..., 1, 0] + counts[..., 1, 1]
+    patterns = localpolytope._CHSH_PATTERNS
+    max_corr_int = int(np.abs(np.einsum("sab,nab->ns", patterns, corr_int)).max())
+
+    chosen = [vertices[v] for v in picks[best]]
+    best_model = cb.LocalModel.uniform(
+        np.hstack([m.responses_a for m in chosen]), np.hstack([m.responses_b for m in chosen])
+    )
+    return cb.SearchResult(
+        found=bool(distances[best] <= tol),
+        best=cb.StrategyQuadruple.from_local(best_model),
+        best_distance=float(distances[best]),
+        max_chsh=max_corr_int / alphabet_size,
+        alphabet_size=alphabet_size,
+        tolerance=tol,
+        n_candidates=16**alphabet_size,
+    )
 
 
 class TestLocalModel:
@@ -378,6 +418,31 @@ class TestOracleAgreement:
         assert facet.local == (excess < 1)
         assert cb.local_membership_lp(behavior, tol).local == facet.local
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([0.0, 1e-15, 1e-13]),
+        quantum=st.booleans(),
+    )
+    def test_lp_and_facets_agree_below_the_rounding_floor(self, seed, tol, quantum):
+        """Below BOUNDARY_ROUNDING the LP's tolerances are floored there, so rounding
+        alone no longer reads as infeasible: the oracles agree outside the window.
+
+        No-signalling mixes within a few 1e-12 of a facet are not drawn: the
+        simplex's 1e-12 ratio tie still reads their tiny residuals low.
+        """
+        rng = np.random.default_rng(seed)
+        if quantum:
+            behavior = cb.quantum_behavior(
+                cb.random_pure_state(rng), *(cb.random_setting(rng, party) for party in "AABB")
+            )
+        else:
+            vertices = np.column_stack([v.flat for v in cb.enumerate_deterministic_strategies()])
+            behavior = cb.BehaviorVector.from_flat(vertices @ rng.dirichlet(np.full(16, 0.3)))
+        facet = cb.chsh_facet_check(behavior, tol)
+        if abs(facet.max_facet_value - 2.0 - tol) > BOUNDARY_ROUNDING:
+            assert cb.local_membership_lp(behavior, tol).local == facet.local
+
 
 class TestExhaustiveSearch:
     def test_vertex_target_found_exactly(self):
@@ -444,6 +509,57 @@ class TestExhaustiveSearch:
 
     def test_oversized_alphabet_rejected(self):
         with pytest.raises(cb.SearchSpaceError):
-            cb.exhaustive_nogo_search(6, singlet_target(), tol=1e-6)
+            cb.exhaustive_nogo_search(9, singlet_target(), tol=1e-6)
         with pytest.raises(cb.SearchSpaceError):
             cb.exhaustive_nogo_search(0, singlet_target(), tol=1e-6)
+
+
+class TestChunkedSearch:
+    # every pure-vertex multiset reaches |S| = 2 on every CHSH facet, the last
+    # one (15, ..., 15) included, so a running maximum that forgot earlier
+    # chunks would still read 2. Under this non-facet pattern, (a0 - a1)(b0 + b1),
+    # the vertices 12..15 that end the order read 0 and the maximum 4 lies earlier.
+    SKEWED_PATTERNS = (np.array([[1, 1], [-1, -1]]),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alphabet_size=st.integers(1, 5),
+        chunk=st.integers(1, 7),
+        kind=st.sampled_from(["vertex", "vertex_pair", "quantum"]),
+        u=st.integers(0, 15),
+        v=st.integers(0, 15),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([0.0, 1e-6, 0.3]),
+        skewed=st.booleans(),
+    )
+    def test_matches_whole_array_search(
+        self, alphabet_size, chunk, kind, u, v, seed, tol, skewed
+    ):
+        """Bit-identical to the whole-array search, ties across chunk edges included.
+
+        A single vertex and an even mix of two are matched exactly or tie by
+        construction: k copies of u and L - k of v sit as far from the mix as
+        L - k copies of u and k of v.
+        """
+        vertices = cb.enumerate_deterministic_strategies()
+        if kind == "quantum":
+            rng = np.random.default_rng(seed)
+            target = cb.quantum_behavior(
+                cb.random_pure_state(rng),
+                *(cb.random_setting(rng, party) for party in "AABB"),
+            )
+        else:
+            other = vertices[v if kind == "vertex_pair" else u]
+            target = cb.BehaviorVector.from_flat(0.5 * vertices[u].flat + 0.5 * other.flat)
+            tol = 0.0
+        patterns = self.SKEWED_PATTERNS if skewed else localpolytope._CHSH_PATTERNS
+        with mock.patch.object(localpolytope, "_CHSH_PATTERNS", patterns):
+            expected = oracle_multiset_search(alphabet_size, target, tol)
+            with mock.patch.object(localpolytope, "SEARCH_CHUNK", chunk):
+                result = cb.exhaustive_nogo_search(alphabet_size, target, tol)
+        assert result.best_distance == expected.best_distance
+        assert result.max_chsh == expected.max_chsh
+        assert result.found == expected.found
+        assert result.n_candidates == expected.n_candidates
+        assert np.array_equal(result.best.first_ab, expected.best.first_ab)
+        assert np.array_equal(result.best.first_ba, expected.best.first_ba)
