@@ -1,24 +1,24 @@
 """Frame-ordered sampling of spacelike-separated two-qubit measurements.
 
-A `Chronology` says which party's measurement is treated as first. For each
-time order the outcome pair is produced by the same two-step rule: the first
-party's result is an inverse-CDF function of its marginal and one stored
-lambda value, the second party's result is an inverse-CDF function of the
-collapsed conditional and a second lambda value. Outcomes map as
-``+1 if lambda < P(+) else -1``, with the chronologically first party always
-consuming the first word of the trial's substream, so both orders run on
-identical lambda budgets.
+A `Chronology` (defined in `quantum`, re-exported here) says which party's
+measurement is treated as first. For each time order the outcome pair is
+produced by the same two-step rule: the first party's result is an
+inverse-CDF function of its marginal and one stored lambda value, the second
+party's result is an inverse-CDF function of the collapsed conditional and a
+second lambda value. Outcomes map as ``+1 if lambda < P(+) else -1``, with
+the chronologically first party always consuming the first word of the
+trial's substream, so both orders run on identical lambda budgets.
 
 Two facts fall out and are quantified here: the exact outcome distributions
-do not depend on the chronology, while the realized outcome pairs produced
-from one shared lambda file generally do.
+do not depend on the chronology (compared on `quantum.exact_table` under both
+orders), while the realized outcome pairs produced from one shared lambda file
+generally do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,19 +27,13 @@ from .lambdafile import DEFAULT_BLOCK, LambdaStream, words_to_reals
 from .quantum import (
     OUTCOMES,
     BlochSetting,
+    Chronology,
     CorrelationTable,
     TwoQubitState,
     born_marginal,
     collapse,
-    joint_distribution,
+    exact_table,
 )
-
-
-class Chronology(Enum):
-    """Which party's measurement counts as first."""
-
-    AB = "AB"  # party A first
-    BA = "BA"  # party B first
 
 
 @dataclass(frozen=True)
@@ -266,14 +260,9 @@ def distribution_covariance_check(
     state: TwoQubitState, settings_a, settings_b, tol: float = 1e-12
 ) -> CovarianceReport:
     """Exact joint distributions under both chronologies, compared entrywise."""
-    settings_a = tuple(settings_a)
-    settings_b = tuple(settings_b)
-    diffs = np.zeros((len(settings_a), len(settings_b)))
-    for i, a in enumerate(settings_a):
-        for j, b in enumerate(settings_b):
-            ab = joint_distribution(state, a, b, Chronology.AB.value).probs
-            ba = joint_distribution(state, a, b, Chronology.BA.value).probs
-            diffs[i, j] = np.max(np.abs(ab - ba))
+    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
+    ab, ba = (exact_table(state, settings_a, settings_b, c).cells for c in Chronology)
+    diffs = np.max(np.abs(ab - ba), axis=(2, 3))
     return CovarianceReport(settings_a, settings_b, diffs, None, 0, tol)
 
 

@@ -125,13 +125,10 @@ class LambdaFile:
     @classmethod
     def load(cls, path) -> "LambdaFile":
         """Read a stored file, holding its payload in memory once."""
-        path = Path(path)
-        with path.open("rb") as fh:
+        with Path(path).open("rb") as fh:
             count, seed_note = _parse_header(fh.read(_HEADER.size))
-            _check_payload(os.fstat(fh.fileno()).st_size - _HEADER.size, count)
-            words = np.fromfile(fh, dtype="<u8", count=count)
-        _check_payload(8 * words.size, count)  # the file shrank after the size check
-        return cls._adopt(words, seed_note)
+        _, (words,) = word_blocks(1, count, path=path)  # one block is one chunk
+        return cls._adopt(words.reshape(-1), seed_note)
 
     def stream(self, label: str = "root") -> "LambdaStream":
         """A cursor over the whole file."""

@@ -27,9 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chronology import Chronology
 from .errors import NotReducibleError, SearchSpaceError
-from .quantum import LOCAL_BOUND, BlochSetting, TwoQubitState, joint_distribution
+from .quantum import (
+    LOCAL_BOUND,
+    BlochSetting,
+    Chronology,
+    TwoQubitState,
+    correlators,
+    exact_table,
+    signaling_defect,
+)
 from .simplex import solve_feasibility
 
 N_SETTINGS = 2
@@ -198,19 +205,11 @@ class BehaviorVector:
         return self.probs.reshape(16).copy()
 
     def no_signaling_defect(self) -> float:
-        marg_a = self.probs.sum(axis=3)  # (a, b, alpha)
-        marg_b = self.probs.sum(axis=2)  # (a, b, beta)
-        return float(
-            max(
-                (marg_a.max(axis=1) - marg_a.min(axis=1)).max(),
-                (marg_b.max(axis=0) - marg_b.min(axis=0)).max(),
-            )
-        )
+        return signaling_defect(self.probs)
 
     def correlators(self) -> np.ndarray:
         """E[a, b] = sum over outcomes of alpha * beta * P."""
-        p = self.probs
-        return p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1]
+        return correlators(self.probs)
 
     def max_abs_diff(self, other: "BehaviorVector") -> float:
         return float(np.max(np.abs(self.probs - other.probs)))
@@ -327,14 +326,10 @@ def quantum_behavior(
     a1: BlochSetting,
     b0: BlochSetting,
     b1: BlochSetting,
-    ordering: str = "AB",
+    ordering: Chronology | str = Chronology.AB,
 ) -> BehaviorVector:
     """The 16-entry behavior of a two-qubit state at two settings per party."""
-    probs = np.zeros((2, 2, 2, 2))
-    for i, a in enumerate((a0, a1)):
-        for j, b in enumerate((b0, b1)):
-            probs[i, j] = joint_distribution(state, a, b, ordering).probs
-    return BehaviorVector(probs)
+    return BehaviorVector(exact_table(state, (a0, a1), (b0, b1), ordering).cells)
 
 
 @functools.cache
@@ -486,8 +481,7 @@ def exhaustive_nogo_search(
         # a strict < keeps the first minimum, as argmin does; None admits a NaN target
         if best_pick is None or distances[i] < best_distance:
             best_distance, best_pick = distances[i], picks[i]
-        corr_int = counts[..., 0, 0] - counts[..., 0, 1] - counts[..., 1, 0] + counts[..., 1, 1]
-        chunk_max = int(np.abs(np.einsum("sab,nab->ns", _CHSH_PATTERNS, corr_int)).max())
+        chunk_max = int(np.abs(np.einsum("sab,nab->ns", _CHSH_PATTERNS, correlators(counts))).max())
         max_corr_int = max(max_corr_int, chunk_max)
 
     chosen = [vertices[v] for v in best_pick]

@@ -1,8 +1,10 @@
 """Exact quantum mechanics for two qubits on a 4-amplitude state vector.
 
 Everything here is finite-dimensional linear algebra: projective spin
-measurements along Bloch directions, sequential collapse, joint outcome
-distributions, and the CHSH combination of correlators.
+measurements along Bloch directions, sequential collapse in either time order
+(`Chronology`), joint outcome distributions, and the CHSH combination of
+correlators. Every exact outcome table, CHSH value and behavior is built on
+`exact_table`, the one loop over setting pairs.
 
 Conventions, fixed once and tested against eigen-decompositions:
 
@@ -48,6 +50,13 @@ class Party(Enum):
     B = "B"
 
 
+class Chronology(Enum):
+    """Which party's measurement counts as first."""
+
+    AB = "AB"  # party A first
+    BA = "BA"  # party B first
+
+
 def outcome_index(outcome: int) -> int:
     """Map +1 -> 0 and -1 -> 1 (the index order used by all tables)."""
     if outcome == 1:
@@ -61,6 +70,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def correlators(cells: np.ndarray) -> np.ndarray:
+    """E = sum over outcomes of alpha * beta * P, over the last two (outcome) axes."""
+    return cells[..., 0, 0] - cells[..., 0, 1] - cells[..., 1, 0] + cells[..., 1, 1]
+
+
+def signaling_defect(cells: np.ndarray) -> float:
+    """Largest variation of one party's marginal across the other's settings, cells[a, b]."""
+    marg_a = cells.sum(axis=3)  # (nA, nB, 2): P(alpha | a, b)
+    marg_b = cells.sum(axis=2)  # (nA, nB, 2): P(beta | a, b)
+    defect_a = (marg_a.max(axis=1) - marg_a.min(axis=1)).max() if marg_a.size else 0.0
+    defect_b = (marg_b.max(axis=0) - marg_b.min(axis=0)).max() if marg_b.size else 0.0
+    return float(max(defect_a, defect_b))
 
 
 @dataclass(frozen=True)
@@ -215,8 +238,7 @@ class JointDistribution:
 
     def correlator(self) -> float:
         """E = sum over outcomes of alpha * beta * P(alpha, beta)."""
-        p = self.probs
-        return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+        return float(correlators(self.probs))
 
     def marginal(self, party: Party | str) -> np.ndarray:
         """(P(+), P(-)) for one party, the other summed out."""
@@ -228,25 +250,23 @@ def joint_distribution(
     state: TwoQubitState,
     a: BlochSetting,
     b: BlochSetting,
-    ordering: str = "AB",
+    ordering: Chronology | str = Chronology.AB,
 ) -> JointDistribution:
     """Joint outcome distribution computed sequentially in the given order.
 
-    `ordering` "AB" measures party A first, "BA" party B first. The two
+    `ordering` AB (or "AB") measures party A first, BA party B first. The two
     orderings give identical distributions (the projectors act on distinct
     factors); the sequential construction keeps that a checkable fact rather
     than an assumption.
     """
-    order = getattr(ordering, "value", ordering)
-    if order not in ("AB", "BA"):
-        raise ValueError(f"ordering must be 'AB' or 'BA', got {ordering!r}")
+    order = Chronology(ordering)
     if a.party is not Party.A:
         raise ValueError("setting `a` must be tagged for party A")
     if b.party is not Party.B:
         raise ValueError("setting `b` must be tagged for party B")
 
-    first, second = (a, b) if order == "AB" else (b, a)
-    probs = np.zeros((2, 2))
+    first, second = (a, b) if order is Chronology.AB else (b, a)
+    probs = np.zeros((2, 2))  # [first outcome, second outcome]
     for i, first_outcome in enumerate(OUTCOMES):
         p_first = born_marginal(state, first, first_outcome)
         # skip branches collapse would reject as numerically impossible; the
@@ -256,12 +276,8 @@ def joint_distribution(
             continue
         post = collapse(state, first, first_outcome)
         for j, second_outcome in enumerate(OUTCOMES):
-            p_second = born_marginal(post, second, second_outcome)
-            if order == "AB":
-                probs[i, j] = p_first * p_second
-            else:
-                probs[j, i] = p_first * p_second
-    return JointDistribution(probs, a, b)
+            probs[i, j] = p_first * born_marginal(post, second, second_outcome)
+    return JointDistribution(probs if order is Chronology.AB else probs.T, a, b)
 
 
 def chsh_value(
@@ -272,17 +288,8 @@ def chsh_value(
     b2: BlochSetting,
 ) -> float:
     """E(a,b) + E(a,b2) + E(a2,b) - E(a2,b2); at most 2 for any local model."""
-    for s in (a, a2):
-        if s.party is not Party.A:
-            raise ValueError("first two settings must be tagged for party A")
-    for s in (b, b2):
-        if s.party is not Party.B:
-            raise ValueError("last two settings must be tagged for party B")
-
-    def corr(x: BlochSetting, y: BlochSetting) -> float:
-        return joint_distribution(state, x, y).correlator()
-
-    return corr(a, b) + corr(a, b2) + corr(a2, b) - corr(a2, b2)
+    e = correlators(exact_table(state, (a, a2), (b, b2)).cells)
+    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,16 +332,11 @@ class CorrelationTable:
         return self.cells[i, j]
 
     def correlator(self, i: int, j: int) -> float:
-        p = self.cells[i, j]
-        return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+        return float(correlators(self.cells[i, j]))
 
     def no_signaling_defect(self) -> float:
         """Largest variation of one party's marginal across the other's settings."""
-        marg_a = self.cells.sum(axis=3)  # (nA, nB, 2): P(alpha | a, b)
-        marg_b = self.cells.sum(axis=2)  # (nA, nB, 2): P(beta | a, b)
-        defect_a = (marg_a.max(axis=1) - marg_a.min(axis=1)).max() if marg_a.shape[1] else 0.0
-        defect_b = (marg_b.max(axis=0) - marg_b.min(axis=0)).max() if marg_b.shape[0] else 0.0
-        return float(max(defect_a, defect_b))
+        return signaling_defect(self.cells)
 
     def max_abs_diff(self, other: "CorrelationTable") -> float:
         if self.cells.shape != other.cells.shape:
@@ -352,9 +354,10 @@ def exact_table(
     state: TwoQubitState,
     settings_a,
     settings_b,
-    ordering: str = "AB",
+    ordering: Chronology | str = Chronology.AB,
 ) -> CorrelationTable:
     """Exact joint distributions for every setting pair, computed sequentially."""
+    ordering = Chronology(ordering)
     settings_a = tuple(settings_a)
     settings_b = tuple(settings_b)
     cells = np.zeros((len(settings_a), len(settings_b), 2, 2))

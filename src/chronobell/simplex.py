@@ -4,14 +4,16 @@ Answers one question: does ``A x = b`` admit an ``x >= 0``? The systems this
 package solves are fixed and small (17 equations, 16 unknowns for local
 polytope membership), so a dense tableau with Bland's smallest-index pivot
 rule is the whole story; Bland's rule cannot cycle, so no perturbation or
-anti-degeneracy machinery is needed.
+anti-degeneracy machinery is needed. Ratio ties are exact: a fixed tie width
+would pick a row whose ratio is larger by up to that width and read tiny
+phase-1 residuals low.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_RATIO_TIE = 1e-12
+MAX_PIVOTS = 10_000
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -25,7 +27,6 @@ def solve_feasibility(
     A: np.ndarray,
     b: np.ndarray,
     tol: float = 1e-9,
-    max_iterations: int = 10_000,
     *,
     residual_tol: float | None = None,
 ) -> np.ndarray | None:
@@ -56,7 +57,7 @@ def solve_feasibility(
     tableau[m, -1] = -b.sum()
     basis = list(range(n, n + m))
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_PIVOTS):
         entering = -1
         for j in range(n + m):
             if tableau[m, j] < -tol:
@@ -71,13 +72,8 @@ def solve_feasibility(
             coef = tableau[i, entering]
             if coef > tol:
                 ratio = tableau[i, -1] / coef
-                if ratio < best_ratio - _RATIO_TIE:
+                if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leaving]):
                     best_ratio = ratio
-                    leaving = i
-                elif abs(ratio - best_ratio) <= _RATIO_TIE and (
-                    leaving < 0 or basis[i] < basis[leaving]
-                ):
-                    best_ratio = min(best_ratio, ratio)
                     leaving = i
         if leaving < 0:
             # phase-1 objective is bounded below by 0, so this cannot happen
@@ -85,7 +81,7 @@ def solve_feasibility(
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
     else:
-        raise ArithmeticError(f"simplex did not converge in {max_iterations} pivots")
+        raise ArithmeticError(f"simplex did not converge in {MAX_PIVOTS} pivots")
 
     residual = -tableau[m, -1]  # value of sum-of-artificials at the optimum
     if residual > (tol if residual_tol is None else residual_tol):

@@ -51,6 +51,22 @@ def singlet_target():
     return cb.quantum_behavior(cb.make_singlet(), A(0), A(90), B(45), B(-45))
 
 
+def pr_box_mixture(seed, excess):
+    """A PR box mixed with a random local point so that |S| - 2 = `excess`."""
+    rng = np.random.default_rng(seed)
+    pr_box = np.zeros((2, 2, 2, 2))  # E = +1 except E[a2, b2] = -1: S = 4
+    for a, b in itertools.product(range(2), repeat=2):
+        agree = 1 - a * b
+        pr_box[a, b, 0, 1 - agree] = pr_box[a, b, 1, agree] = 0.5
+    vertices = np.column_stack([v.flat for v in cb.enumerate_deterministic_strategies()])
+    local = vertices @ rng.dirichlet(np.full(16, 0.5))
+    signs = np.array([[1, 1], [1, -1]])
+    s_local = float(np.sum(signs * cb.BehaviorVector.from_flat(local).correlators()))
+    # S of the mix is linear in v; the other seven facets stay below 2
+    v = (2.0 + excess - s_local) / (4.0 - s_local)
+    return cb.BehaviorVector.from_flat(v * pr_box.reshape(16) + (1 - v) * local)
+
+
 def oracle_behavior_of_quadruple(q, chronology):
     """Brute-force loop over (a, b, lambda), no shared code with the library."""
     probs = np.zeros((2, 2, 2, 2))
@@ -401,21 +417,27 @@ class TestOracleAgreement:
     )
     def test_lp_and_facets_agree_next_to_a_facet(self, seed, log_tol, excess):
         """A PR box mixed with a random local point at |S| - 2 = tol * (1 -+ 1e-3)."""
-        rng = np.random.default_rng(seed)
         tol = 10.0**log_tol
-        pr_box = np.zeros((2, 2, 2, 2))  # E = +1 except E[a2, b2] = -1: S = 4
-        for a, b in itertools.product(range(2), repeat=2):
-            agree = 1 - a * b
-            pr_box[a, b, 0, 1 - agree] = pr_box[a, b, 1, agree] = 0.5
-        vertices = np.column_stack([v.flat for v in cb.enumerate_deterministic_strategies()])
-        local = vertices @ rng.dirichlet(np.full(16, 0.5))
-        signs = np.array([[1, 1], [1, -1]])
-        s_local = float(np.sum(signs * cb.BehaviorVector.from_flat(local).correlators()))
-        # S of the mix is linear in v; the other seven facets stay below 2
-        v = (2.0 + excess * tol - s_local) / (4.0 - s_local)
-        behavior = cb.BehaviorVector.from_flat(v * pr_box.reshape(16) + (1 - v) * local)
+        behavior = pr_box_mixture(seed, excess * tol)
         facet = cb.chsh_facet_check(behavior, tol)
         assert facet.local == (excess < 1)
+        assert cb.local_membership_lp(behavior, tol).local == facet.local
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([0.0, 1e-12]),
+        offset=st.sampled_from([2e-12, 3e-12]),
+    )
+    def test_lp_and_facets_agree_just_outside_the_rounding_window(self, seed, tol, offset):
+        """|S| - 2 = tol + 2e-12 or tol + 3e-12, past BOUNDARY_ROUNDING: both say nonlocal.
+
+        A simplex whose ratio ties had a fixed 1e-12 width picked a row with a
+        larger ratio, read these tiny residuals low and called them local.
+        """
+        behavior = pr_box_mixture(seed, tol + offset)
+        facet = cb.chsh_facet_check(behavior, tol)
+        assert not facet.local
         assert cb.local_membership_lp(behavior, tol).local == facet.local
 
     @settings(max_examples=200, deadline=None)
@@ -428,8 +450,8 @@ class TestOracleAgreement:
         """Below BOUNDARY_ROUNDING the LP's tolerances are floored there, so rounding
         alone no longer reads as infeasible: the oracles agree outside the window.
 
-        No-signalling mixes within a few 1e-12 of a facet are not drawn: the
-        simplex's 1e-12 ratio tie still reads their tiny residuals low.
+        Mixes a few 1e-12 past a facet are drawn in
+        `test_lp_and_facets_agree_just_outside_the_rounding_window`.
         """
         rng = np.random.default_rng(seed)
         if quantum:
