@@ -38,11 +38,9 @@ from .quantum import (
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One simulated run: the settings, the outcome pair, and the lambdas used."""
+    """One simulated run: the time order, the outcome pair, and the lambdas used."""
 
     chronology: Chronology
-    setting_a: BlochSetting
-    setting_b: BlochSetting
     alpha: int
     beta: int
     lambdas: tuple[float, float]
@@ -102,7 +100,7 @@ def run_trial(
         beta = sample_first(state, b, lam1)
         lam2 = stream.next_real()
         alpha = sample_second(state, b, beta, a, lam2)
-    return TrialResult(chronology, a, b, alpha, beta, (lam1, lam2), index)
+    return TrialResult(chronology, alpha, beta, (lam1, lam2), index)
 
 
 def _conditional_thresholds(

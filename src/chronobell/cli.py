@@ -196,6 +196,8 @@ def _certified_target(args, command: str, tol: float = 1e-9):
 
 
 def cmd_chsh(args) -> int:
+    if args.tol >= 1.0:  # vacuous: |S| - 2 <= 2*sqrt(2) - 2 < 1 for every quantum behavior
+        raise ValueError(f"chsh --tol must be below 1, got {args.tol}")
     state, (a, a2, b, b2), _, verdict = _certified_target(args, "chsh", args.tol)
     value = chsh_value(state, a, a2, b, b2)
 

@@ -19,8 +19,8 @@ rate 1, duration 4) keep exact oracles cheap while still localizing visibly.
 
 Ensembles run through `flash_batches`, which advances the runs of each chunk
 of lambda words in lockstep, keeps nothing across chunks, and gives each run
-the flashes of `run_flash_process` on its substream; the scalar function
-stays as the reference it is tested against.
+the flashes of `run_flash_process` on its substream. That reference run is
+built from the single-hit rules: `sample_hit_center`, then `apply_hit`.
 The batch keeps no amplitude grid per run. Because hits act diagonally on
 separate tensor factors and nothing evolves between hits, a run's density
 is exactly the initial one times a real weight vector per particle (the
@@ -62,8 +62,6 @@ class HitKernel:
     """
 
     weights: np.ndarray
-    width: float
-    spacing: float
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -83,20 +81,18 @@ class HitKernel:
         return self.weights**2
 
 
-def make_hit_kernel(n_sites: int, width: float, spacing: float = 1.0) -> HitKernel:
+def make_hit_kernel(n_sites: int, width: float) -> HitKernel:
     """Gaussian hit kernel with periodic wraparound, columns renormalized."""
     if n_sites < 2:
         raise ValueError(f"need at least 2 sites, got {n_sites}")
     if width <= 0.0:
         raise ValueError(f"localization width must be positive, got {width!r}")
-    if spacing <= 0.0:
-        raise ValueError(f"grid spacing must be positive, got {spacing!r}")
     idx = np.arange(n_sites)
     dist = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(dist, n_sites - dist)
-    raw = np.exp(-((dist * spacing) ** 2) / (4.0 * width**2))
+    raw = np.exp(-(dist**2) / (4.0 * width**2))
     column_norms = np.sqrt((raw**2).sum(axis=0))
-    return HitKernel(raw / column_norms[None, :], width, spacing)
+    return HitKernel(raw / column_norms[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +100,6 @@ class GridWavefunction:
     """Complex amplitudes over N sites (one particle) or N x N (two particles)."""
 
     amplitudes: np.ndarray
-    spacing: float = 1.0
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -188,7 +183,7 @@ def apply_hit(
         raise ImpossibleFlashError(
             f"hit at site {center} on particle {particle} has zero probability"
         )
-    return GridWavefunction(_fix_global_phase(damped / math.sqrt(weight)), psi.spacing)
+    return GridWavefunction(_fix_global_phase(damped / math.sqrt(weight)))
 
 
 def sample_hit_center(
@@ -217,7 +212,6 @@ class FlashHistory:
 
     records: list[FlashRecord] = field(default_factory=list)
     final_state: GridWavefunction | None = None
-    stream_label: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -246,14 +240,13 @@ def run_flash_process(
     Per hit the stream supplies three words: the exponential waiting time of
     the total-rate process, the uniform particle choice, and the inverse-CDF
     hit center. The final waiting-time draw that overshoots `duration` is
-    still consumed.
+    still consumed. A hit center of zero weight raises `ImpossibleFlashError`.
     """
     _check_process(psi0, kernel, rate, duration)
     n_particles = psi0.n_particles
     total_rate = rate * n_particles
-    kernel_sq = kernel.squared()
 
-    amps = psi0.amplitudes.copy()
+    psi = psi0
     records: list[FlashRecord] = []
     now = 0.0
     while True:
@@ -263,26 +256,10 @@ def run_flash_process(
             break
         u_particle = stream.next_real()
         particle = min(int(u_particle * n_particles), n_particles - 1)
-
-        site_probs = np.abs(amps) ** 2
-        if n_particles == 2:
-            site_probs = site_probs.sum(axis=1 - particle)
-        cdf = np.cumsum(kernel_sq @ site_probs)
-        u_center = stream.next_real()
-        center = min(int(np.searchsorted(cdf, u_center, side="right")), kernel.n_sites - 1)
-
-        column = kernel.weights[center]
-        if n_particles == 1:
-            amps = column * amps
-        elif particle == 0:
-            amps = column[:, None] * amps
-        else:
-            amps = column[None, :] * amps
-        amps = amps / np.linalg.norm(amps)
+        center = sample_hit_center(psi, kernel, particle, stream.next_real())
+        psi = apply_hit(psi, kernel, particle, center)
         records.append(FlashRecord(now, center, particle))
-
-    final = GridWavefunction(_fix_global_phase(amps), psi0.spacing)
-    return FlashHistory(records, final, stream.label)
+    return FlashHistory(records, psi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,12 +333,12 @@ def flash_batches(psi0, kernel, rate, duration, chunks, label="root"):
     _check_process(psi0, kernel, rate, duration)
     first_run = 0
     for words in chunks:
-        yield FlashEnsemble(*_run_chunk(psi0, kernel, rate, duration, words, label, first_run))
+        yield _run_chunk(psi0, kernel, rate, duration, words, label, first_run)
         first_run += len(words)
 
 
 def _run_chunk(psi0, kernel, rate, duration, words, label, first_run):
-    """(run, time, particle, site, hit_counts) arrays of the runs whose blocks are `words`."""
+    """The `FlashEnsemble` of the runs whose blocks are `words`."""
     n_particles = psi0.n_particles
     total_rate = rate * n_particles
     kernel_sq = kernel.squared()
@@ -410,8 +387,9 @@ def _run_chunk(psi0, kernel, rate, duration, words, label, first_run):
 
     index, time, particle, site = (np.concatenate(column) for column in zip(*steps))
     order = np.argsort(index, kind="stable")
+    columns = (first_run + index, time, particle, site)
     hit_counts = np.bincount(index, minlength=runs)
-    return first_run + index[order], time[order], particle[order], site[order], hit_counts
+    return FlashEnsemble(*(column[order] for column in columns), hit_counts)
 
 
 def flash_block(mean_hits: float) -> int:
@@ -506,7 +484,6 @@ def sample_flash_pair(
     """
     if psi.n_particles != 2:
         raise ValueError("flash pairs need a two-particle wavefunction")
-    _check_particle(psi, first_particle)
     x_first = sample_hit_center(psi, kernel, first_particle, lam1)
     post = apply_hit(psi, kernel, first_particle, x_first)
     x_second = sample_hit_center(post, kernel, 1 - first_particle, lam2)

@@ -66,25 +66,12 @@ class LambdaFile:
     seed_note: int = 0
 
     def __post_init__(self) -> None:
-        self._freeze(copy=True)
-
-    @classmethod
-    def _adopt(cls, words: np.ndarray, seed_note: int = 0) -> "LambdaFile":
-        """Take ownership of a fresh array that nothing else references, uncopied."""
-        lf = object.__new__(cls)
-        object.__setattr__(lf, "words", words)
-        object.__setattr__(lf, "seed_note", seed_note)
-        lf._freeze(copy=False)
-        return lf
-
-    def _freeze(self, copy: bool) -> None:
         words = np.ascontiguousarray(self.words, dtype=np.uint64)
         if words.ndim != 1:
             raise LambdaFormatError("payload must be a flat word sequence")
         if words.size == 0:
             raise EmptyFileError("a lambda file must contain at least one word")
-        if copy:
-            words = words.copy()
+        words = words.copy()
         words.flags.writeable = False
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "seed_note", int(self.seed_note) & (2**64 - 1))
@@ -124,11 +111,11 @@ class LambdaFile:
 
     @classmethod
     def load(cls, path) -> "LambdaFile":
-        """Read a stored file, holding its payload in memory once."""
+        """Read a stored file: one read of the payload, then the copy every LambdaFile makes."""
         with Path(path).open("rb") as fh:
             count, seed_note = _parse_header(fh.read(_HEADER.size))
         _, (words,) = word_blocks(1, count, path=path)  # one block is one chunk
-        return cls._adopt(words.reshape(-1), seed_note)
+        return cls(words.reshape(-1), seed_note)
 
     def stream(self, label: str = "root") -> "LambdaStream":
         """A cursor over the whole file."""
@@ -164,7 +151,7 @@ def generate_lambda_file(seed: int, count: int) -> LambdaFile:
     statistical quality is enforced by the uniformity tests, not by decree.
     """
     _, (words,) = word_blocks(1, int(count), seed=seed)  # one block is one chunk
-    return LambdaFile._adopt(words.reshape(-1), seed_note=int(seed))
+    return LambdaFile(words.reshape(-1), seed_note=int(seed))
 
 
 def word_blocks(n_blocks: int, block: int, *, path=None, seed=None):
@@ -238,10 +225,6 @@ class LambdaStream:
     def position(self) -> int:
         return self._cursor
 
-    @property
-    def remaining(self) -> int:
-        return self.length - self._cursor
-
     def rewind(self) -> None:
         self._cursor = 0
 
@@ -261,7 +244,7 @@ class LambdaStream:
             raise ValueError("cannot take a negative number of values")
         if self._cursor + n > self.length:
             raise StreamExhaustedError(
-                f"stream {self.label!r} holds {self.remaining} words, requested {n}"
+                f"stream {self.label!r} holds {self.length - self._cursor} words, requested {n}"
             )
         lo = self.start + self._cursor
         self._cursor += n

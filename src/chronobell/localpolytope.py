@@ -398,14 +398,6 @@ class MembershipResult:
     reconstruction_error: float | None
     certificate: FacetCheck | None
 
-    def to_dict(self) -> dict:
-        return {
-            "local": self.local,
-            "weights": None if self.weights is None else self.weights.tolist(),
-            "reconstruction_error": self.reconstruction_error,
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-        }
-
 
 def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResult:
     """Decide membership in the local polytope by phase-1 simplex.
@@ -417,6 +409,8 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     no-signalling `p`, as quantum behaviors are; a signalling defect (up to the
     1e-9 `BehaviorVector` admits) adds several times itself to the residual.
     """
+    if not tol < 1.0:  # tol also bounds the pivots, and no tableau entry exceeds 1
+        raise ValueError(f"tolerance must be below 1, got {tol!r}")
     vertex_cols = _vertex_matrix()
     A = np.vstack([vertex_cols, np.ones((1, vertex_cols.shape[1]))])
     b = np.append(p.flat, 1.0)

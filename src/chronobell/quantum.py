@@ -190,8 +190,6 @@ def measurement_operator(setting: BlochSetting, outcome: int) -> np.ndarray:
 def born_marginal(state: TwoQubitState, setting: BlochSetting, outcome: int) -> float:
     """Probability of `outcome` when the setting's party measures `state`."""
     amps = state.amplitudes
-    if abs(np.linalg.norm(amps) - 1.0) > ATOL:
-        raise InvalidStateError("state must be normalized")
     op = measurement_operator(setting, outcome)
     p = float(np.real(np.vdot(amps, op @ amps)))
     return min(max(p, 0.0), 1.0)
@@ -220,8 +218,6 @@ class JointDistribution:
     """P(alpha, beta) for one setting pair; probs[i, j] with index 0 <-> +1."""
 
     probs: np.ndarray
-    setting_a: BlochSetting
-    setting_b: BlochSetting
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
@@ -277,7 +273,7 @@ def joint_distribution(
         post = collapse(state, first, first_outcome)
         for j, second_outcome in enumerate(OUTCOMES):
             probs[i, j] = p_first * born_marginal(post, second, second_outcome)
-    return JointDistribution(probs if order is Chronology.AB else probs.T, a, b)
+    return JointDistribution(probs if order is Chronology.AB else probs.T)
 
 
 def chsh_value(
@@ -327,9 +323,6 @@ class CorrelationTable:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.settings_a), len(self.settings_b)
-
-    def joint(self, i: int, j: int) -> np.ndarray:
-        return self.cells[i, j]
 
     def correlator(self, i: int, j: int) -> float:
         return float(correlators(self.cells[i, j]))

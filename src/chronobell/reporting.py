@@ -12,29 +12,10 @@ import io
 import json
 from pathlib import Path
 
-import numpy as np
-
-
-def jsonable(value):
-    """Recursively convert numpy scalars/arrays and mappings to JSON types."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return jsonable(value.tolist())
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
 
 def canonical_json(data: dict) -> str:
-    """Deterministic-key-order structured text, the package's one report format."""
-    return json.dumps(jsonable(data), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Deterministic-key-order JSON of plain Python values, the package's one report format."""
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
 def correlation_table_csv(table) -> str:

@@ -104,11 +104,20 @@ class TestChsh:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES + ["1", "2", "4.99", "5", "100"])
     def test_bad_tolerance_rejected_before_any_oracle(self, capsys, no_work, tol):
         code, _, err = run_cli(capsys, "chsh", "--tol", tol)
         assert code == 2
-        assert "--tol must be nonnegative and finite" in err
+        if tol in BAD_TOLERANCES:
+            assert "--tol must be nonnegative and finite" in err
+        else:
+            assert "chsh --tol must be below 1" in err
+
+    def test_tolerance_just_below_1_works(self, capsys):
+        # 2*sqrt(2) lies within 2 + 0.99, so both oracles call the singlet local
+        code, report, _ = run_json(capsys, "chsh", "--tol", "0.99")
+        assert code == 0
+        assert report["results"]["lp_local"] is report["results"]["facet_local"] is True
 
     @pytest.mark.parametrize(
         "argv",

@@ -22,6 +22,7 @@ from numpy.testing import assert_allclose
 import chronobell as cb
 from chronobell import lambdafile
 from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, flash_block
+from chronobell.quantum import _fix_global_phase
 
 
 def random_grid_state(rng, n_sites, n_particles=1):
@@ -181,7 +182,57 @@ class TestApplyHit:
             cb.apply_hit(psi, kernel, 0, 8)
 
 
+def reference_flash_process(psi0, kernel, rate, duration, stream):
+    """`run_flash_process` with each hit's inverse-CDF draw and damping written out inline."""
+    n_particles = psi0.n_particles
+    total_rate = rate * n_particles
+    kernel_sq = np.asarray(kernel.weights) ** 2
+    amps = psi0.amplitudes.copy()
+    records = []
+    now = 0.0
+    while True:
+        now += -math.log1p(-stream.next_real()) / total_rate
+        if now > duration:
+            break
+        particle = min(int(stream.next_real() * n_particles), n_particles - 1)
+        site_probs = np.abs(amps) ** 2
+        if n_particles == 2:
+            site_probs = site_probs.sum(axis=1 - particle)
+        cdf = np.cumsum(kernel_sq @ site_probs)
+        center = _invcdf(cdf, stream.next_real())
+        column = kernel.weights[center]
+        if n_particles == 1:
+            amps = column * amps
+        elif particle == 0:
+            amps = column[:, None] * amps
+        else:
+            amps = column[None, :] * amps
+        amps = amps / np.linalg.norm(amps)
+        records.append(cb.FlashRecord(now, center, particle))
+    return records, _fix_global_phase(amps)
+
+
 class TestRunFlashProcess:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_particles=st.sampled_from([1, 2]),
+        n_sites=st.integers(2, 20),
+        width=st.floats(0.5, 4.0),
+        rate=st.floats(0.05, 8.0),
+        duration=st.floats(0.05, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_inline_reference(self, n_particles, n_sites, width, rate, duration, seed):
+        psi = random_grid_state(np.random.default_rng(seed), n_sites, n_particles)
+        kernel = cb.make_hit_kernel(n_sites, width)
+        lf = cb.generate_lambda_file(seed, flash_block(rate * duration * n_particles))
+        history = cb.run_flash_process(psi, kernel, rate, duration, lf.stream())
+        records, amps = reference_flash_process(psi, kernel, rate, duration, lf.stream())
+        assert history.records == records
+        # a run without hits keeps psi0 as it is; the reference fixes its global phase
+        final = _fix_global_phase(history.final_state.amplitudes)
+        assert np.max(np.abs(final - amps)) <= 1e-14
+
     def _stream(self, seed, runs, block=64):
         return cb.generate_lambda_file(seed=seed, count=runs * block)
 

@@ -381,6 +381,12 @@ class TestMembershipLp:
         for vertex in cb.enumerate_deterministic_strategies():
             assert cb.local_membership_lp(vertex).local
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0, 4.99, 5.0, 100.0, math.inf, math.nan])
+    def test_tolerance_of_1_or_more_rejected(self, tol):
+        # tol also bounds the pivots, and no tableau entry exceeds 1
+        with pytest.raises(ValueError, match="tolerance must be below 1"):
+            cb.local_membership_lp(singlet_target(), tol)
+
 
 class TestOracleAgreement:
     def test_lp_and_facets_agree_on_random_behaviors(self, rng):
