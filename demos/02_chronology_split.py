@@ -30,9 +30,9 @@ print("trial  lam1   lam2   AB pair   BA pair   same?")
 root = lam.stream()
 for t in range(10):
     sub = root.split(t)
-    r_ab = cb.run_trial(singlet, a, b, "AB", sub, t)
+    r_ab = cb.run_trial(singlet, a, b, "AB", sub)
     sub.rewind()
-    r_ba = cb.run_trial(singlet, a, b, "BA", sub, t)
+    r_ba = cb.run_trial(singlet, a, b, "BA", sub)
     same = "yes" if r_ab.pair == r_ba.pair else "NO"
     print(f"{t:5d}  {r_ab.lambdas[0]:.3f}  {r_ab.lambdas[1]:.3f}   "
           f"{r_ab.pair}   {r_ba.pair}   {same}")

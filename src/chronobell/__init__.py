@@ -10,95 +10,53 @@ The package answers three questions mechanically, at desk scale:
   bound of 2 while two-qubit states reach 2*sqrt(2));
 - does a toy spontaneous-localization flash process show the same split?
   (yes - hit-order-invariant distributions, order-dependent realizations).
+
+The namespace is lazy (PEP 562): ``import chronobell`` loads neither numpy
+nor any submodule. `_EXPORTS` names the submodule that defines each public
+name. The module ``__getattr__`` imports that submodule when one of its
+names is looked up and returns the submodule's own attribute, so a name
+always reads what its defining module holds; a submodule's name resolves to
+the submodule. ``__all__`` and ``dir()`` list every public name before any
+is loaded, and ``from chronobell import *`` loads them all.
 """
 
-from .chronology import (
-    Chronology,
-    CovarianceReport,
-    TrialResult,
-    distribution_covariance_check,
-    estimate_table,
-    realization_divergence,
-    run_trial,
-    sample_first,
-    sample_second,
-)
-from .errors import (
-    CapacityError,
-    ChronobellError,
-    EmptyFileError,
-    ImpossibleFlashError,
-    ImpossibleOutcomeError,
-    InvalidStateError,
-    LambdaFormatError,
-    NotReducibleError,
-    OracleDisagreementError,
-    SearchSpaceError,
-    StreamExhaustedError,
-)
-from .flash import (
-    FlashEnsemble,
-    FlashHistory,
-    FlashRecord,
-    GridWavefunction,
-    HitKernel,
-    OrderingReport,
-    apply_hit,
-    flash_distribution,
-    make_entangled_pair,
-    make_hit_kernel,
-    make_localized,
-    make_uniform,
-    ordering_invariance_exact,
-    run_flash_process,
-    run_flash_processes,
-    sample_flash_pair,
-    sample_hit_center,
-)
-from .lambdafile import (
-    DEFAULT_BLOCK,
-    LambdaFile,
-    LambdaStream,
-    generate_lambda_file,
-)
-from .localpolytope import (
-    BehaviorVector,
-    ConstraintReport,
-    ConstraintViolation,
-    FacetCheck,
-    LocalModel,
-    MembershipResult,
-    SearchResult,
-    StrategyQuadruple,
-    behavior_of,
-    check_covariance_constraints,
-    chsh_facet_check,
-    enumerate_deterministic_strategies,
-    exhaustive_nogo_search,
-    local_membership_lp,
-    quantum_behavior,
-    reduce_to_local,
-)
-from .quantum import (
-    LOCAL_BOUND,
-    OUTCOMES,
-    TSIRELSON_BOUND,
-    BlochSetting,
-    CorrelationTable,
-    JointDistribution,
-    Party,
-    TwoQubitState,
-    born_marginal,
-    chsh_value,
-    collapse,
-    exact_table,
-    joint_distribution,
-    make_product_state,
-    make_singlet,
-    random_pure_state,
-    random_setting,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "chronology": """CovarianceReport TrialResult distribution_covariance_check
+        estimate_table realization_divergence run_trial sample_first sample_second""",
+    "errors": """CapacityError ChronobellError EmptyFileError ImpossibleFlashError
+        ImpossibleOutcomeError InvalidStateError LambdaFormatError NotReducibleError
+        OracleDisagreementError SearchSpaceError StreamExhaustedError""",
+    "flash": """FlashEnsemble FlashHistory FlashRecord GridWavefunction HitKernel
+        OrderingReport apply_hit flash_distribution make_entangled_pair make_hit_kernel
+        make_localized make_uniform ordering_invariance_exact run_flash_process
+        run_flash_processes sample_flash_pair sample_hit_center""",
+    "lambdafile": "DEFAULT_BLOCK LambdaFile LambdaStream generate_lambda_file",
+    "localpolytope": """BehaviorVector ConstraintReport ConstraintViolation FacetCheck
+        LocalModel MembershipResult SearchResult StrategyQuadruple behavior_of
+        check_covariance_constraints chsh_facet_check enumerate_deterministic_strategies
+        exhaustive_nogo_search local_membership_lp quantum_behavior reduce_to_local""",
+    "quantum": """LOCAL_BOUND OUTCOMES TSIRELSON_BOUND BlochSetting Chronology
+        CorrelationTable JointDistribution Party TwoQubitState born_marginal chsh_value
+        collapse exact_table joint_distribution make_product_state make_singlet
+        random_pure_state random_setting""",
+    "simplex": "",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_MODULE_OF, *_EXPORTS])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -44,7 +44,6 @@ class TrialResult:
     alpha: int
     beta: int
     lambdas: tuple[float, float]
-    index: int = 0
 
     def __post_init__(self) -> None:
         if self.alpha not in OUTCOMES or self.beta not in OUTCOMES:
@@ -87,7 +86,6 @@ def run_trial(
     b: BlochSetting,
     chronology: Chronology | str,
     stream: LambdaStream,
-    index: int = 0,
 ) -> TrialResult:
     """One trial under the given chronology, consuming two stream words."""
     chronology = Chronology(chronology)
@@ -100,7 +98,7 @@ def run_trial(
         beta = sample_first(state, b, lam1)
         lam2 = stream.next_real()
         alpha = sample_second(state, b, beta, a, lam2)
-    return TrialResult(chronology, alpha, beta, (lam1, lam2), index)
+    return TrialResult(chronology, alpha, beta, (lam1, lam2))
 
 
 def _conditional_thresholds(

@@ -6,6 +6,10 @@ rerunning with identical inputs reproduces identical output bytes.
 Exit codes: 0 success, 1 a requested check failed, 2 usage or parameter
 error, 3 lambda stream exhausted or file too small, 4 the two independent
 locality checks disagreed (internal inconsistency).
+
+Each subcommand imports the modules it runs inside the function that runs
+it, so `chsh` never loads `flash` or `lambdafile`, and `gen-lambda` never
+loads `quantum`. Building the parser loads none of them.
 """
 
 from __future__ import annotations
@@ -13,59 +17,50 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import itertools
 import math
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import flash as flash_mod
-from .chronology import Chronology, covariance_pass, distribution_covariance_check
 from .errors import (
     CapacityError,
     ChronobellError,
     OracleDisagreementError,
     StreamExhaustedError,
 )
-from .lambdafile import DEFAULT_BLOCK, file_header, word_blocks
-from .localpolytope import (
-    BOUNDARY_ROUNDING,
-    MAX_SEARCH_ALPHABET,
-    chsh_facet_check,
-    exhaustive_nogo_search,
-    local_membership_lp,
-    quantum_behavior,
-)
-from .quantum import (
-    LOCAL_BOUND,
-    TSIRELSON_BOUND,
-    BlochSetting,
-    Party,
-    TwoQubitState,
-    chsh_value,
-    make_product_state,
-    make_singlet,
-)
 from .reporting import canonical_json, correlation_table_csv, correlation_table_dict, write_text
 
+if TYPE_CHECKING:
+    from .quantum import BlochSetting, Party, TwoQubitState
+
+# defaults of the flash subcommand
+DEFAULT_SITES = 16
+DEFAULT_WIDTH = 2.0
+DEFAULT_RATE = 1.0
+DEFAULT_DURATION = 4.0
+
 _NAMED_STATES = {
-    "singlet": make_singlet,
-    "product00": lambda: make_product_state((1, 0), (1, 0)),
-    "product01": lambda: make_product_state((1, 0), (0, 1)),
-    "product10": lambda: make_product_state((0, 1), (1, 0)),
-    "product11": lambda: make_product_state((0, 1), (0, 1)),
+    "singlet": None,
+    "product00": ((1, 0), (1, 0)),
+    "product01": ((1, 0), (0, 1)),
+    "product10": ((0, 1), (1, 0)),
+    "product11": ((0, 1), (0, 1)),
 }
 
 
 def parse_state(spec: str) -> TwoQubitState:
     """A named fixture or a comma-separated list of 4 complex amplitudes."""
+    from .quantum import TwoQubitState, make_product_state, make_singlet
+
     key = spec.strip().lower()
     if key in _NAMED_STATES:
-        return _NAMED_STATES[key]()
+        qubits = _NAMED_STATES[key]
+        return make_singlet() if qubits is None else make_product_state(*qubits)
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 4:
         raise ValueError(
@@ -98,6 +93,8 @@ def parse_direction(token: str) -> np.ndarray:
 
 
 def parse_direction_list(text: str, party: Party) -> list[BlochSetting]:
+    from .quantum import BlochSetting
+
     tokens = [t for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty setting list")
@@ -106,6 +103,8 @@ def parse_direction_list(text: str, party: Party) -> list[BlochSetting]:
 
 def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting]]:
     """Two comma-separated lists joined by '/': A-settings / B-settings."""
+    from .quantum import Party
+
     if text.count("/") != 1:
         raise ValueError("settings must be 'a1,a2,.../b1,b2,...' (one '/')")
     part_a, part_b = text.split("/")
@@ -114,6 +113,8 @@ def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting
 
 def _resolve_lambda(args, n_blocks: int, block: int):
     """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed."""
+    from .lambdafile import word_blocks
+
     has_file = args.lambda_file is not None
     if has_file == (args.seed is not None):
         raise ValueError("provide exactly one of --lambda-file or --seed")
@@ -146,6 +147,10 @@ def _replacing(out: Path):
 
 
 def cmd_gen_lambda(args) -> int:
+    import hashlib
+
+    from .lambdafile import file_header, word_blocks
+
     _, chunks = word_blocks(args.count, 1, seed=args.seed)
     path = Path(args.out)
     digest = hashlib.sha256()
@@ -170,6 +175,14 @@ def _certified_target(args, command: str, tol: float = 1e-9):
     within rounding of `tol`; the verdict is then marked ``"boundary"``, and
     the facet check, exact in this scenario, decides.
     """
+    from .localpolytope import (
+        BOUNDARY_ROUNDING,
+        chsh_facet_check,
+        local_membership_lp,
+        quantum_behavior,
+    )
+    from .quantum import LOCAL_BOUND, BlochSetting, Party
+
     state = parse_state(args.state)
     tokens = [t for t in args.angles.split(",") if t.strip()]
     if len(tokens) != 4:
@@ -196,6 +209,8 @@ def _certified_target(args, command: str, tol: float = 1e-9):
 
 
 def cmd_chsh(args) -> int:
+    from .quantum import LOCAL_BOUND, TSIRELSON_BOUND, chsh_value
+
     if args.tol >= 1.0:  # vacuous: |S| - 2 <= 2*sqrt(2) - 2 < 1 for every quantum behavior
         raise ValueError(f"chsh --tol must be below 1, got {args.tol}")
     state, (a, a2, b, b2), _, verdict = _certified_target(args, "chsh", args.tol)
@@ -223,6 +238,9 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_covariance(args) -> int:
+    from .chronology import Chronology, covariance_pass, distribution_covariance_check
+    from .lambdafile import DEFAULT_BLOCK
+
     state = parse_state(args.state)
     settings_a, settings_b = parse_setting_grid(args.angles)
     if args.trials < 1:
@@ -259,6 +277,8 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_nogo(args) -> int:
+    from .localpolytope import MAX_SEARCH_ALPHABET, exhaustive_nogo_search
+
     if not 1 <= args.alphabet_size <= MAX_SEARCH_ALPHABET:
         raise ValueError(
             f"--alphabet-size must be in 1..{MAX_SEARCH_ALPHABET}, got {args.alphabet_size}"
@@ -285,6 +305,10 @@ def cmd_nogo(args) -> int:
 
 
 def cmd_flash(args) -> int:
+    import hashlib
+
+    from . import flash as flash_mod
+
     if not all(0 < value < math.inf for value in (args.rate, args.duration, args.sigma)):
         raise ValueError("--rate, --duration and --sigma must be positive and finite")
     if args.runs < 1:
@@ -400,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nogo)
 
     p = sub.add_parser("flash", help="spontaneous-localization hit process")
-    p.add_argument("--sites", type=int, default=flash_mod.DEFAULT_SITES)
-    p.add_argument("--sigma", type=float, default=flash_mod.DEFAULT_WIDTH)
-    p.add_argument("--rate", type=float, default=flash_mod.DEFAULT_RATE)
-    p.add_argument("--duration", type=float, default=flash_mod.DEFAULT_DURATION)
+    p.add_argument("--sites", type=int, default=DEFAULT_SITES)
+    p.add_argument("--sigma", type=float, default=DEFAULT_WIDTH)
+    p.add_argument("--rate", type=float, default=DEFAULT_RATE)
+    p.add_argument("--duration", type=float, default=DEFAULT_DURATION)
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-12)
     _add_lambda_flags(p)

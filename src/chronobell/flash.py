@@ -42,11 +42,6 @@ from .quantum import ATOL, _fix_global_phase, _readonly
 
 _ZERO_CENTER = 1e-24
 
-DEFAULT_SITES = 16
-DEFAULT_WIDTH = 2.0
-DEFAULT_RATE = 1.0
-DEFAULT_DURATION = 4.0
-
 MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block

@@ -111,11 +111,8 @@ class LambdaFile:
 
     @classmethod
     def load(cls, path) -> "LambdaFile":
-        """Read a stored file: one read of the payload, then the copy every LambdaFile makes."""
-        with Path(path).open("rb") as fh:
-            count, seed_note = _parse_header(fh.read(_HEADER.size))
-        _, (words,) = word_blocks(1, count, path=path)  # one block is one chunk
-        return cls(words.reshape(-1), seed_note)
+        """Read a stored file: one read of the file, then the copy every LambdaFile makes."""
+        return cls.from_bytes(Path(path).read_bytes())
 
     def stream(self, label: str = "root") -> "LambdaStream":
         """A cursor over the whole file."""

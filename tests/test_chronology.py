@@ -318,7 +318,7 @@ class TestReplayDeterminism:
 
         def run_all():
             root = lf.stream()
-            return [cb.run_trial(singlet, a, b, "AB", root.split(t), t) for t in range(50)]
+            return [cb.run_trial(singlet, a, b, "AB", root.split(t)) for t in range(50)]
 
         first, second = run_all(), run_all()
         assert [(r.pair, r.lambdas) for r in first] == [(r.pair, r.lambdas) for r in second]

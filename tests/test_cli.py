@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import chronobell as cb
-from chronobell import cli, lambdafile
+from chronobell import chronology, cli, flash, lambdafile, localpolytope
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -39,13 +39,13 @@ def no_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("work was done")
 
-    for name in (
-        "_resolve_lambda", "quantum_behavior", "chsh_facet_check", "local_membership_lp",
-        "distribution_covariance_check", "covariance_pass",
-    ):
-        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(cli, "_resolve_lambda", work)
+    for name in ("quantum_behavior", "chsh_facet_check", "local_membership_lp"):
+        monkeypatch.setattr(localpolytope, name, work)
+    for name in ("distribution_covariance_check", "covariance_pass"):
+        monkeypatch.setattr(chronology, name, work)
     for name in ("make_hit_kernel", "run_flash_process", "run_flash_processes", "flash_batches"):
-        monkeypatch.setattr(cli.flash_mod, name, work)
+        monkeypatch.setattr(flash, name, work)
 
 
 class TestChsh:
@@ -138,13 +138,13 @@ class TestChsh:
         self, capsys, monkeypatch
     ):
         _, plain, _ = run_json(capsys, "chsh")
-        real_lp = cli.local_membership_lp
+        real_lp = localpolytope.local_membership_lp
 
         def contrary_lp(behavior, tol):
-            verdict = cli.chsh_facet_check(behavior, tol).local
+            verdict = localpolytope.chsh_facet_check(behavior, tol).local
             return dataclasses.replace(real_lp(behavior, tol), local=not verdict)
 
-        monkeypatch.setattr(cli, "local_membership_lp", contrary_lp)
+        monkeypatch.setattr(localpolytope, "local_membership_lp", contrary_lp)
         on_facet = repr(plain["results"]["chsh_magnitude"] - 2.0)  # |S| - 2 == tol
         code, report, _ = run_json(capsys, "chsh", "--tol", on_facet)
         assert code == 0
@@ -268,7 +268,7 @@ class TestNogo:
             raise AssertionError("an oracle ran")
 
         for name in ("quantum_behavior", "chsh_facet_check", "local_membership_lp"):
-            monkeypatch.setattr(cli, name, oracle)
+            monkeypatch.setattr(localpolytope, name, oracle)
 
     def test_oversized_alphabet(self, capsys, no_oracles):
         code, _, err = run_cli(capsys, "nogo", "--alphabet-size", "9")
@@ -288,7 +288,7 @@ class TestNogo:
 
     def test_verdict_disagreement_exits_4(self, capsys, monkeypatch):
         """A forced wrong facet verdict must trip the internal-inconsistency path."""
-        real_check = cli.chsh_facet_check
+        real_check = localpolytope.chsh_facet_check
 
         def lying_check(behavior, tol=1e-9):
             result = real_check(behavior, tol)
@@ -296,7 +296,7 @@ class TestNogo:
                 not result.local, result.max_facet_value, result.best_signs, result.tolerance
             )
 
-        monkeypatch.setattr(cli, "chsh_facet_check", lying_check)
+        monkeypatch.setattr(localpolytope, "chsh_facet_check", lying_check)
         code, _, err = run_cli(capsys, "nogo", "--alphabet-size", "1")
         assert code == 4
         assert "inconsistency" in err
@@ -376,9 +376,9 @@ class TestFlash:
         def simulate(*args, **kwargs):
             raise AssertionError("a run was simulated")
 
-        monkeypatch.setattr(cli.flash_mod, "run_flash_process", simulate)
-        monkeypatch.setattr(cli.flash_mod, "run_flash_processes", simulate)
-        monkeypatch.setattr(cli.flash_mod, "flash_batches", simulate)
+        monkeypatch.setattr(flash, "run_flash_process", simulate)
+        monkeypatch.setattr(flash, "run_flash_processes", simulate)
+        monkeypatch.setattr(flash, "flash_batches", simulate)
 
     def test_oversized_grid_rejected_before_any_run(self, capsys, no_runs):
         code, _, err = run_cli(capsys, "flash", "--sites", "40", "--seed", "1", "--runs", "5")
@@ -394,7 +394,7 @@ class TestFlash:
 
     def test_exhaustion_mid_batch_leaves_no_history_file(self, capsys, tmp_path, monkeypatch):
         # 31 words hold 10 hits: run 13 overruns, in the fourth chunk of 4 runs
-        monkeypatch.setattr(cli.flash_mod, "flash_block", lambda mean_hits: 31)
+        monkeypatch.setattr(flash, "flash_block", lambda mean_hits: 31)
         monkeypatch.setattr(lambdafile, "CHUNK_WORDS", 4 * 31)
         monkeypatch.setattr(lambdafile, "CHUNK_ROWS", 4)
         out = tmp_path / "history.txt"
@@ -416,7 +416,7 @@ class TestFlash:
         assert hashlib.sha256(history).hexdigest() == report["results"]["history_sha256"]
         assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
         # a run that exits 3 keeps the last history and removes only its own file
-        monkeypatch.setattr(cli.flash_mod, "flash_block", lambda mean_hits: 31)
+        monkeypatch.setattr(flash, "flash_block", lambda mean_hits: 31)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 3
         assert out.read_bytes() == history

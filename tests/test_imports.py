@@ -1,0 +1,121 @@
+"""Import contract: `import chronobell` is lazy, and a subcommand loads only what it runs."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chronobell as cb
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = ("chronology", "errors", "flash", "lambdafile", "localpolytope", "quantum", "simplex")
+
+# the package's public names, as the eager namespace listed them
+ALL = [
+    "BehaviorVector", "BlochSetting", "CapacityError", "ChronobellError", "Chronology",
+    "ConstraintReport", "ConstraintViolation", "CorrelationTable", "CovarianceReport",
+    "DEFAULT_BLOCK", "EmptyFileError", "FacetCheck", "FlashEnsemble", "FlashHistory",
+    "FlashRecord", "GridWavefunction", "HitKernel", "ImpossibleFlashError",
+    "ImpossibleOutcomeError", "InvalidStateError", "JointDistribution", "LOCAL_BOUND",
+    "LambdaFile", "LambdaFormatError", "LambdaStream", "LocalModel", "MembershipResult",
+    "NotReducibleError", "OUTCOMES", "OracleDisagreementError", "OrderingReport", "Party",
+    "SearchResult", "SearchSpaceError", "StrategyQuadruple", "StreamExhaustedError",
+    "TSIRELSON_BOUND", "TrialResult", "TwoQubitState", "apply_hit", "behavior_of",
+    "born_marginal", "check_covariance_constraints", "chronology", "chsh_facet_check",
+    "chsh_value", "collapse", "distribution_covariance_check",
+    "enumerate_deterministic_strategies", "errors", "estimate_table", "exact_table",
+    "exhaustive_nogo_search", "flash", "flash_distribution", "generate_lambda_file",
+    "joint_distribution", "lambdafile", "local_membership_lp", "localpolytope",
+    "make_entangled_pair", "make_hit_kernel", "make_localized", "make_product_state",
+    "make_singlet", "make_uniform", "ordering_invariance_exact", "quantum", "quantum_behavior",
+    "random_pure_state", "random_setting", "realization_divergence", "reduce_to_local",
+    "run_flash_process", "run_flash_processes", "run_trial", "sample_first",
+    "sample_flash_pair", "sample_hit_center", "sample_second", "simplex",
+]
+
+# runs `python -m chronobell <argv>` and reports what the process imported on stderr
+RUN_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("chronobell", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("chronobell."))
+sys.stderr.write(json.dumps([code, loaded, "hashlib" in sys.modules]))
+"""
+
+# chronobell modules each subcommand loads besides `cli`, and whether it loads hashlib.
+# `covariance` reads a file: a --seed run imports numpy.random, which itself imports hashlib
+LOADED = {
+    ("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"):
+        (["errors", "lambdafile", "reporting"], True),
+    ("chsh",): (["errors", "localpolytope", "quantum", "reporting", "simplex"], False),
+    ("nogo", "--alphabet-size", "1"):
+        (["errors", "localpolytope", "quantum", "reporting", "simplex"], False),
+    ("covariance", "--trials", "10", "--lambda-file", "lambda.bin"):
+        (["chronology", "errors", "lambdafile", "quantum", "reporting"], False),
+    ("flash", "--runs", "2", "--seed", "1"):
+        (["errors", "flash", "lambdafile", "quantum", "reporting"], True),
+}
+
+
+def _python(cwd, *args) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_loads_no_submodule_and_no_numpy(tmp_path):
+    proc = _python(tmp_path, "-c", (
+        "import json, sys, chronobell; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('chronobell', 'numpy')))))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["chronobell"]
+
+
+@pytest.mark.parametrize("argv", list(LOADED), ids=[argv[0] for argv in LOADED])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv):
+    cb.generate_lambda_file(seed=1, count=10 * 64).save(tmp_path / "lambda.bin")
+    proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
+    code, loaded, hashlib_loaded = json.loads(proc.stderr.splitlines()[-1])
+    modules, uses_hashlib = LOADED[argv]
+    assert code == 0
+    assert [m for m in loaded if m not in ("__main__", "cli")] == modules
+    assert hashlib_loaded is uses_hashlib
+
+
+def test_all_is_unchanged_and_listed_by_dir():
+    assert cb.__all__ == ALL
+    assert set(ALL) <= set(dir(cb))
+
+
+def test_every_name_is_its_defining_modules_object():
+    modules = {name: importlib.import_module(f"chronobell.{name}") for name in SUBMODULES}
+    for name in ALL:
+        obj = getattr(cb, name)
+        home = getattr(obj, "__module__", None)
+        if name in modules:
+            assert obj is modules[name]
+        elif home in sys.modules and home.startswith("chronobell."):  # classes and functions
+            assert getattr(sys.modules[home], name) is obj, name
+        else:  # constants
+            assert any(vars(module).get(name) is obj for module in modules.values()), name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from chronobell import *", namespace)
+    assert sorted(k for k in namespace if not k.startswith("__")) == ALL
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="'nope'"):
+        getattr(cb, "nope")
+    assert not hasattr(cb, "nope")
