@@ -9,7 +9,8 @@ locality checks disagreed (internal inconsistency).
 
 Each subcommand imports the modules it runs inside the function that runs
 it, so `chsh` never loads `flash` or `lambdafile`, and `gen-lambda` never
-loads `quantum`. Building the parser loads none of them.
+loads `quantum`. Building the parser loads none of them, nor numpy, so
+`--help` and usage errors stay cheap.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import (
     CapacityError,
@@ -67,29 +66,29 @@ def parse_state(spec: str) -> TwoQubitState:
             f"state must be one of {sorted(_NAMED_STATES)} or 4 comma-separated amplitudes"
         )
     try:
-        amps = np.array([complex(p) for p in parts])
+        amps = [complex(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"cannot parse amplitudes {spec!r}: {exc}") from None
-    norm = float(np.linalg.norm(amps))
+    norm = math.hypot(*(x for z in amps for x in (z.real, z.imag)))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"amplitudes must be normalized (within 1e-6), got norm {norm!r}")
-    return TwoQubitState(amps / norm)
+    return TwoQubitState([z / norm for z in amps])
 
 
-def parse_direction(token: str) -> np.ndarray:
+def parse_direction(token: str) -> tuple[float, float, float]:
     """An angle in degrees (x-z plane) or an explicit x:y:z triple."""
     token = token.strip()
     if ":" in token:
         parts = token.split(":")
         if len(parts) != 3:
             raise ValueError(f"direction triple must be x:y:z, got {token!r}")
-        v = np.array([float(p) for p in parts])
-        norm = float(np.linalg.norm(v))
+        v = [float(p) for p in parts]
+        norm = math.hypot(*v)
         if norm < 1e-9:
             raise ValueError(f"direction {token!r} has zero length")
-        return v / norm
+        return tuple(x / norm for x in v)
     theta = math.radians(float(token))
-    return np.array([math.sin(theta), 0.0, math.cos(theta)])
+    return math.sin(theta), 0.0, math.cos(theta)
 
 
 def parse_direction_list(text: str, party: Party) -> list[BlochSetting]:
@@ -306,6 +305,8 @@ def cmd_nogo(args) -> int:
 
 def cmd_flash(args) -> int:
     import hashlib
+
+    import numpy as np
 
     from . import flash as flash_mod
 

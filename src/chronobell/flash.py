@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ImpossibleFlashError, InvalidStateError, StreamExhaustedError
 from .lambdafile import LambdaStream, words_to_reals
-from .quantum import ATOL, _fix_global_phase, _readonly
+from .quantum import ATOL, _normalize, _readonly, _squared_norm
 
 _ZERO_CENTER = 1e-24
 
@@ -63,7 +63,7 @@ class HitKernel:
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"kernel must be square, got shape {w.shape}")
         completeness = (w**2).sum(axis=0)
-        if np.any(np.abs(completeness - 1.0) > ATOL):
+        if not np.all(np.abs(completeness - 1.0) <= ATOL):  # refuses NaN too
             raise ValueError("kernel columns must satisfy sum of squares == 1")
         object.__setattr__(self, "weights", _readonly(w))
 
@@ -85,7 +85,7 @@ def make_hit_kernel(n_sites: int, width: float) -> HitKernel:
     idx = np.arange(n_sites)
     dist = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(dist, n_sites - dist)
-    raw = np.exp(-(dist**2) / (4.0 * width**2))
+    raw = np.vectorize(math.exp, otypes=[float])(-(dist**2) / (4.0 * width**2))  # not the SIMD exp
     column_norms = np.sqrt((raw**2).sum(axis=0))
     return HitKernel(raw / column_norms[None, :])
 
@@ -104,7 +104,7 @@ class GridWavefunction:
             raise InvalidStateError("two-particle grid must be square")
         if not np.all(np.isfinite(amps)):
             raise InvalidStateError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(_squared_norm(amps.real, amps.imag))
         if abs(norm - 1.0) > ATOL:
             raise InvalidStateError(f"wavefunction must be normalized, got norm {norm!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
@@ -118,7 +118,7 @@ class GridWavefunction:
         return self.amplitudes.shape[0]
 
     def site_probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return self.amplitudes.real**2 + self.amplitudes.imag**2
 
 
 def make_localized(n_sites: int, site: int) -> GridWavefunction:
@@ -158,7 +158,7 @@ def flash_distribution(
     site_probs = psi.site_probabilities()
     if psi.n_particles == 2:
         site_probs = site_probs.sum(axis=1 - particle)
-    return kernel.squared() @ site_probs
+    return (kernel.squared() * site_probs).sum(axis=1)
 
 
 def apply_hit(
@@ -167,18 +167,15 @@ def apply_hit(
     """Damp the chosen particle by the kernel column at `center`, renormalize."""
     _check_particle(psi, particle)
     column = kernel.weights[center]
-    if psi.n_particles == 1:
-        damped = column * psi.amplitudes
-    elif particle == 0:
-        damped = column[:, None] * psi.amplitudes
-    else:
-        damped = column[None, :] * psi.amplitudes
-    weight = float(np.linalg.norm(damped)) ** 2
+    if psi.n_particles == 2:  # the column runs along the hit particle's axis
+        column = column[:, None] if particle == 0 else column[None, :]
+    re, im = column * psi.amplitudes.real, column * psi.amplitudes.imag
+    weight = _squared_norm(re, im)
     if weight <= _ZERO_CENTER:
         raise ImpossibleFlashError(
             f"hit at site {center} on particle {particle} has zero probability"
         )
-    return GridWavefunction(_fix_global_phase(damped / math.sqrt(weight)))
+    return GridWavefunction(_normalize(re, im, weight))
 
 
 def sample_hit_center(

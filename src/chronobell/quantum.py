@@ -14,7 +14,10 @@ Conventions, fixed once and tested against eigen-decompositions:
 - collapse fixes the global phase by rotating the first amplitude of
   magnitude > 1e-12 onto the positive real axis, so collapsed states can be
   compared entry by entry;
-- the CHSH combination is ``E(a,b) + E(a,b2) + E(a2,b) - E(a2,b2)``.
+- the CHSH combination is ``E(a,b) + E(a,b2) + E(a2,b) - E(a2,b2)``;
+- projection, norms and normalization are real float products and sums in one
+  fixed order, never BLAS or a SIMD complex multiply, so every CPU prints the
+  same bits.
 
 All functions are pure and every value type freezes its arrays after
 construction, so concurrent use needs no coordination.
@@ -35,11 +38,6 @@ _ZERO_BRANCH = 1e-24
 _PHASE_CUTOFF = 1e-12
 
 OUTCOMES = (1, -1)
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 LOCAL_BOUND = 2.0
@@ -103,7 +101,7 @@ class BlochSetting:
             raise ValueError(f"setting direction must be a 3-vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("setting direction must be finite")
-        norm = float(np.linalg.norm(v))
+        norm = math.hypot(*v.tolist())
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"setting direction must be a unit vector, got norm {norm!r}")
         object.__setattr__(self, "vector", _readonly(v))
@@ -114,11 +112,6 @@ class BlochSetting:
         """Direction in the x-z plane at `degrees` from the z axis."""
         t = math.radians(degrees)
         return cls(np.array([math.sin(t), 0.0, math.cos(t)]), Party(party))
-
-    def axis_operator(self) -> np.ndarray:
-        """The 2x2 observable n.sigma for this direction."""
-        nx, ny, nz = self.vector
-        return nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
 
 
 @dataclass(frozen=True)
@@ -133,13 +126,12 @@ class TwoQubitState:
             raise InvalidStateError(f"state needs 4 amplitudes, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise InvalidStateError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL:
-            raise InvalidStateError(f"state must be normalized, got norm {norm!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
+        if abs(self.norm() - 1.0) > ATOL:
+            raise InvalidStateError(f"state must be normalized, got norm {self.norm()!r}")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(_squared_norm(self.amplitudes.real, self.amplitudes.imag))
 
 
 def make_singlet() -> TwoQubitState:
@@ -172,45 +164,54 @@ def random_setting(rng: np.random.Generator, party: Party | str) -> BlochSetting
             return BlochSetting(v / norm, Party(party))
 
 
-def spin_projector(direction: np.ndarray, outcome: int) -> np.ndarray:
-    """2x2 projector onto the `outcome` eigenspace of spin along `direction`."""
+def _project(state: TwoQubitState, setting: BlochSetting, outcome: int) -> tuple:
+    """(re, im) of (I + outcome * n.sigma)/2 applied on the setting's party of `state`."""
     outcome_index(outcome)
-    nx, ny, nz = np.asarray(direction, dtype=float)
-    return 0.5 * (_ID2 + outcome * (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z))
+    nx, ny, nz = (0.5 * outcome * c for c in setting.vector.tolist())
+    re, im = state.amplitudes.real.tolist(), state.amplitudes.imag.tolist()
+    # rows (1/2 + nz, nx - i ny) and (nx + i ny, 1/2 - nz) on pairs (party's qubit up, down)
+    for i, j in ((0, 2), (1, 3)) if setting.party is Party.A else ((0, 1), (2, 3)):
+        ur, ui, vr, vi = re[i], im[i], re[j], im[j]
+        re[i] = (0.5 + nz) * ur + (nx * vr + ny * vi)
+        im[i] = (0.5 + nz) * ui + (nx * vi - ny * vr)
+        re[j] = (nx * ur - ny * ui) + (0.5 - nz) * vr
+        im[j] = (nx * ui + ny * ur) + (0.5 - nz) * vi
+    return np.array(re), np.array(im)
 
 
-def measurement_operator(setting: BlochSetting, outcome: int) -> np.ndarray:
-    """4x4 projector acting on the setting's party, identity on the other."""
-    p = spin_projector(setting.vector, outcome)
-    if setting.party is Party.A:
-        return np.kron(p, _ID2)
-    return np.kron(_ID2, p)
+def _squared_norm(re: np.ndarray, im: np.ndarray) -> float:
+    """Sum of re**2 + im**2 (numpy's pairwise sum, not BLAS)."""
+    return float((re**2 + im**2).sum())
 
 
 def born_marginal(state: TwoQubitState, setting: BlochSetting, outcome: int) -> float:
     """Probability of `outcome` when the setting's party measures `state`."""
-    amps = state.amplitudes
-    op = measurement_operator(setting, outcome)
-    p = float(np.real(np.vdot(amps, op @ amps)))
-    return min(max(p, 0.0), 1.0)
+    return min(_squared_norm(*_project(state, setting, outcome)), 1.0)
 
 
-def _fix_global_phase(amps: np.ndarray) -> np.ndarray:
-    for value in amps.ravel():
-        if abs(value) > _PHASE_CUTOFF:
-            return amps * (value.conjugate() / abs(value))
-    return amps
+def _normalize(re: np.ndarray, im: np.ndarray, weight: float) -> np.ndarray:
+    """(re + i im) / sqrt(weight), phase fixed; divides like numpy's complex-by-real division."""
+    re, im = re * (1.0 / math.sqrt(weight)), im * (1.0 / math.sqrt(weight))
+    for r, i in zip(re.flat, im.flat):
+        size = abs(complex(r, i))
+        if size > _PHASE_CUTOFF:  # rotate by conj(lead) / |lead|
+            c, s = r * (1.0 / size), i * (1.0 / size)
+            re, im = re * c + im * s, im * c - re * s
+            break
+    unit = np.empty(re.shape, dtype=complex)
+    unit.real, unit.imag = re, im
+    return unit
 
 
 def collapse(state: TwoQubitState, setting: BlochSetting, outcome: int) -> TwoQubitState:
     """Post-measurement state after the setting's party observed `outcome`."""
-    projected = measurement_operator(setting, outcome) @ state.amplitudes
-    weight = float(np.real(np.vdot(projected, projected)))
+    re, im = _project(state, setting, outcome)
+    weight = _squared_norm(re, im)
     if weight <= _ZERO_BRANCH:
         raise ImpossibleOutcomeError(
             f"outcome {outcome:+d} along {setting.vector} has zero probability"
         )
-    return TwoQubitState(_fix_global_phase(projected / math.sqrt(weight)))
+    return TwoQubitState(_normalize(re, im, weight))
 
 
 @dataclass(frozen=True)

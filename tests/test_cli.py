@@ -385,6 +385,23 @@ class TestFlash:
         assert code == 2
         assert "--sites" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_sigma_rejected_before_any_run(
+        self, capsys, tmp_path, monkeypatch, no_runs
+    ):
+        def words(*args, **kwargs):
+            raise AssertionError("lambda words were read")
+
+        monkeypatch.setattr(cli, "_resolve_lambda", words)
+        out = tmp_path / "h.txt"
+        out.write_bytes(b"a user's file\n")
+        argv = ("flash", "--seed", "1", "--runs", "3", "--sigma", "1e-300", "--out", str(out))
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == "" and "sum of squares == 1" in err
+        assert out.read_bytes() == b"a user's file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["h.txt"]
+
     def test_undersized_lambda_file_rejected_before_any_run(self, capsys, tmp_path, no_runs):
         path = tmp_path / "small.bin"
         cb.generate_lambda_file(seed=1, count=256 * 4).save(path)
@@ -456,18 +473,21 @@ class TestGenLambda:
 
 
 # sha256 of reports and files written before lambda gathering became index
-# arithmetic; a mismatch is a replay break, not a refactoring detail
+# arithmetic; a mismatch is a replay break, not a refactoring detail. The chsh,
+# nogo and covariance digests were re-recorded once, when the exact Born
+# probabilities moved from BLAS to fixed-order float arithmetic (every value
+# moved by at most 1.2e-16)
 GOLDEN_STDOUT = {
     ("covariance", "--seed", "3", "--trials", "200", "--angles", "0,90/45,135"):
-        "f26e9cbd23c76e7d44774ee281160d8775b9ff31166a18540a823b8b05c9320a",
+        "eda27d2e5f8a78715b232bd778a7806819553f691f61a3a1b818a952bddac388",
     ("flash", "--seed", "1", "--runs", "20"):
         "22fee53589c02f7e67d203b9c136040e23af12ebacc44fcd33afab13684b5426",
-    ("chsh",): "e1e7da5f8b57a1a920e433a4f79e809573a0a101ee81d397d2db6dbc854f5054",
+    ("chsh",): "022c30ca56498800ef3d7c623bdbc1595098e6206eb02c35a87627cce99eae5c",
     ("nogo", "--alphabet-size", "2"):
-        "e6b94a3c385d939b48b7863bedae42afa304edb40d421aec98b5d5e088786442",
+        "92e6bda37d885e5ee07c4b148b0dda785d8b14f78b484e8b0a05ea142a065927",
     # recorded while the search still enumerated every (4**L)^2 table pair
     ("nogo", "--alphabet-size", "5"):
-        "433f8af8833319b3020e73d611697d1437f426c6e2bca271c479e9d9d40dbdbd",
+        "6236a0411c8df7138805ad990bcf4d360e4926c5de9722bce63aba50421d6b4d",
 }
 GOLDEN_FLASH_HISTORY = "4b1486defd6f5f27cd34e7d2e21c391fa8724a4ddcc8939a138c154fab976858"
 # recorded while every flash run was still simulated one at a time
@@ -482,11 +502,11 @@ GOLDEN_LAMBDA_FILE = "35f4e8bc53035751f2513e970b7c3c97701828482c518f45cbcd4323f2
 # recorded while covariance, flash and gen-lambda still held every word of the run
 # in memory; the sizes are not multiples of any power-of-two chunk
 GOLDEN_STDOUT[("covariance", "--seed", "17", "--trials", "777", "--angles", "0,90/45,135")] = (
-    "431b9e611c48366b07fb75f21390fe93e2c7806fa4077eeb2a846980c2a13d0c"
+    "5752fec730c91fa7294805408a1c0c751dffe89a2ed2d243a3d2a1c4e9e2e031"
 )
 # `covariance --trials 777 --angles 0,90/45,135 --chronology ba --lambda-file lam.bin`
 # on a 199912-word file (seed 4), 1000 words more than the run reads
-GOLDEN_OVERSIZED_FILE_STDOUT = "e5ea1192b49de90acad5b0cfa23af41724f94c7aeae73e6d6de64dd5944a3fbf"
+GOLDEN_OVERSIZED_FILE_STDOUT = "f5aadb9ef6a7ab871594088ef1762681a6877bfc36359ea0e543143082625b49"
 GOLDEN_LONG_LAMBDA_FILE = "98c6043e884fd9f683389c9d6611bfcd9539990f1c382aefa416b1c3893c5ea0"
 # recorded while flash still held every run's words and flashes in memory; 1300
 # runs span three chunks of runs (stdout with the --out path replaced by "<out>")
@@ -562,6 +582,79 @@ class TestGolden:
         _, from_file, _ = run_json(capsys, *argv, "--lambda-file", str(path))
         _, from_seed, _ = run_json(capsys, *argv, "--seed", "3")
         assert from_file["results"] == from_seed["results"]
+
+
+# Reports the goldens cannot stand for. Complex amplitudes and a y component: in a
+# real-valued product a fused multiply-add changes nothing, since its terms with a
+# zero part are exact. Width 5: numpy's AVX-512 exp rounds its kernel differently.
+EXTRA_REPLAY_ARGVS = [
+    ("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles", "0,0.3:0.4:0.866,45,135"),
+    ("covariance", "--state", "0.6,0.1+0.3j,-0.3j,0.6+0.3j", "--seed", "5", "--trials", "300",
+     "--angles", "0,90/45,1:2:3"),
+    ("flash", "--seed", "1", "--runs", "20", "--sigma", "5"),
+]
+
+# runs each argv of the JSON list on stdin through cli.main; prints [exit code, sha256] pairs
+_REPLAY_CHILD = """
+import contextlib, hashlib, io, json, sys
+from chronobell import cli
+digests = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    digests.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps(digests))
+"""
+
+# the CPU features an OpenBLAS core type's kernels need
+_CORE_TYPE_FEATURES = {
+    "Prescott": ("SSE3",),
+    "Haswell": ("AVX2", "FMA3"),
+    "SkylakeX": ("AVX512_SKX",),
+    "Zen": ("AVX2", "FMA3"),
+}
+
+
+def _replay_environments() -> dict:
+    """Each OpenBLAS core type this CPU can run, and numpy with every SIMD dispatch target off."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    envs = {
+        f"OPENBLAS_CORETYPE={core}": {"OPENBLAS_CORETYPE": core}
+        for core, needs in _CORE_TYPE_FEATURES.items()
+        if all(__cpu_features__.get(feature) for feature in needs)
+    }
+    targets = ",".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    if targets:
+        envs[f"NPY_DISABLE_CPU_FEATURES={targets}"] = {"NPY_DISABLE_CPU_FEATURES": targets}
+    return envs
+
+
+class TestCrossCpuReplay:
+    def test_reports_are_identical_under_every_kernel(self, capsys):
+        """The same bytes under every BLAS kernel and SIMD level: BLAS sums in a
+        kernel-specific order, and numpy's complex multiply fuses on AVX2 and up."""
+        argvs = [*GOLDEN_STDOUT, *EXTRA_REPLAY_ARGVS]
+        own = [[0, sha256(run_cli(capsys, *argv)[1].encode())] for argv in EXTRA_REPLAY_ARGVS]
+        expected = [[0, GOLDEN_STDOUT[argv]] for argv in GOLDEN_STDOUT] + own
+        forced = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+        base = {k: v for k, v in os.environ.items() if k not in forced}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), base.get("PYTHONPATH")]))
+        environments = _replay_environments()
+        if not environments:
+            pytest.skip("this CPU has no OpenBLAS core type or numpy SIMD level to switch")
+        children = {
+            name: subprocess.Popen(
+                [sys.executable, "-c", _REPLAY_CHILD], env={**base, **extra}, text=True,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for name, extra in environments.items()
+        }
+        for name, child in children.items():
+            out, err = child.communicate(json.dumps(argvs), timeout=120)
+            assert child.returncode == 0, f"{name}: {err}"
+            assert json.loads(out) == expected, name
 
 
 class TestReportStability:

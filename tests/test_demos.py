@@ -18,7 +18,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 STDOUT_SHA256 = {
     "01_chsh_violation.py": "4f1318bc8a70baaa0d4be51ee2a0fd8654476be044426a65a2f2761ca65fd7ed",
-    "02_chronology_split.py": "ddd99e15a5cbd6073145de68b08d109e161d7858822f1160b8498099c7f2c414",
+    "02_chronology_split.py": "7c51a285700bb593dfe4e70632639aead3ea1f31e6492e5d8cbc9917048c27df",
     "03_ordering_nogo.py": "a617eb9e88bed913399818ec9c209e830b6e4638a8a81ab3f27bc3786b95a01d",
     "04_flash_process.py": "62c080b1d16b0550abb78200a1c519701b410c8bb27a8b91bd047289e6b1b982",
 }

@@ -22,7 +22,12 @@ from numpy.testing import assert_allclose
 import chronobell as cb
 from chronobell import lambdafile
 from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, flash_block
-from chronobell.quantum import _fix_global_phase
+from chronobell.quantum import _normalize
+
+
+def fix_global_phase(amps):
+    """Unit `amps` with the global phase fixed as `apply_hit` fixes it."""
+    return _normalize(amps.real, amps.imag, 1.0)
 
 
 def random_grid_state(rng, n_sites, n_particles=1):
@@ -100,6 +105,16 @@ class TestHitKernel:
     def test_parameter_errors(self, n, width):
         with pytest.raises(ValueError):
             cb.make_hit_kernel(n, width)
+
+    def test_nan_kernel_rejected(self):
+        with pytest.raises(ValueError, match="sum of squares"):
+            cb.HitKernel(np.full((4, 4), np.nan))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_width_whose_square_underflows_rejected(self):
+        # width**2 == 0 makes 0/0 on the diagonal, so every weight would be NaN
+        with pytest.raises(ValueError, match="sum of squares"):
+            cb.make_hit_kernel(16, 1e-300)
 
 
 class TestFlashDistribution:
@@ -209,7 +224,7 @@ def reference_flash_process(psi0, kernel, rate, duration, stream):
             amps = column[None, :] * amps
         amps = amps / np.linalg.norm(amps)
         records.append(cb.FlashRecord(now, center, particle))
-    return records, _fix_global_phase(amps)
+    return records, fix_global_phase(amps)
 
 
 class TestRunFlashProcess:
@@ -230,7 +245,7 @@ class TestRunFlashProcess:
         records, amps = reference_flash_process(psi, kernel, rate, duration, lf.stream())
         assert history.records == records
         # a run without hits keeps psi0 as it is; the reference fixes its global phase
-        final = _fix_global_phase(history.final_state.amplitudes)
+        final = fix_global_phase(history.final_state.amplitudes)
         assert np.max(np.abs(final - amps)) <= 1e-14
 
     def _stream(self, seed, runs, block=64):

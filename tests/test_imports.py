@@ -45,7 +45,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("chronobell."))
-sys.stderr.write(json.dumps([code, loaded, "hashlib" in sys.modules]))
+sys.stderr.write(json.dumps([code, loaded, "hashlib" in sys.modules, "numpy" in sys.modules]))
 """
 
 # chronobell modules each subcommand loads besides `cli`, and whether it loads hashlib.
@@ -84,11 +84,24 @@ def test_import_loads_no_submodule_and_no_numpy(tmp_path):
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv):
     cb.generate_lambda_file(seed=1, count=10 * 64).save(tmp_path / "lambda.bin")
     proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
-    code, loaded, hashlib_loaded = json.loads(proc.stderr.splitlines()[-1])
+    code, loaded, hashlib_loaded, _ = json.loads(proc.stderr.splitlines()[-1])
     modules, uses_hashlib = LOADED[argv]
     assert code == 0
     assert [m for m in loaded if m not in ("__main__", "cli")] == modules
     assert hashlib_loaded is uses_hashlib
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code",
+    [(("--help",), 0), (("flash", "--help"), 0), (("chsh", "--tol"), 2), (("nope",), 2)],
+    ids=["help", "subcommand-help", "missing-value", "unknown-subcommand"],
+)
+def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, expected_code):
+    proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
+    code, loaded, _, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == expected_code
+    assert [m for m in loaded if m not in ("__main__", "cli")] == ["errors", "reporting"]
+    assert numpy_loaded is False
 
 
 def test_all_is_unchanged_and_listed_by_dir():
