@@ -1,7 +1,9 @@
 """Command-line front end: each experiment as a replayable, lambda-driven run.
 
 Every report is a pure function of the flags plus the lambda file bytes:
-rerunning with identical inputs reproduces identical output bytes.
+rerunning with identical inputs reproduces identical output bytes. Each file
+a command writes is staged by `_replacing` before any work starts and replaced
+only if the command returns, so a bad `--out` exits 2 before any work.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or parameter
 error, 3 lambda stream exhausted or file too small, 4 the two independent
@@ -32,7 +34,7 @@ from .errors import (
     OracleDisagreementError,
     StreamExhaustedError,
 )
-from .reporting import canonical_json, correlation_table_csv, correlation_table_dict, write_text
+from .reporting import canonical_json, correlation_table_csv, correlation_table_dict
 
 if TYPE_CHECKING:
     from .quantum import BlochSetting, Party, TwoQubitState
@@ -122,45 +124,52 @@ def _resolve_lambda(args, n_blocks: int, block: int):
     return source, chunks
 
 
-def _emit(args, report: dict) -> None:
+def _emit(out, report: dict) -> None:
     text = canonical_json(report)
     sys.stdout.write(text)
-    if getattr(args, "out", None):
-        write_text(args.out, text)
+    out.write(text.encode())
 
 
 @contextlib.contextmanager
 def _replacing(out: Path):
-    """A new hidden sibling file of `out` that replaces it once the block succeeds."""
-    fd, partial = tempfile.mkstemp(prefix=f".{out.name}.", suffix=".part", dir=out.parent)
+    """A new hidden sibling file of `out` that replaces it once the block succeeds.
+
+    As with a plain open, `out` must be absent or a regular file this process
+    may write; a symlink is followed, and an existing file keeps its mode.
+    """
+    target = Path(os.path.realpath(out))
+    umask = os.umask(0)  # read it, then restore it
+    os.umask(umask)
+    mode = 0o666 & ~umask  # a plain open's mode for a new file, not mkstemp's 0600
+    if os.path.lexists(target):  # os.replace would put a file in place of a directory or device
+        if not (target.is_file() and os.access(target, os.W_OK)):
+            raise ValueError(f"cannot replace {out}: not a regular file this process may write")
+        mode = target.stat().st_mode & 0o777
+    fd, partial = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".part", dir=target.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        umask = os.umask(0)  # read it, then restore it
-        os.umask(umask)
-        os.chmod(partial, 0o666 & ~umask)  # a plain open's mode, not mkstemp's 0600
-        os.replace(partial, out)
+        os.chmod(partial, mode)
+        os.replace(partial, target)
     except BaseException:
         os.unlink(partial)
         raise
 
 
-def cmd_gen_lambda(args) -> int:
+def cmd_gen_lambda(args, out) -> int:
     import hashlib
 
     from .lambdafile import file_header, word_blocks
 
     _, chunks = word_blocks(args.count, 1, seed=args.seed)
-    path = Path(args.out)
     digest = hashlib.sha256()
-    with path.open("wb") as fh:
-        for buf in itertools.chain([file_header(args.count, args.seed)], chunks):
-            fh.write(buf)
-            digest.update(buf)
+    for buf in itertools.chain([file_header(args.count, args.seed)], chunks):
+        out.write(buf)
+        digest.update(buf)
     report = {
         "command": "gen-lambda",
         "config": {"seed": args.seed, "count": args.count, "out": str(args.out)},
-        "results": {"path": str(path), "sha256": digest.hexdigest()},
+        "results": {"path": str(Path(args.out)), "sha256": digest.hexdigest()},
     }
     sys.stdout.write(canonical_json(report))
     return 0
@@ -207,7 +216,7 @@ def _certified_target(args, command: str, tol: float = 1e-9):
     return state, (a, a2, b, b2), behavior, verdict
 
 
-def cmd_chsh(args) -> int:
+def cmd_chsh(args, out) -> int:
     from .quantum import LOCAL_BOUND, TSIRELSON_BOUND, chsh_value
 
     if args.tol >= 1.0:  # vacuous: |S| - 2 <= 2*sqrt(2) - 2 < 1 for every quantum behavior
@@ -232,11 +241,11 @@ def cmd_chsh(args) -> int:
             **verdict,
         },
     }
-    _emit(args, report)
+    _emit(out, report)
     return 0
 
 
-def cmd_covariance(args) -> int:
+def cmd_covariance(args, out) -> int:
     from .chronology import Chronology, covariance_pass, distribution_covariance_check
     from .lambdafile import DEFAULT_BLOCK
 
@@ -247,35 +256,35 @@ def cmd_covariance(args) -> int:
     chronology = Chronology(args.chronology.upper())
 
     n_pairs = len(settings_a) * len(settings_b)
-    source, chunks = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK)
-
-    exact_part = distribution_covariance_check(state, settings_a, settings_b, args.tol)
-    tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
-    table = tables[chronology]
-    combined = dataclasses.replace(exact_part, divergence_fraction=divergence, trials=args.trials)
-
-    report = {
-        "command": "covariance",
-        "config": {
-            "state": args.state,
-            "angles": args.angles,
-            "chronology": args.chronology,
-            "trials": args.trials,
-            "tol": args.tol,
-            "lambda_source": source,
-        },
-        "results": {
-            "covariance": combined.to_dict(),
-            "empirical_table": correlation_table_dict(table),
-        },
-    }
-    _emit(args, report)
-    if args.out:
-        write_text(str(args.out) + ".csv", correlation_table_csv(table))
+    # the table goes next to the report: both are replaced, or neither
+    with _replacing(Path(f"{args.out}.csv")) if args.out else contextlib.nullcontext() as csv:
+        source, chunks = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK)
+        exact = distribution_covariance_check(state, settings_a, settings_b, args.tol)
+        tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
+        table = tables[chronology]
+        combined = dataclasses.replace(exact, divergence_fraction=divergence, trials=args.trials)
+        report = {
+            "command": "covariance",
+            "config": {
+                "state": args.state,
+                "angles": args.angles,
+                "chronology": args.chronology,
+                "trials": args.trials,
+                "tol": args.tol,
+                "lambda_source": source,
+            },
+            "results": {
+                "covariance": combined.to_dict(),
+                "empirical_table": correlation_table_dict(table),
+            },
+        }
+        _emit(out, report)
+        if csv:
+            csv.write(correlation_table_csv(table).encode())
     return 0 if combined.distribution_pass else 1
 
 
-def cmd_nogo(args) -> int:
+def cmd_nogo(args, out) -> int:
     from .localpolytope import MAX_SEARCH_ALPHABET, exhaustive_nogo_search
 
     if not 1 <= args.alphabet_size <= MAX_SEARCH_ALPHABET:
@@ -299,11 +308,11 @@ def cmd_nogo(args) -> int:
             "target": {"probabilities": target.probs.tolist(), **verdict},
         },
     }
-    _emit(args, report)
+    _emit(out, report)
     return 0
 
 
-def cmd_flash(args) -> int:
+def cmd_flash(args, out) -> int:
     import hashlib
 
     import numpy as np
@@ -327,14 +336,12 @@ def cmd_flash(args) -> int:
     digest = hashlib.sha256()
     hit_counts = []
     first_flash_counts = np.zeros(args.sites, dtype=np.int64)
-    # a run that fails leaves --out and every other file as they were
-    with _replacing(Path(args.out)) if args.out else open(os.devnull, "wb") as fh:
-        for batch in flash_mod.flash_batches(psi0, kernel, args.rate, args.duration, chunks):
-            history = batch.history_bytes()
-            digest.update(history)
-            fh.write(history)
-            hit_counts.append(batch.hit_counts)
-            first_flash_counts += np.bincount(batch.first_sites(), minlength=args.sites)
+    for batch in flash_mod.flash_batches(psi0, kernel, args.rate, args.duration, chunks):
+        history = batch.history_bytes()
+        digest.update(history)
+        out.write(history)
+        hit_counts.append(batch.hit_counts)
+        first_flash_counts += np.bincount(batch.first_sites(), minlength=args.sites)
     hit_counts = np.concatenate(hit_counts)
 
     ordering = flash_mod.ordering_invariance_exact(psi0, kernel, args.tol)
@@ -444,7 +451,8 @@ def main(argv=None) -> int:
     try:
         if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # before any work
             raise ValueError(f"--tol must be nonnegative and finite, got {args.tol}")
-        return args.func(args)
+        with _replacing(Path(args.out)) if args.out else open(os.devnull, "wb") as out:
+            return args.func(args, out)
     except (StreamExhaustedError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-from pathlib import Path
 
 
 def canonical_json(data: dict) -> str:
@@ -52,11 +51,3 @@ def correlation_table_dict(table) -> dict:
     if table.stderr is not None:
         data["stderr"] = table.stderr.tolist()
     return data
-
-
-def write_text(path, text: str) -> Path:
-    """Write with '\\n' newlines regardless of platform, for byte-stable files."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return path
