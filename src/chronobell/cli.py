@@ -78,19 +78,21 @@ def parse_state(spec: str) -> TwoQubitState:
 
 
 def parse_direction(token: str) -> tuple[float, float, float]:
-    """An angle in degrees (x-z plane) or an explicit x:y:z triple."""
+    """An angle in degrees (x-z plane) or an explicit x:y:z triple, all finite."""
     token = token.strip()
-    if ":" in token:
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"direction triple must be x:y:z, got {token!r}")
-        v = [float(p) for p in parts]
-        norm = math.hypot(*v)
-        if norm < 1e-9:
-            raise ValueError(f"direction {token!r} has zero length")
-        return tuple(x / norm for x in v)
-    theta = math.radians(float(token))
-    return math.sin(theta), 0.0, math.cos(theta)
+    parts = token.split(":")
+    if len(parts) not in (1, 3):
+        raise ValueError(f"direction triple must be x:y:z, got {token!r}")
+    v = [float(p) for p in parts]
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"direction {token!r} must be finite")
+    if len(v) == 1:
+        theta = math.radians(v[0])
+        return math.sin(theta), 0.0, math.cos(theta)
+    norm = math.hypot(*v)
+    if norm < 1e-9:
+        raise ValueError(f"direction {token!r} has zero length")
+    return tuple(x / norm for x in v)
 
 
 def parse_direction_list(text: str, party: Party) -> list[BlochSetting]:
@@ -145,7 +147,10 @@ def _replacing(out: Path):
         if not (target.is_file() and os.access(target, os.W_OK)):
             raise ValueError(f"cannot replace {out}: not a regular file this process may write")
         mode = target.stat().st_mode & 0o777
-    fd, partial = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".part", dir=target.parent)
+    try:
+        fd, partial = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".part", dir=target.parent)
+    except OSError as exc:  # name the user's path, not the random sibling's
+        raise OSError(exc.errno, exc.strerror, str(out)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -228,12 +233,7 @@ def cmd_chsh(args, out) -> int:
         "command": "chsh",
         "config": {"state": args.state, "angles": args.angles, "tol": args.tol},
         "results": {
-            "settings": {
-                "a": a.vector.tolist(),
-                "a2": a2.vector.tolist(),
-                "b": b.vector.tolist(),
-                "b2": b2.vector.tolist(),
-            },
+            "settings": {"a": a.xyz, "a2": a2.xyz, "b": b.xyz, "b2": b2.xyz},
             "chsh_value": value,
             "local_bound": LOCAL_BOUND,
             "tsirelson_bound": TSIRELSON_BOUND,

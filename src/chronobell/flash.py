@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ImpossibleFlashError, InvalidStateError, StreamExhaustedError
 from .lambdafile import LambdaStream, words_to_reals
-from .quantum import ATOL, _normalize, _readonly, _squared_norm
+from .quantum import _PHASE_CUTOFF, ATOL, _frozen
 
 _ZERO_CENTER = 1e-24
 
@@ -46,6 +46,20 @@ MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
 FORMAT_SLICE = 4096  # history lines FlashEnsemble.history_bytes formats at a time
+
+
+def _normalize(re: np.ndarray, im: np.ndarray, weight: float) -> np.ndarray:
+    """(re + i im) / sqrt(weight), phase fixed as `quantum.collapse` fixes it, as complex."""
+    re, im = re * (1.0 / math.sqrt(weight)), im * (1.0 / math.sqrt(weight))
+    for r, i in zip(re.flat, im.flat):
+        size = abs(complex(r, i))
+        if size > _PHASE_CUTOFF:  # rotate by conj(lead) / |lead|
+            c, s = r * (1.0 / size), i * (1.0 / size)
+            re, im = re * c + im * s, im * c - re * s
+            break
+    unit = np.empty(re.shape, dtype=complex)
+    unit.real, unit.imag = re, im
+    return unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +79,7 @@ class HitKernel:
         completeness = (w**2).sum(axis=0)
         if not np.all(np.abs(completeness - 1.0) <= ATOL):  # refuses NaN too
             raise ValueError("kernel columns must satisfy sum of squares == 1")
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def n_sites(self) -> int:
@@ -104,10 +118,10 @@ class GridWavefunction:
             raise InvalidStateError("two-particle grid must be square")
         if not np.all(np.isfinite(amps)):
             raise InvalidStateError("amplitudes must be finite")
-        norm = math.sqrt(_squared_norm(amps.real, amps.imag))
+        norm = math.sqrt(float((amps.real**2 + amps.imag**2).sum()))  # not BLAS
         if abs(norm - 1.0) > ATOL:
             raise InvalidStateError(f"wavefunction must be normalized, got norm {norm!r}")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        object.__setattr__(self, "amplitudes", _frozen(amps, complex))
 
     @property
     def n_particles(self) -> int:
@@ -170,7 +184,7 @@ def apply_hit(
     if psi.n_particles == 2:  # the column runs along the hit particle's axis
         column = column[:, None] if particle == 0 else column[None, :]
     re, im = column * psi.amplitudes.real, column * psi.amplitudes.imag
-    weight = _squared_norm(re, im)
+    weight = float((re**2 + im**2).sum())
     if weight <= _ZERO_CENTER:
         raise ImpossibleFlashError(
             f"hit at site {center} on particle {particle} has zero probability"

@@ -23,21 +23,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NotReducibleError, SearchSpaceError
-from .quantum import (
-    LOCAL_BOUND,
-    BlochSetting,
-    Chronology,
-    TwoQubitState,
-    correlators,
-    exact_table,
-    signaling_defect,
-)
+from .quantum import LOCAL_BOUND, OUTCOMES, BlochSetting, Chronology, TwoQubitState
+from .quantum import _cell_sum, _frozen, _nested, correlation, exact_table, signaling_defect
 from .simplex import solve_feasibility
+
+if TYPE_CHECKING:
+    import numpy as np
 
 N_SETTINGS = 2
 N_OUTCOMES = 2
@@ -54,28 +50,30 @@ _NS_TOL = 1e-9
 RESIDUAL_PER_VIOLATION = 2.5
 
 
-def _sign_table(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
-    table = np.asarray(arr, dtype=np.int8)
-    if table.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
-    if not np.all(np.abs(table) == 1):
-        raise ValueError(f"{name} entries must be +1 or -1")
-    table = table.copy()
-    table.flags.writeable = False
-    return table
+def _freeze_tables(model, tables: dict[str, int]) -> None:
+    """Check and freeze `model`'s weights and +/-1 tables (name: number of setting axes);
+    each table ends in the lambda axis, whose length the first table sets."""
+    import numpy as np
 
-
-def _weight_vector(weights, alphabet_size: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (alphabet_size,):
-        raise ValueError(f"weights must have shape ({alphabet_size},)")
+    size = None
+    for name, n_axes in tables.items():
+        table = np.asarray(getattr(model, name), dtype=np.int8)
+        if size is None:
+            size = table.shape[-1] if table.ndim == n_axes + 1 else 0
+        shape = (N_SETTINGS,) * n_axes + (size,)
+        if table.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+        if not np.all(np.abs(table) == 1):
+            raise ValueError(f"{name} entries must be +1 or -1")
+        vars(model)[name] = _frozen(table, np.int8)
+    w = np.asarray(model.weights, dtype=float)
+    if w.shape != (size,):
+        raise ValueError(f"weights must have shape ({size},)")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-    w = w.copy()
-    w.flags.writeable = False
-    return w
+    vars(model)["weights"] = _frozen(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +89,7 @@ class LocalModel:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.responses_a)
-        size = a.shape[-1] if a.ndim == 2 else 0
-        object.__setattr__(
-            self, "responses_a", _sign_table(self.responses_a, (N_SETTINGS, size), "responses_a")
-        )
-        object.__setattr__(
-            self, "responses_b", _sign_table(self.responses_b, (N_SETTINGS, size), "responses_b")
-        )
-        object.__setattr__(self, "weights", _weight_vector(self.weights, size))
+        _freeze_tables(self, {"responses_a": 1, "responses_b": 1})
 
     @property
     def alphabet_size(self) -> int:
@@ -107,11 +97,11 @@ class LocalModel:
 
     @classmethod
     def uniform(cls, responses_a, responses_b) -> "LocalModel":
-        a = np.asarray(responses_a)
-        return cls(responses_a, responses_b, np.full(a.shape[-1], 1.0 / a.shape[-1]))
+        size = len(responses_a[0])
+        return cls(responses_a, responses_b, [1.0 / size] * size)
 
     @classmethod
-    def random(cls, rng: np.random.Generator, alphabet_size: int) -> "LocalModel":
+    def random(cls, rng, alphabet_size: int) -> "LocalModel":
         shape = (N_SETTINGS, alphabet_size)
         return cls.uniform(
             rng.choice([1, -1], size=shape), rng.choice([1, -1], size=shape)
@@ -134,15 +124,7 @@ class StrategyQuadruple:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.first_ab)
-        size = f.shape[-1] if f.ndim == 2 else 0
-        pair = (N_SETTINGS, size)
-        trio = (N_SETTINGS, N_SETTINGS, size)
-        object.__setattr__(self, "first_ab", _sign_table(self.first_ab, pair, "first_ab"))
-        object.__setattr__(self, "second_ab", _sign_table(self.second_ab, trio, "second_ab"))
-        object.__setattr__(self, "first_ba", _sign_table(self.first_ba, pair, "first_ba"))
-        object.__setattr__(self, "second_ba", _sign_table(self.second_ba, trio, "second_ba"))
-        object.__setattr__(self, "weights", _weight_vector(self.weights, size))
+        _freeze_tables(self, {"first_ab": 1, "second_ab": 2, "first_ba": 1, "second_ba": 2})
 
     @property
     def alphabet_size(self) -> int:
@@ -151,13 +133,12 @@ class StrategyQuadruple:
     @classmethod
     def from_local(cls, model: LocalModel) -> "StrategyQuadruple":
         """The quadruple in which each second responder ignores the remote setting."""
-        size = model.alphabet_size
-        second_ab = np.broadcast_to(model.responses_b[None, :, :], (N_SETTINGS, N_SETTINGS, size))
-        second_ba = np.broadcast_to(model.responses_a[None, :, :], (N_SETTINGS, N_SETTINGS, size))
+        second_ab = [model.responses_b] * N_SETTINGS  # the same table for each A setting
+        second_ba = [model.responses_a] * N_SETTINGS
         return cls(model.responses_a, second_ab, model.responses_b, second_ba, model.weights)
 
     @classmethod
-    def random(cls, rng: np.random.Generator, alphabet_size: int) -> "StrategyQuadruple":
+    def random(cls, rng, alphabet_size: int) -> "StrategyQuadruple":
         pair = (N_SETTINGS, alphabet_size)
         trio = (N_SETTINGS, N_SETTINGS, alphabet_size)
         return cls(
@@ -165,65 +146,59 @@ class StrategyQuadruple:
             rng.choice([1, -1], size=trio),
             rng.choice([1, -1], size=pair),
             rng.choice([1, -1], size=trio),
-            np.full(alphabet_size, 1.0 / alphabet_size),
+            [1.0 / alphabet_size] * alphabet_size,
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BehaviorVector:
     """Conditional outcome probabilities P(alpha, beta | a, b), shape (2, 2, 2, 2).
 
-    Index order [a, b, alpha_idx, beta_idx] with outcome index 0 <-> +1.
+    Index order [a, b, alpha_idx, beta_idx] with outcome index 0 <-> +1, in
+    `values` as nested tuples and in `probs` as a read-only array.
     Construction validates normalization and no-signaling at 1e-9.
     """
 
-    probs: np.ndarray
+    values: tuple
 
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        shape = (N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES)
-        if p.shape != shape:
-            raise ValueError(f"behavior must have shape {shape}, got {p.shape}")
-        if np.any(p < _ENTRY_FLOOR):
+    def __init__(self, probs) -> None:
+        p = _nested(probs, (N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES), "behavior")
+        if any(x < _ENTRY_FLOOR for row in p for t in row for pair in t for x in pair):
             raise ValueError("behavior entries must be nonnegative (within 1e-12)")
-        sums = p.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > _BLOCK_TOL):
+        if any(abs(_cell_sum(t) - 1.0) > _BLOCK_TOL for row in p for t in row):
             raise ValueError("each conditional block must sum to 1")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        vars(self).update(values=p)
         defect = self.no_signaling_defect()
         if defect > _NS_TOL:
             raise ValueError(f"behavior violates no-signaling by {defect!r}")
 
     @classmethod
     def from_flat(cls, flat) -> "BehaviorVector":
+        import numpy as np
+
         return cls(np.asarray(flat, dtype=float).reshape(2, 2, 2, 2))
 
+    probs = functools.cached_property(lambda self: _frozen(self.values))
+
     @property
-    def flat(self) -> np.ndarray:
+    def flat(self):
         return self.probs.reshape(16).copy()
 
     def no_signaling_defect(self) -> float:
-        return signaling_defect(self.probs)
+        return signaling_defect(self.values)
 
-    def correlators(self) -> np.ndarray:
-        """E[a, b] = sum over outcomes of alpha * beta * P."""
-        return correlators(self.probs)
+    def correlators(self) -> tuple:
+        """E[a][b] = sum over outcomes of alpha * beta * P."""
+        return tuple(tuple(correlation(t) for t in row) for row in self.values)
 
     def max_abs_diff(self, other: "BehaviorVector") -> float:
-        return float(np.max(np.abs(self.probs - other.probs)))
+        return float(abs(self.probs - other.probs).max())
 
 
-def chsh_sign_patterns() -> tuple[np.ndarray, ...]:
-    """The 8 CHSH coefficient matrices: each puts an odd number of -1 signs."""
-    patterns = []
-    for signs in itertools.product((1, -1), repeat=4):
-        if signs[0] * signs[1] * signs[2] * signs[3] == -1:
-            s = np.array(signs, dtype=np.int64).reshape(2, 2)
-            s.flags.writeable = False
-            patterns.append(s)
-    return tuple(patterns)
+def chsh_sign_patterns() -> tuple:
+    """The 8 CHSH coefficient tables s[a][b]: each puts an odd number of -1 signs."""
+    signs = itertools.product((1, -1), repeat=4)
+    return tuple((s[:2], s[2:]) for s in signs if s[0] * s[1] * s[2] * s[3] == -1)
 
 
 _CHSH_PATTERNS = chsh_sign_patterns()
@@ -284,40 +259,34 @@ def reduce_to_local(q: StrategyQuadruple) -> LocalModel:
     return LocalModel(q.first_ab, q.first_ba, q.weights)
 
 
-def _indicator(table: np.ndarray) -> np.ndarray:
-    """Outcome indicators: table (..., L) of +/-1 -> (..., 2, L) of 0/1 ints."""
-    return np.stack([table == 1, table == -1], axis=-2).astype(np.int64)
-
-
-def _behavior_from_indicators(
-    ind_alpha: np.ndarray, ind_beta: np.ndarray, weights: np.ndarray
-) -> BehaviorVector:
-    # both indicators arrive as (a, b, outcome_idx, lam); the shared joint
-    # indicator keeps all behavior routes on identical float operations
-    joint = ind_alpha[:, :, :, None, :] * ind_beta[:, :, None, :, :]
-    return BehaviorVector(joint.astype(np.float64) @ weights)
-
-
 def behavior_of(
     model: LocalModel | StrategyQuadruple, chronology: Chronology | str | None = None
 ) -> BehaviorVector:
     """P(alpha, beta | a, b) of a local model or a quadruple under one order."""
+    import numpy as np
+
     if isinstance(model, LocalModel):  # either order gives the same tables here
         return behavior_of(StrategyQuadruple.from_local(model), Chronology.AB)
     if not isinstance(model, StrategyQuadruple):
         raise TypeError(f"expected LocalModel or StrategyQuadruple, got {type(model)!r}")
     if chronology is None:
         raise ValueError("a StrategyQuadruple needs an explicit chronology")
-    chronology = Chronology(chronology)
+
+    def indicator(table):  # (..., L) of +/-1 -> (..., 2, L) of 0/1 ints
+        return np.stack([table == 1, table == -1], axis=-2).astype(np.int64)
+
     size = model.alphabet_size
-    if chronology is Chronology.AB:
-        ind_alpha = np.broadcast_to(_indicator(model.first_ab)[:, None], (2, 2, 2, size))
-        ind_beta = _indicator(model.second_ab)
+    if Chronology(chronology) is Chronology.AB:
+        ind_alpha = np.broadcast_to(indicator(model.first_ab)[:, None], (2, 2, 2, size))
+        ind_beta = indicator(model.second_ab)
     else:
         # second_ba is indexed [b, a, lam]; swap to [a, b, lam]
-        ind_alpha = _indicator(model.second_ba.transpose(1, 0, 2))
-        ind_beta = np.broadcast_to(_indicator(model.first_ba)[None, :], (2, 2, 2, size))
-    return _behavior_from_indicators(ind_alpha, ind_beta, model.weights)
+        ind_alpha = indicator(model.second_ba.transpose(1, 0, 2))
+        ind_beta = np.broadcast_to(indicator(model.first_ba)[None, :], (2, 2, 2, size))
+    # both indicators are (a, b, outcome_idx, lam); the shared joint indicator
+    # keeps both orders on identical float operations
+    joint = ind_alpha[:, :, :, None, :] * ind_beta[:, :, None, :, :]
+    return BehaviorVector(joint.astype(float) @ model.weights)
 
 
 def quantum_behavior(
@@ -329,21 +298,16 @@ def quantum_behavior(
     ordering: Chronology | str = Chronology.AB,
 ) -> BehaviorVector:
     """The 16-entry behavior of a two-qubit state at two settings per party."""
-    return BehaviorVector(exact_table(state, (a0, a1), (b0, b1), ordering).cells)
+    return BehaviorVector(exact_table(state, (a0, a1), (b0, b1), ordering).values)
+
+
+# the 16 deterministic strategies (f(a0), f(a1), g(b0), g(b1)), in vertex order
+_VERTICES = tuple(itertools.product(OUTCOMES, repeat=2 * N_SETTINGS))
 
 
 @functools.cache
 def _vertex_models() -> tuple[LocalModel, ...]:
-    models = []
-    for fa in itertools.product((1, -1), repeat=N_SETTINGS):
-        for gb in itertools.product((1, -1), repeat=N_SETTINGS):
-            models.append(
-                LocalModel.uniform(
-                    np.array(fa, dtype=np.int8).reshape(2, 1),
-                    np.array(gb, dtype=np.int8).reshape(2, 1),
-                )
-            )
-    return tuple(models)
+    return tuple(LocalModel.uniform([[f] for f in v[:2]], [[g] for g in v[2:]]) for v in _VERTICES)
 
 
 def enumerate_deterministic_strategies() -> list[BehaviorVector]:
@@ -352,10 +316,12 @@ def enumerate_deterministic_strategies() -> list[BehaviorVector]:
 
 
 @functools.cache
-def _vertex_matrix() -> np.ndarray:
-    columns = np.column_stack([v.flat for v in enumerate_deterministic_strategies()])
-    columns.flags.writeable = False
-    return columns
+def _vertex_matrix() -> tuple[tuple[float, ...], ...]:
+    """Row k: entry k of each deterministic behavior (index order a, b, alpha_idx, beta_idx)."""
+    return tuple(
+        tuple(float(v[a] == OUTCOMES[i] and v[2 + b] == OUTCOMES[j]) for v in _VERTICES)
+        for a, b, i, j in itertools.product(range(2), repeat=4)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,28 +330,35 @@ class FacetCheck:
 
     local: bool
     max_facet_value: float
-    best_signs: np.ndarray
+    signs: tuple[tuple[int, int], tuple[int, int]]
     tolerance: float
+
+    best_signs = functools.cached_property(lambda self: _frozen(self.signs, int))
 
     def to_dict(self) -> dict:
         return {
             "local": self.local,
             "max_facet_value": self.max_facet_value,
-            "best_signs": self.best_signs.tolist(),
+            "best_signs": [list(row) for row in self.signs],
             "local_bound": LOCAL_BOUND,
         }
+
+
+def _facet_sum(signs, corr) -> float:
+    """numpy's sum of signs * corr over a (2, 2) pattern: 0.0 plus each product, in order."""
+    (s0, s1), (s2, s3) = signs
+    (e0, e1), (e2, e3) = corr
+    return 0.0 + s0 * e0 + s1 * e1 + s2 * e2 + s3 * e3
 
 
 def chsh_facet_check(p: BehaviorVector, tol: float = 1e-9) -> FacetCheck:
     """Evaluate all 8 CHSH sign variants; complete for no-signaling 2-2-2 behaviors."""
     corr = p.correlators()
-    best_value = -1.0
-    best_signs = _CHSH_PATTERNS[0]
+    best_value, best_signs = -1.0, _CHSH_PATTERNS[0]
     for signs in _CHSH_PATTERNS:
-        value = abs(float(np.sum(signs * corr)))
+        value = abs(_facet_sum(signs, corr))
         if value > best_value:
-            best_value = value
-            best_signs = signs
+            best_value, best_signs = value, signs
     return FacetCheck(best_value <= LOCAL_BOUND + tol, best_value, best_signs, tol)
 
 
@@ -394,7 +367,7 @@ class MembershipResult:
     """LP verdict: vertex weights if local, a violated CHSH facet if not."""
 
     local: bool
-    weights: np.ndarray | None
+    weights: list[float] | None
     reconstruction_error: float | None
     certificate: FacetCheck | None
 
@@ -411,14 +384,13 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     """
     if not tol < 1.0:  # tol also bounds the pivots, and no tableau entry exceeds 1
         raise ValueError(f"tolerance must be below 1, got {tol!r}")
-    vertex_cols = _vertex_matrix()
-    A = np.vstack([vertex_cols, np.ones((1, vertex_cols.shape[1]))])
-    b = np.append(p.flat, 1.0)
+    A = [*_vertex_matrix(), (1.0,) * len(_VERTICES)]
+    b = [x for row in p.values for t in row for pair in t for x in pair] + [1.0]
     floor = max(tol, BOUNDARY_ROUNDING)  # at tol = 0 rounding alone reads as infeasible
     weights = solve_feasibility(A, b, tol=floor, residual_tol=RESIDUAL_PER_VIOLATION * floor)
     if weights is None:
         return MembershipResult(False, None, None, chsh_facet_check(p, tol))
-    error = float(np.max(np.abs(A @ weights - b)))
+    error = max(abs(math.fsum(a * w for a, w in zip(row, weights)) - y) for row, y in zip(A, b))
     return MembershipResult(True, weights, error, None)
 
 
@@ -433,14 +405,8 @@ class SearchResult:
     n_candidates: int
 
     def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "best_distance": self.best_distance,
-            "max_chsh": self.max_chsh,
-            "alphabet_size": self.alphabet_size,
-            "tolerance": self.tolerance,
-            "n_candidates": self.n_candidates,
-        }
+        """Every field but the quadruple itself."""
+        return {key: value for key, value in vars(self).items() if key != "best"}
 
 
 def exhaustive_nogo_search(
@@ -463,8 +429,10 @@ def exhaustive_nogo_search(
         raise SearchSpaceError(
             f"alphabet size must be in 1..{MAX_SEARCH_ALPHABET}, got {alphabet_size}"
         )
+    import numpy as np
+
     vertices = _vertex_models()
-    vertex_counts = _vertex_matrix().T.reshape(len(vertices), 2, 2, 2, 2).astype(np.int64)
+    vertex_counts = np.array(_vertex_matrix(), dtype=np.int64).T.reshape(len(vertices), 2, 2, 2, 2)
     multisets = itertools.combinations_with_replacement(range(len(vertices)), alphabet_size)
     row = np.dtype((np.int64, alphabet_size))
     best_distance, best_pick, max_corr_int = np.inf, None, 0
@@ -475,7 +443,8 @@ def exhaustive_nogo_search(
         # a strict < keeps the first minimum, as argmin does; None admits a NaN target
         if best_pick is None or distances[i] < best_distance:
             best_distance, best_pick = distances[i], picks[i]
-        chunk_max = int(np.abs(np.einsum("sab,nab->ns", _CHSH_PATTERNS, correlators(counts))).max())
+        corr = counts[..., 0, 0] - counts[..., 0, 1] - counts[..., 1, 0] + counts[..., 1, 1]
+        chunk_max = int(np.abs(np.einsum("sab,nab->ns", _CHSH_PATTERNS, corr)).max())
         max_corr_int = max(max_corr_int, chunk_max)
 
     chosen = [vertices[v] for v in best_pick]

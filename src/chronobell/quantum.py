@@ -15,12 +15,14 @@ Conventions, fixed once and tested against eigen-decompositions:
   magnitude > 1e-12 onto the positive real axis, so collapsed states can be
   compared entry by entry;
 - the CHSH combination is ``E(a,b) + E(a,b2) + E(a2,b) - E(a2,b2)``;
-- projection, norms and normalization are real float products and sums in one
-  fixed order, never BLAS or a SIMD complex multiply, so every CPU prints the
-  same bits.
+- the kernel is plain floats and never loads numpy: every product and sum is
+  the one numpy's array arithmetic did, in its order, never BLAS or a SIMD
+  complex multiply, so every CPU prints the same bits. A sum of under 8 floats
+  is ``0.0 + x0 + x1 + ...``, as numpy's ``.sum()`` is, never the builtin `sum`
+  (compensated from Python 3.12). Frozen value types hold tuples of floats and
+  build read-only arrays (`vector`, `amplitudes`, `probs`, `cells`) on demand.
 
-All functions are pure and every value type freezes its arrays after
-construction, so concurrent use needs no coordination.
+All functions are pure, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from functools import cached_property
 
 from .errors import ImpossibleOutcomeError, InvalidStateError
 
@@ -57,34 +58,53 @@ class Chronology(Enum):
 
 def outcome_index(outcome: int) -> int:
     """Map +1 -> 0 and -1 -> 1 (the index order used by all tables)."""
-    if outcome == 1:
-        return 0
-    if outcome == -1:
-        return 1
-    raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+    if outcome not in OUTCOMES:
+        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+    return OUTCOMES.index(outcome)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
+def _frozen(values, dtype=float):
+    """A read-only ndarray of `values`; the first call loads numpy."""
+    import numpy as np
+
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
 
-def correlators(cells: np.ndarray) -> np.ndarray:
-    """E = sum over outcomes of alpha * beta * P, over the last two (outcome) axes."""
-    return cells[..., 0, 0] - cells[..., 0, 1] - cells[..., 1, 0] + cells[..., 1, 1]
+def _nested(values, shape: tuple[int, ...], what: str) -> tuple:
+    """`values` (nested sequences or an array) as nested tuples of floats of `shape`."""
+    def build(v, n, *rest):
+        if len(v := list(v)) != n:
+            raise ValueError
+        return tuple(build(x, *rest) if rest else float(x) for x in v)
+
+    try:
+        return build(values, *shape)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must have shape {shape}") from None
 
 
-def signaling_defect(cells: np.ndarray) -> float:
-    """Largest variation of one party's marginal across the other's settings, cells[a, b]."""
-    marg_a = cells.sum(axis=3)  # (nA, nB, 2): P(alpha | a, b)
-    marg_b = cells.sum(axis=2)  # (nA, nB, 2): P(beta | a, b)
-    defect_a = (marg_a.max(axis=1) - marg_a.min(axis=1)).max() if marg_a.size else 0.0
-    defect_b = (marg_b.max(axis=0) - marg_b.min(axis=0)).max() if marg_b.size else 0.0
-    return float(max(defect_a, defect_b))
+def _cell_sum(t) -> float:
+    """numpy's sum of a (2, 2) outcome table t[i][j]: 0.0 plus each entry, row by row."""
+    return 0.0 + t[0][0] + t[0][1] + t[1][0] + t[1][1]
 
 
-@dataclass(frozen=True)
+def correlation(t) -> float:
+    """E = sum over outcomes of alpha * beta * P, for one (2, 2) outcome table t[i][j]."""
+    return t[0][0] - t[0][1] - t[1][0] + t[1][1]
+
+
+def signaling_defect(values) -> float:
+    """Largest variation of one party's marginal across the other's settings, values[a][b]."""
+    marg_a = [[(t[0][0] + t[0][1], t[1][0] + t[1][1]) for t in row] for row in values]
+    marg_b = [[(t[0][0] + t[1][0], t[0][1] + t[1][1]) for t in row] for row in values]
+    spreads = [max(m) - min(m) for row in marg_a for m in zip(*row)]  # over b, per (a, alpha)
+    spreads += [max(m) - min(m) for col in zip(*marg_b) for m in zip(*col)]  # over a
+    return max(spreads, default=0.0)
+
+
+@dataclass(frozen=True, init=False)
 class BlochSetting:
     """A measurement direction (unit 3-vector) tagged with the measuring party.
 
@@ -92,71 +112,75 @@ class BlochSetting:
     silent normalization would hide caller bugs.
     """
 
-    vector: np.ndarray
+    xyz: tuple[float, float, float]
     party: Party
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=float)
-        if v.shape != (3,):
-            raise ValueError(f"setting direction must be a 3-vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("setting direction must be finite")
-        norm = math.hypot(*v.tolist())
-        if abs(norm - 1.0) > ATOL:
+    def __init__(self, vector, party: Party | str) -> None:
+        xyz = _nested(vector, (3,), "setting direction")
+        norm = math.hypot(*xyz)
+        if not abs(norm - 1.0) <= ATOL:  # refuses NaN and infinite components too
             raise ValueError(f"setting direction must be a unit vector, got norm {norm!r}")
-        object.__setattr__(self, "vector", _readonly(v))
-        object.__setattr__(self, "party", Party(self.party))
+        vars(self).update(xyz=xyz, party=Party(party))
+
+    vector = cached_property(lambda self: _frozen(self.xyz))
 
     @classmethod
     def from_angle(cls, degrees: float, party: Party | str) -> "BlochSetting":
         """Direction in the x-z plane at `degrees` from the z axis."""
         t = math.radians(degrees)
-        return cls(np.array([math.sin(t), 0.0, math.cos(t)]), Party(party))
+        return cls((math.sin(t), 0.0, math.cos(t)), Party(party))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoQubitState:
     """Pure state of two qubits: 4 complex amplitudes, unit norm within 1e-12."""
 
-    amplitudes: np.ndarray
+    re: tuple[float, ...]
+    im: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (4,):
-            raise InvalidStateError(f"state needs 4 amplitudes, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise InvalidStateError("state amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-        if abs(self.norm() - 1.0) > ATOL:
+    def __init__(self, amplitudes) -> None:
+        try:
+            amps = [complex(z) for z in amplitudes]
+        except TypeError:
+            amps = []
+        if len(amps) != 4:
+            raise InvalidStateError(f"state needs 4 amplitudes, got {amplitudes!r}")
+        vars(self).update(re=tuple(z.real for z in amps), im=tuple(z.imag for z in amps))
+        if not abs(self.norm() - 1.0) <= ATOL:  # refuses NaN and infinite amplitudes too
             raise InvalidStateError(f"state must be normalized, got norm {self.norm()!r}")
 
+    amplitudes = cached_property(lambda self: _frozen([*map(complex, self.re, self.im)], complex))
+
     def norm(self) -> float:
-        return math.sqrt(_squared_norm(self.amplitudes.real, self.amplitudes.imag))
+        return math.sqrt(_squared_norm(self.re, self.im))
 
 
 def make_singlet() -> TwoQubitState:
     """The maximally entangled fixture (|01> - |10>)/sqrt(2)."""
     inv = 1.0 / math.sqrt(2.0)
-    return TwoQubitState(np.array([0.0, inv, -inv, 0.0], dtype=complex))
+    return TwoQubitState([0.0, inv, -inv, 0.0])
 
 
 def make_product_state(qubit_a=(1.0, 0.0), qubit_b=(1.0, 0.0)) -> TwoQubitState:
     """Tensor product of two normalized single-qubit amplitude pairs."""
-    a = np.asarray(qubit_a, dtype=complex)
-    b = np.asarray(qubit_b, dtype=complex)
-    if a.shape != (2,) or b.shape != (2,):
+    a, b = [complex(z) for z in qubit_a], [complex(z) for z in qubit_b]
+    if len(a) != 2 or len(b) != 2:
         raise InvalidStateError("each factor needs exactly 2 amplitudes")
-    return TwoQubitState(np.kron(a, b))
+    return TwoQubitState([x * y for x in a for y in b])
 
 
-def random_pure_state(rng: np.random.Generator) -> TwoQubitState:
-    """Haar-ish random pure state (Gaussian amplitudes, normalized)."""
+def random_pure_state(rng) -> TwoQubitState:
+    """Haar-ish random pure state (Gaussian amplitudes, normalized) from a numpy Generator."""
+    import numpy as np
+
     amps = rng.standard_normal(4) + 1.0j * rng.standard_normal(4)
     return TwoQubitState(amps / np.linalg.norm(amps))
 
 
-def random_setting(rng: np.random.Generator, party: Party | str) -> BlochSetting:
-    """Uniformly random measurement direction on the sphere."""
+def random_setting(rng, party: Party | str) -> BlochSetting:
+    """Uniformly random measurement direction on the sphere, from a numpy Generator."""
+    import numpy as np
+
     while True:
         v = rng.standard_normal(3)
         norm = np.linalg.norm(v)
@@ -167,8 +191,8 @@ def random_setting(rng: np.random.Generator, party: Party | str) -> BlochSetting
 def _project(state: TwoQubitState, setting: BlochSetting, outcome: int) -> tuple:
     """(re, im) of (I + outcome * n.sigma)/2 applied on the setting's party of `state`."""
     outcome_index(outcome)
-    nx, ny, nz = (0.5 * outcome * c for c in setting.vector.tolist())
-    re, im = state.amplitudes.real.tolist(), state.amplitudes.imag.tolist()
+    nx, ny, nz = (0.5 * outcome * c for c in setting.xyz)
+    re, im = list(state.re), list(state.im)
     # rows (1/2 + nz, nx - i ny) and (nx + i ny, 1/2 - nz) on pairs (party's qubit up, down)
     for i, j in ((0, 2), (1, 3)) if setting.party is Party.A else ((0, 1), (2, 3)):
         ur, ui, vr, vi = re[i], im[i], re[j], im[j]
@@ -176,12 +200,15 @@ def _project(state: TwoQubitState, setting: BlochSetting, outcome: int) -> tuple
         im[i] = (0.5 + nz) * ui + (nx * vi - ny * vr)
         re[j] = (nx * ur - ny * ui) + (0.5 - nz) * vr
         im[j] = (nx * ui + ny * ur) + (0.5 - nz) * vi
-    return np.array(re), np.array(im)
+    return re, im
 
 
-def _squared_norm(re: np.ndarray, im: np.ndarray) -> float:
-    """Sum of re**2 + im**2 (numpy's pairwise sum, not BLAS)."""
-    return float((re**2 + im**2).sum())
+def _squared_norm(re, im) -> float:
+    """numpy's (re**2 + im**2).sum() of 4 amplitudes: 0.0 plus each r*r + i*i, in order."""
+    total = 0.0
+    for r, i in zip(re, im):
+        total += r * r + i * i
+    return total
 
 
 def born_marginal(state: TwoQubitState, setting: BlochSetting, outcome: int) -> float:
@@ -189,18 +216,16 @@ def born_marginal(state: TwoQubitState, setting: BlochSetting, outcome: int) -> 
     return min(_squared_norm(*_project(state, setting, outcome)), 1.0)
 
 
-def _normalize(re: np.ndarray, im: np.ndarray, weight: float) -> np.ndarray:
-    """(re + i im) / sqrt(weight), phase fixed; divides like numpy's complex-by-real division."""
-    re, im = re * (1.0 / math.sqrt(weight)), im * (1.0 / math.sqrt(weight))
-    for r, i in zip(re.flat, im.flat):
+def _normalize(re: list, im: list, weight: float) -> list[complex]:
+    """(re + i im) / sqrt(weight), phase fixed, part by part as `flash._normalize` does."""
+    scale = 1.0 / math.sqrt(weight)
+    re, im = [x * scale for x in re], [y * scale for y in im]
+    for r, i in zip(re, im):
         size = abs(complex(r, i))
         if size > _PHASE_CUTOFF:  # rotate by conj(lead) / |lead|
             c, s = r * (1.0 / size), i * (1.0 / size)
-            re, im = re * c + im * s, im * c - re * s
-            break
-    unit = np.empty(re.shape, dtype=complex)
-    unit.real, unit.imag = re, im
-    return unit
+            return [complex(x * c + y * s, y * c - x * s) for x, y in zip(re, im)]
+    return list(map(complex, re, im))
 
 
 def collapse(state: TwoQubitState, setting: BlochSetting, outcome: int) -> TwoQubitState:
@@ -209,36 +234,36 @@ def collapse(state: TwoQubitState, setting: BlochSetting, outcome: int) -> TwoQu
     weight = _squared_norm(re, im)
     if weight <= _ZERO_BRANCH:
         raise ImpossibleOutcomeError(
-            f"outcome {outcome:+d} along {setting.vector} has zero probability"
+            f"outcome {outcome:+d} along {setting.xyz} has zero probability"
         )
     return TwoQubitState(_normalize(re, im, weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JointDistribution:
-    """P(alpha, beta) for one setting pair; probs[i, j] with index 0 <-> +1."""
+    """P(alpha, beta) for one setting pair; values[i][j] with index 0 <-> +1."""
 
-    probs: np.ndarray
+    values: tuple[tuple[float, float], tuple[float, float]]
 
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (2, 2):
-            raise ValueError(f"joint distribution needs shape (2, 2), got {p.shape}")
-        if np.any(p < -ATOL) or np.any(p > 1.0 + ATOL):
+    def __init__(self, probs) -> None:
+        p = _nested(probs, (2, 2), "joint distribution")
+        if any(x < -ATOL or x > 1.0 + ATOL for row in p for x in row):
             raise ValueError("joint probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - 1.0) > ATOL:
-            raise ValueError(f"joint probabilities must sum to 1, got {p.sum()!r}")
-        object.__setattr__(self, "probs", _readonly(p))
+        if abs(_cell_sum(p) - 1.0) > ATOL:
+            raise ValueError(f"joint probabilities must sum to 1, got {_cell_sum(p)!r}")
+        vars(self).update(values=p)
+
+    probs = cached_property(lambda self: _frozen(self.values))
 
     def prob(self, alpha: int, beta: int) -> float:
-        return float(self.probs[outcome_index(alpha), outcome_index(beta)])
+        return self.values[outcome_index(alpha)][outcome_index(beta)]
 
     def correlator(self) -> float:
         """E = sum over outcomes of alpha * beta * P(alpha, beta)."""
-        return float(correlators(self.probs))
+        return correlation(self.values)
 
-    def marginal(self, party: Party | str) -> np.ndarray:
-        """(P(+), P(-)) for one party, the other summed out."""
+    def marginal(self, party: Party | str):
+        """(P(+), P(-)) for one party, the other summed out, as an array."""
         axis = 1 if Party(party) is Party.A else 0
         return self.probs.sum(axis=axis)
 
@@ -263,7 +288,7 @@ def joint_distribution(
         raise ValueError("setting `b` must be tagged for party B")
 
     first, second = (a, b) if order is Chronology.AB else (b, a)
-    probs = np.zeros((2, 2))  # [first outcome, second outcome]
+    probs = [[0.0, 0.0], [0.0, 0.0]]  # [first outcome][second outcome]
     for i, first_outcome in enumerate(OUTCOMES):
         p_first = born_marginal(state, first, first_outcome)
         # skip branches collapse would reject as numerically impossible; the
@@ -273,8 +298,8 @@ def joint_distribution(
             continue
         post = collapse(state, first, first_outcome)
         for j, second_outcome in enumerate(OUTCOMES):
-            probs[i, j] = p_first * born_marginal(post, second, second_outcome)
-    return JointDistribution(probs if order is Chronology.AB else probs.T)
+            probs[i][j] = p_first * born_marginal(post, second, second_outcome)
+    return JointDistribution(probs if order is Chronology.AB else list(zip(*probs)))
 
 
 def chsh_value(
@@ -285,63 +310,61 @@ def chsh_value(
     b2: BlochSetting,
 ) -> float:
     """E(a,b) + E(a,b2) + E(a2,b) - E(a2,b2); at most 2 for any local model."""
-    e = correlators(exact_table(state, (a, a2), (b, b2)).cells)
-    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+    e = [[correlation(t) for t in row] for row in exact_table(state, (a, a2), (b, b2)).values]
+    return e[0][0] + e[0][1] + e[1][0] - e[1][1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class CorrelationTable:
     """Joint distributions over a grid of setting pairs.
 
-    `cells[i, j]` is the (2, 2) outcome table for A-setting i and B-setting j.
-    Empirical tables carry per-cell standard errors and the trial count;
-    exact tables leave both as None.
+    `values[i][j]` (as an array, `cells[i, j]`) is the (2, 2) outcome table for
+    A-setting i and B-setting j. Empirical tables carry per-cell standard errors
+    (an array) and the trial count; exact tables leave both as None.
     """
 
     settings_a: tuple[BlochSetting, ...]
     settings_b: tuple[BlochSetting, ...]
-    cells: np.ndarray
-    stderr: np.ndarray | None = None
+    values: tuple
+    stderr: object = None
     trials: int | None = None
 
-    def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=float)
-        expected = (len(self.settings_a), len(self.settings_b), 2, 2)
-        if cells.shape != expected:
-            raise ValueError(f"cells must have shape {expected}, got {cells.shape}")
-        sums = cells.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+    def __init__(self, settings_a, settings_b, cells, stderr=None, trials=None) -> None:
+        settings_a, settings_b = tuple(settings_a), tuple(settings_b)
+        expected = (len(settings_a), len(settings_b), 2, 2)
+        values = _nested(cells, expected, "cells")
+        if any(abs(_cell_sum(t) - 1.0) > 1e-9 for row in values for t in row):
             raise ValueError("each setting pair's probabilities must sum to 1")
-        object.__setattr__(self, "settings_a", tuple(self.settings_a))
-        object.__setattr__(self, "settings_b", tuple(self.settings_b))
-        object.__setattr__(self, "cells", _readonly(cells))
-        if self.stderr is not None:
-            err = np.asarray(self.stderr, dtype=float)
-            if err.shape != expected:
+        if stderr is not None:
+            stderr = _frozen(stderr)
+            if stderr.shape != expected:
                 raise ValueError("stderr must match cells' shape")
-            object.__setattr__(self, "stderr", _readonly(err))
+        vars(self).update(settings_a=settings_a, settings_b=settings_b, values=values)
+        vars(self).update(stderr=stderr, trials=trials)
+
+    cells = cached_property(lambda self: _frozen(self.values).reshape(*self.shape, 2, 2))
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.settings_a), len(self.settings_b)
 
     def correlator(self, i: int, j: int) -> float:
-        return float(correlators(self.cells[i, j]))
+        return correlation(self.values[i][j])
 
     def no_signaling_defect(self) -> float:
         """Largest variation of one party's marginal across the other's settings."""
-        return signaling_defect(self.cells)
+        return signaling_defect(self.values)
 
     def max_abs_diff(self, other: "CorrelationTable") -> float:
-        if self.cells.shape != other.cells.shape:
+        if self.shape != other.shape:
             raise ValueError("tables cover different setting grids")
-        return float(np.max(np.abs(self.cells - other.cells)))
+        return float(abs(self.cells - other.cells).max())
 
-    def total_variation(self, other: "CorrelationTable") -> np.ndarray:
-        """Per setting pair: half the L1 distance between outcome tables."""
-        if self.cells.shape != other.cells.shape:
+    def total_variation(self, other: "CorrelationTable"):
+        """Per setting pair: half the L1 distance between outcome tables, as an array."""
+        if self.shape != other.shape:
             raise ValueError("tables cover different setting grids")
-        return 0.5 * np.abs(self.cells - other.cells).sum(axis=(2, 3))
+        return 0.5 * abs(self.cells - other.cells).sum(axis=(2, 3))
 
 
 def exact_table(
@@ -351,11 +374,7 @@ def exact_table(
     ordering: Chronology | str = Chronology.AB,
 ) -> CorrelationTable:
     """Exact joint distributions for every setting pair, computed sequentially."""
-    ordering = Chronology(ordering)
-    settings_a = tuple(settings_a)
-    settings_b = tuple(settings_b)
-    cells = np.zeros((len(settings_a), len(settings_b), 2, 2))
-    for i, a in enumerate(settings_a):
-        for j, b in enumerate(settings_b):
-            cells[i, j] = joint_distribution(state, a, b, ordering).probs
+    ordering, settings_a, settings_b = Chronology(ordering), tuple(settings_a), tuple(settings_b)
+    cells = [[joint_distribution(state, a, b, ordering).values for b in settings_b]
+             for a in settings_a]
     return CorrelationTable(settings_a, settings_b, cells)

@@ -124,6 +124,16 @@ class TestChsh:
         else:
             assert "chsh --tol must be below 1" in err
 
+    @pytest.mark.parametrize("command", ["chsh", "covariance"])
+    @pytest.mark.parametrize(
+        "token", ["inf", "-inf", "nan", "1e400", "inf:0:1", "0:-inf:1", "0:0:nan", "0:1e400:1"]
+    )
+    def test_non_finite_direction_rejected_before_any_work(self, capsys, no_work, command, token):
+        angles = f"{token},90,45,135" if command == "chsh" else f"0/{token}"
+        code, stdout, err = run_cli(capsys, command, f"--angles={angles}")
+        assert code == 2 and stdout == ""
+        assert err == f"error: direction {token!r} must be finite\n"
+
     def test_tolerance_just_below_1_works(self, capsys):
         # 2*sqrt(2) lies within 2 + 0.99, so both oracles call the singlet local
         code, report, _ = run_json(capsys, "chsh", "--tol", "0.99")
@@ -553,16 +563,21 @@ class TestOut:
     )
     def test_bad_out_rejected_before_any_work(self, capsys, tmp_path, no_work, command, bad):
         out = tmp_path / "out"
+        refused = "not a regular file this process may write"
         if bad == "missing directory":
             out = tmp_path / "missing" / "out"
+            message = f"[Errno 2] No such file or directory: '{out}'"  # never the staged sibling
         elif bad == "directory":
             out.mkdir()
+            message = f"cannot replace {out}: {refused}"
         else:
             out.write_text("a user's report")
             (tmp_path / "out.csv").mkdir()
+            message = f"cannot replace {out}.csv: {refused}"
         before = tree(tmp_path)
-        code, stdout, _ = run_cli(capsys, *OUT_ARGVS[command], "--out", str(out))
+        code, stdout, stderr = run_cli(capsys, *OUT_ARGVS[command], "--out", str(out))
         assert code == 2 and stdout == ""
+        assert stderr == f"error: {message}\n"
         assert tree(tmp_path) == before
 
     def test_fifo_out_rejected_before_any_work(self, tmp_path):
@@ -620,6 +635,36 @@ GOLDEN_LONG_LAMBDA_FILE = "98c6043e884fd9f683389c9d6611bfcd9539990f1c382aefa416b
 GOLDEN_MULTI_CHUNK_FLASH_ARGV = ("flash", "--seed", "1", "--runs", "1300")
 GOLDEN_MULTI_CHUNK_HISTORY = "92d6befc73c97f1e47e76273857289778c835afdc99eefce01c56f45ce11c090"
 GOLDEN_MULTI_CHUNK_STDOUT = "53cba54951bb912efd26da1f6adaac598c5be1aba86902efaab66f31cfbb06cc"
+# recorded while the exact layer, the facet check and the simplex still ran on numpy
+# arrays: the two states whose |S| - 2 lies within rounding of --tol (their LP verdict
+# rests on the last bits of the phase-1 residual), a product state, complex amplitudes
+# with an x:y:z direction, and three random complex states with random angles, made as
+# `benchmark/workloads.py:_random_chsh_inputs(20261019, 3)` makes them
+GOLDEN_STDOUT.update({
+    ("chsh", "--state", "0,0.9772869898252907,-0.2119201253260814,0"):
+        "c3ce41fd72d34b6a7e51865f1100b38adc3cd0c0d944c244a2912dd4890f0d7b",
+    ("chsh", "--state", "0,0.9772869487069313,-0.21192031494666996,0", "--tol", "1e-6"):
+        "b86088095c274524bb3bfd1b4bc3f701e896cedc7b360262380c007af2a4e096",
+    ("chsh", "--state", "product00"):
+        "480a1b67251ccaa7eeb02d29baa2fdbd5a75e974f3f1094df86594ff6c47f748",
+    ("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles", "0,0.3:0.4:0.866,45,135"):
+        "10d60b2ba1befa3f2e92c35bf866101eea3d4e606e90752ea02b705332390fd9",
+    ("chsh", "--state",
+     "(0.033625252022969565-0.24938395894936463j),(-0.5818008339280172-0.46597823887225404j),"
+     "(0.22425988320465437-0.29497145001584607j),(0.3521601426222038+0.3460225952047105j)",
+     "--angles", "141.75746117574664,71.49661254544762,88.51857463511783,25.845179840407457"):
+        "943fb2ed93cf651627bbd48e81b9fdb413952bdc92735193e6fcf43ebffdc7ca",
+    ("chsh", "--state",
+     "(-0.0034801276235110518+0.5182502220896203j),(0.4695626787133331-0.29537018809167676j),"
+     "(-0.16393500554888374+0.16618460078470268j),(0.4811170868279293-0.37108796792937476j)",
+     "--angles", "43.200700286363215,82.19481113823348,101.36133182131292,3.516026542094415"):
+        "dea24c18fe8ccfec15b0b7a422dd5dca3b28f8083bc0cd24a63a96946920521a",
+    ("chsh", "--state",
+     "(-0.1690291342176227+0.006308192160134411j),(-0.8000326593241721+0.4692951570470935j),"
+     "(0.22005057000808684+0.06302917495813964j),(-0.1007356187879539-0.22035553756320478j)",
+     "--angles", "68.28200723177017,52.46604633741214,10.814029949043586,56.937520794879326"):
+        "815a05190fd2c20a3f99660fc3631b501042733aba85787901e3b1e8fbd4ce6b",
+})
 
 
 def sha256(data: bytes) -> str:

@@ -21,8 +21,7 @@ from numpy.testing import assert_allclose
 
 import chronobell as cb
 from chronobell import lambdafile
-from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, flash_block
-from chronobell.quantum import _normalize
+from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, _normalize, flash_block
 
 
 def fix_global_phase(amps):

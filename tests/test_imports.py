@@ -48,18 +48,23 @@ loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("chronob
 sys.stderr.write(json.dumps([code, loaded, "hashlib" in sys.modules, "numpy" in sys.modules]))
 """
 
-# chronobell modules each subcommand loads besides `cli`, and whether it loads hashlib.
-# `covariance` reads a file: a --seed run imports numpy.random, which itself imports hashlib
+EXACT = ["errors", "localpolytope", "quantum", "reporting", "simplex"]
+
+# per case: the argv, the chronobell modules it loads besides `cli`, and whether it loads
+# hashlib and numpy. `covariance` reads a file: a --seed run imports numpy.random, which
+# itself imports hashlib. `chsh` is plain float arithmetic, whatever its state or --out
 LOADED = {
-    ("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"):
-        (["errors", "lambdafile", "reporting"], True),
-    ("chsh",): (["errors", "localpolytope", "quantum", "reporting", "simplex"], False),
-    ("nogo", "--alphabet-size", "1"):
-        (["errors", "localpolytope", "quantum", "reporting", "simplex"], False),
-    ("covariance", "--trials", "10", "--lambda-file", "lambda.bin"):
-        (["chronology", "errors", "lambdafile", "quantum", "reporting"], False),
-    ("flash", "--runs", "2", "--seed", "1"):
-        (["errors", "flash", "lambdafile", "quantum", "reporting"], True),
+    "gen-lambda": (("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"),
+                   ["errors", "lambdafile", "reporting"], True, True),
+    "chsh": (("chsh",), EXACT, False, False),
+    "chsh-out": (("chsh", "--out", "report.json"), EXACT, False, False),
+    "chsh-complex-state": (("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles",
+                            "0,0.3:0.4:0.866,45,135"), EXACT, False, False),
+    "nogo": (("nogo", "--alphabet-size", "1"), EXACT, False, True),
+    "covariance": (("covariance", "--trials", "10", "--lambda-file", "lambda.bin"),
+                   ["chronology", "errors", "lambdafile", "quantum", "reporting"], False, True),
+    "flash": (("flash", "--runs", "2", "--seed", "1"),
+              ["errors", "flash", "lambdafile", "quantum", "reporting"], True, True),
 }
 
 
@@ -80,15 +85,16 @@ def test_import_loads_no_submodule_and_no_numpy(tmp_path):
     assert json.loads(proc.stdout) == ["chronobell"]
 
 
-@pytest.mark.parametrize("argv", list(LOADED), ids=[argv[0] for argv in LOADED])
-def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv):
+@pytest.mark.parametrize("case", list(LOADED))
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
     cb.generate_lambda_file(seed=1, count=10 * 64).save(tmp_path / "lambda.bin")
+    argv, modules, uses_hashlib, uses_numpy = LOADED[case]
     proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
-    code, loaded, hashlib_loaded, _ = json.loads(proc.stderr.splitlines()[-1])
-    modules, uses_hashlib = LOADED[argv]
+    code, loaded, hashlib_loaded, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0
     assert [m for m in loaded if m not in ("__main__", "cli")] == modules
     assert hashlib_loaded is uses_hashlib
+    assert numpy_loaded is uses_numpy
 
 
 @pytest.mark.parametrize(

@@ -114,7 +114,8 @@ def oracle_multiset_search(alphabet_size, target, tol):
     module at call time, so a test that patches them patches both searches.
     """
     vertices = localpolytope._vertex_models()
-    vertex_counts = localpolytope._vertex_matrix().T.reshape(16, 2, 2, 2, 2).astype(np.int64)
+    vertex_matrix = np.asarray(localpolytope._vertex_matrix())
+    vertex_counts = vertex_matrix.T.reshape(16, 2, 2, 2, 2).astype(np.int64)
     picks = np.array(list(itertools.combinations_with_replacement(range(16), alphabet_size)))
     counts = vertex_counts[picks].sum(axis=1)  # [pick, a, b, alpha_idx, beta_idx]
     distances = np.max(np.abs(counts / alphabet_size - target.probs), axis=(1, 2, 3, 4))

@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
+from chronobell import flash, localpolytope, quantum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -354,3 +355,56 @@ class TestCorrelationTable:
         two = cb.exact_table(singlet, [A(0), A(90)], [B(0)])
         with pytest.raises(ValueError):
             one.max_abs_diff(two)
+
+
+# finite floats of every scale, exact zeros of both signs among them
+ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1.0, 1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # both versions overflow alike
+class TestFloatKernel:
+    """The sums the plain-float kernel writes out are numpy's .sum() of the same values, bit
+    for bit (signed zeros included), and its normalization is the grid kernel's on 4 entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(ANY_FLOAT, min_size=8, max_size=8))
+    def test_squared_norm(self, parts):
+        re, im = np.array(parts[:4]), np.array(parts[4:])
+        assert bits(quantum._squared_norm(parts[:4], parts[4:])) == bits((re**2 + im**2).sum())
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(ANY_FLOAT, min_size=4, max_size=4))
+    @example(entries=[-0.0] * 4)  # numpy's sum starts from +0.0
+    def test_cell_sum(self, entries):
+        table = (tuple(entries[:2]), tuple(entries[2:]))
+        assert bits(quantum._cell_sum(table)) == bits(np.array(table).sum())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        signs=st.sampled_from(localpolytope.chsh_sign_patterns()),
+        entries=st.lists(ANY_FLOAT, min_size=4, max_size=4),
+    )
+    def test_facet_sum(self, signs, entries):
+        corr = (tuple(entries[:2]), tuple(entries[2:]))
+        expected = np.sum(np.array(signs) * np.array(corr))
+        assert bits(localpolytope._facet_sum(signs, corr)) == bits(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    def test_normalize(self, parts):
+        re, im = parts[:4], parts[4:]
+        weight = quantum._squared_norm(re, im)
+        assume(weight > 1e-24)
+        ours = quantum._normalize(re, im, weight)
+        grid = flash._normalize(np.array(re), np.array(im), weight)
+        assert [(bits(z.real), bits(z.imag)) for z in ours] == [
+            (bits(z.real), bits(z.imag)) for z in grid.tolist()
+        ]

@@ -1,10 +1,16 @@
-"""Feasibility-simplex tests, cross-checked against scipy's linprog."""
+"""Feasibility-simplex tests, cross-checked against scipy's linprog and the numpy tableau."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chronobell.simplex import solve_feasibility
+import chronobell as cb
+from chronobell import cli, localpolytope
+from chronobell.simplex import _column_sums, _pairwise_sum, solve_feasibility
 
 
 def scipy_feasible(A, b):
@@ -27,7 +33,7 @@ class TestBasics:
         b = np.array([-2.0, 3.0])
         x = solve_feasibility(A, b)
         np.testing.assert_allclose(A @ x, b, atol=1e-9)
-        assert np.all(x >= -1e-12)
+        assert np.all(np.asarray(x) >= -1e-12)
 
     def test_inconsistent_system(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -64,7 +70,7 @@ class TestConvexGeometry:
         weights = solve_feasibility(A, b)
         assert weights is not None
         np.testing.assert_allclose(vertices @ weights, [0.25, 0.75], atol=1e-9)
-        assert abs(weights.sum() - 1.0) <= 1e-9
+        assert abs(np.asarray(weights).sum() - 1.0) <= 1e-9
 
     def test_point_outside_square_hull(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]).T
@@ -83,7 +89,7 @@ class TestAgainstScipy:
             x = solve_feasibility(A, b)
             assert x is not None
             np.testing.assert_allclose(A @ x, b, atol=1e-8)
-            assert np.all(x >= -1e-9)
+            assert np.all(np.asarray(x) >= -1e-9)
 
     def test_random_systems_agree_with_scipy(self, rng):
         agree = 0
@@ -96,3 +102,142 @@ class TestAgainstScipy:
             assert ours == theirs
             agree += 1
         assert agree == 60
+
+
+@np.errstate(all="ignore")  # tiny pivots may overflow, in both versions alike
+def numpy_tableau(A, b, tol):
+    """The numpy tableau loop `solve_feasibility` ran before it moved to plain floats.
+
+    Kept as the reference oracle, verbatim but for its return value: (x, residual),
+    with x before the residual test.
+    """
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    m, n = A.shape
+    negative = b < 0.0
+    A[negative] *= -1.0
+    b[negative] *= -1.0
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = A
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[m, :n] = -A.sum(axis=0)
+    tableau[m, -1] = -b.sum()
+    basis = list(range(n, n + m))
+    while True:
+        entering = next((j for j in range(n + m) if tableau[m, j] < -tol), -1)
+        if entering < 0:
+            break
+        leaving, best_ratio = -1, np.inf
+        for i in range(m):
+            coef = tableau[i, entering]
+            if coef > tol:
+                ratio = tableau[i, -1] / coef
+                if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leaving]):
+                    best_ratio, leaving = ratio, i
+        if leaving < 0:
+            raise ArithmeticError("phase-1 simplex reported an unbounded direction")
+        tableau[leaving] /= tableau[leaving, entering]
+        for i in range(m + 1):
+            if i != leaving and tableau[i, entering] != 0.0:
+                tableau[i] -= tableau[i, entering] * tableau[leaving]
+        basis[leaving] = entering
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = max(tableau[i, -1], 0.0)
+    return x, float(-tableau[m, -1])
+
+
+def assert_same_solve(A, b, tol, residual_tol):
+    """Same verdict, weights and residual bits as the numpy tableau, or the same error."""
+    try:
+        x, residual = numpy_tableau(A, b, tol)
+    except ArithmeticError as exc:  # rounding at tol = 0 can leave no leaving row
+        with pytest.raises(ArithmeticError, match=str(exc)):
+            solve_feasibility(A, b, tol, residual_tol=residual_tol)
+        return
+    ours = solve_feasibility(A, b, tol, residual_tol=residual_tol)
+    assert (ours is None) == (residual > residual_tol)
+    if ours is not None:
+        assert [w.hex() for w in ours] == [w.hex() for w in x.tolist()]
+    if math.isnan(residual):  # pivots overflowed: no threshold refuses a NaN residual
+        assert solve_feasibility(A, b, tol, residual_tol=-math.inf) is not None
+        return
+    # the residual itself: feasible at exactly its value, infeasible one ulp below it
+    assert solve_feasibility(A, b, tol, residual_tol=residual) is not None
+    assert solve_feasibility(A, b, tol, residual_tol=math.nextafter(residual, -math.inf)) is None
+
+
+# entries with ties, exact zeros of both signs and rounding in the pivots
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-10.0, 10.0).map(lambda v: round(v, 2)),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def systems(draw):
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    A = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m))
+    return A, draw(st.lists(ENTRIES, min_size=m, max_size=m))
+
+
+@st.composite
+def membership_lps(draw):
+    """The membership LP of a random quantum behavior, mixed toward uniform, or a boundary one."""
+    kind = draw(st.sampled_from(["random", "boundary-1e-9", "boundary-1e-6"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        quantum = cb.quantum_behavior(
+            cb.random_pure_state(rng), *(cb.random_setting(rng, party) for party in "AABB")
+        )
+        visibility = draw(st.floats(0.0, 1.0))
+        behavior = cb.BehaviorVector.from_flat(visibility * quantum.flat + (1 - visibility) * 0.25)
+        tol = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+    else:
+        tol = 1e-9 if kind == "boundary-1e-9" else 1e-6
+        amps = BOUNDARY_STATES[tol]
+        settings = [cb.BlochSetting.from_angle(deg, party) for deg, party in zip(
+            (0, 90, 45, 135), "AABB")]
+        behavior = cb.quantum_behavior(cb.TwoQubitState(amps), *settings)
+    A = [*localpolytope._vertex_matrix(), [1.0] * 16]
+    return A, [*behavior.flat.tolist(), 1.0], max(tol, localpolytope.BOUNDARY_ROUNDING)
+
+
+# states whose CHSH magnitude lies 5e-10 and 5e-7 above 2, normalized as `chsh --state` does
+BOUNDARY_STATES = {
+    1e-9: cli.parse_state("0,0.9772869898252907,-0.2119201253260814,0").amplitudes,
+    1e-6: cli.parse_state("0,0.9772869487069313,-0.21192031494666996,0").amplitudes,
+}
+
+
+class TestAgainstTheNumpyTableau:
+    """Bit for bit: the boundary verdicts rest on the last bits of the phase-1 residual."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=systems(), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+    def test_random_systems(self, system, tol):
+        A, b = system
+        assert_same_solve(A, b, tol, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lp=membership_lps())
+    def test_membership_lps(self, lp):
+        A, b, floor = lp
+        assert_same_solve(A, b, floor, localpolytope.RESIDUAL_PER_VIOLATION * floor)
+
+
+class TestNumpySummation:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(ENTRIES, max_size=300))
+    def test_vector_sum(self, values):
+        assert (0.0 + _pairwise_sum(values)).hex() == float(np.array(values).sum()).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 40), n=st.integers(1, 4))
+    def test_column_sums(self, data, m, n):
+        A = data.draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m))
+        expected = [v.hex() for v in np.array(A).sum(axis=0).tolist()]
+        assert [v.hex() for v in _column_sums(A)] == expected
