@@ -305,7 +305,7 @@ def cmd_nogo(args, out) -> int:
         },
         "results": {
             "search": result.to_dict(),
-            "target": {"probabilities": target.probs.tolist(), **verdict},
+            "target": {"probabilities": target.values, **verdict},
         },
     }
     _emit(out, report)

@@ -14,9 +14,9 @@ Membership in the local polytope is decided by two independent routes that
 must agree: a dense phase-1 simplex over the 16 vertices, and the 8 CHSH
 facet inequalities, which together with positivity are complete for this
 scenario. The exhaustive search covers every uniform-weight quadruple at
-alphabet sizes 1..8 by evaluating each multiset of L vertices once, in
-fixed-size chunks, so its memory is flat in L; it illustrates concretely
-what the facet bound proves for arbitrary finite mixtures.
+alphabet sizes 1..8, as multisets of L vertices, by an exact branch and
+bound that skips only subtrees no nearer than the best multiset so far; it
+illustrates concretely what the facet bound proves for arbitrary mixtures.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .errors import NotReducibleError, SearchSpaceError
@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 N_SETTINGS = 2
 N_OUTCOMES = 2
 MAX_SEARCH_ALPHABET = 8
-SEARCH_CHUNK = 1024  # vertex multisets evaluated per step of the no-go search
 BOUNDARY_ROUNDING = 1e-12  # |S| - 2 this close to tol is rounding: the oracles may differ
 
 _ENTRY_FLOOR = -1e-12
@@ -103,9 +102,7 @@ class LocalModel:
     @classmethod
     def random(cls, rng, alphabet_size: int) -> "LocalModel":
         shape = (N_SETTINGS, alphabet_size)
-        return cls.uniform(
-            rng.choice([1, -1], size=shape), rng.choice([1, -1], size=shape)
-        )
+        return cls.uniform(rng.choice([1, -1], size=shape), rng.choice([1, -1], size=shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +160,10 @@ class BehaviorVector:
 
     def __init__(self, probs) -> None:
         p = _nested(probs, (N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES), "behavior")
-        if any(x < _ENTRY_FLOOR for row in p for t in row for pair in t for x in pair):
+        # `not ... >=` and `not ... <=` refuse NaN and the infinities too
+        if any(not x >= _ENTRY_FLOOR for row in p for t in row for pair in t for x in pair):
             raise ValueError("behavior entries must be nonnegative (within 1e-12)")
-        if any(abs(_cell_sum(t) - 1.0) > _BLOCK_TOL for row in p for t in row):
+        if any(not abs(_cell_sum(t) - 1.0) <= _BLOCK_TOL for row in p for t in row):
             raise ValueError("each conditional block must sum to 1")
         vars(self).update(values=p)
         defect = self.no_signaling_defect()
@@ -232,14 +230,12 @@ def check_covariance_constraints(q: StrategyQuadruple) -> ConstraintReport:
     for a, b, lam in itertools.product(
         range(N_SETTINGS), range(N_SETTINGS), range(q.alphabet_size)
     ):
-        lhs = int(q.first_ab[a, lam])
-        rhs = int(q.second_ba[b, a, lam])
-        if lhs != rhs:
-            violations.append(ConstraintViolation("alpha_consistency", a, b, lam, lhs, rhs))
-        lhs = int(q.second_ab[a, b, lam])
-        rhs = int(q.first_ba[b, lam])
-        if lhs != rhs:
-            violations.append(ConstraintViolation("beta_consistency", a, b, lam, lhs, rhs))
+        for equation, lhs, rhs in (
+            ("alpha_consistency", q.first_ab[a, lam], q.second_ba[b, a, lam]),
+            ("beta_consistency", q.second_ab[a, b, lam], q.first_ba[b, lam]),
+        ):
+            if lhs != rhs:
+                violations.append(ConstraintViolation(equation, a, b, lam, int(lhs), int(rhs)))
     return ConstraintReport(not violations, tuple(violations))
 
 
@@ -305,14 +301,15 @@ def quantum_behavior(
 _VERTICES = tuple(itertools.product(OUTCOMES, repeat=2 * N_SETTINGS))
 
 
-@functools.cache
-def _vertex_models() -> tuple[LocalModel, ...]:
-    return tuple(LocalModel.uniform([[f] for f in v[:2]], [[g] for g in v[2:]]) for v in _VERTICES)
+def _quadruple(picks) -> StrategyQuadruple:
+    """The uniform consistent quadruple whose lambda value i answers as vertex `picks[i]`."""
+    rows = list(zip(*(_VERTICES[v] for v in picks)))  # f(a0), f(a1), g(b0), g(b1)
+    return StrategyQuadruple.from_local(LocalModel.uniform(rows[:2], rows[2:]))
 
 
 def enumerate_deterministic_strategies() -> list[BehaviorVector]:
     """The 16 deterministic behaviors: every (f: a->outcome) x (g: b->outcome)."""
-    return [behavior_of(m) for m in _vertex_models()]
+    return [behavior_of(_quadruple([v]), Chronology.AB) for v in range(len(_VERTICES))]
 
 
 @functools.cache
@@ -396,66 +393,73 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """The no-go search's verdict; `vertices` are the closest multiset's vertex indices."""
+
     found: bool
-    best: StrategyQuadruple
+    vertices: tuple[int, ...]
     best_distance: float
     max_chsh: float
     alphabet_size: int
     tolerance: float
     n_candidates: int
 
+    best = functools.cached_property(lambda self: _quadruple(self.vertices))
+
     def to_dict(self) -> dict:
-        """Every field but the quadruple itself."""
-        return {key: value for key, value in vars(self).items() if key != "best"}
+        """Every field but the chosen vertices."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "vertices"}
 
 
-def exhaustive_nogo_search(
-    alphabet_size: int, target: BehaviorVector, tol: float
-) -> SearchResult:
+def exhaustive_nogo_search(alphabet_size: int, target: BehaviorVector, tol: float) -> SearchResult:
     """Search every uniform-weight ordering-consistent quadruple.
 
     Consistency leaves only the two first-responder tables free, so the space
     covered is all (4**L)^2 table pairs. Each lambda column of a pair is one
     of the 16 deterministic vertices, and a uniform mixture ignores column
-    order, so only the C(L+15, 15) multisets of L vertices are evaluated
+    order, so the candidates are the C(L+15, 15) multisets of L vertices
     (Fine's vertex description of the local polytope). Returns the closest
-    behavior's distance to `target` (max absolute entrywise difference) and
-    the largest CHSH facet value met anywhere in the search; the latter equals
-    the local bound 2 exactly, because correlators are integer sums divided by
-    L once. Multisets come `SEARCH_CHUNK` at a time in lexicographic order and
-    ties keep the first, so memory is flat in L.
+    behavior's distance to `target` (max absolute entrywise difference), found
+    by a branch and bound in lexicographic order. Correctly rounded `c / L - t`
+    is monotone in the count c, so its bounds are exact: the result has every
+    bit of checking all multisets in order, the first minimum kept. A
+    mixture's integer CHSH sum is the sum of its members', so the largest
+    CHSH value is a vertex's: exactly the local bound 2.
     """
     if not 1 <= alphabet_size <= MAX_SEARCH_ALPHABET:
         raise SearchSpaceError(
             f"alphabet size must be in 1..{MAX_SEARCH_ALPHABET}, got {alphabet_size}"
         )
-    import numpy as np
+    size, n_vertices = alphabet_size, len(_VERTICES)
+    t = [x for row in target.values for table in row for pair in table for x in pair]
+    rows = _vertex_matrix()
+    grows = [[any(row[v:]) for row in rows] for v in range(n_vertices)]  # a vertex >= v sets k
+    best_distance, best_pick = math.inf, ()
 
-    vertices = _vertex_models()
-    vertex_counts = np.array(_vertex_matrix(), dtype=np.int64).T.reshape(len(vertices), 2, 2, 2, 2)
-    multisets = itertools.combinations_with_replacement(range(len(vertices)), alphabet_size)
-    row = np.dtype((np.int64, alphabet_size))
-    best_distance, best_pick, max_corr_int = np.inf, None, 0
-    while len(picks := np.fromiter(itertools.islice(multisets, SEARCH_CHUNK), dtype=row)):
-        counts = vertex_counts[picks].sum(axis=1)  # [pick, a, b, alpha_idx, beta_idx]
-        distances = np.max(np.abs(counts / alphabet_size - target.probs), axis=(1, 2, 3, 4))
-        i = int(np.argmin(distances))
-        # a strict < keeps the first minimum, as argmin does; None admits a NaN target
-        if best_pick is None or distances[i] < best_distance:
-            best_distance, best_pick = distances[i], picks[i]
-        corr = counts[..., 0, 0] - counts[..., 0, 1] - counts[..., 1, 0] + counts[..., 1, 1]
-        chunk_max = int(np.abs(np.einsum("sab,nab->ns", _CHSH_PATTERNS, corr)).max())
-        max_corr_int = max(max_corr_int, chunk_max)
+    def walk(pick: tuple, counts: list, first: int) -> None:
+        """Visit the multisets that extend `pick` by vertices >= `first`, in order."""
+        nonlocal best_distance, best_pick
+        left = size - len(pick)
+        # entry k ends in [c_k, c_k + left] if grows[first][k], else at c_k; at a leaf
+        # (left = 0) the distance to that box is the leaf's own distance, bit for bit
+        near = max(max(c / size - x, x - (c + left * g) / size)
+                   for c, x, g in zip(counts, t, grows[first]))
+        if near >= best_distance:
+            return
+        if not left:
+            best_distance, best_pick = near, pick
+            return
+        walk(pick + (first,), [c + row[first] for c, row in zip(counts, rows)], first)
+        if first + 1 < n_vertices:
+            walk(pick, counts, first + 1)
 
-    chosen = [vertices[v] for v in best_pick]
-    best_model = LocalModel.uniform(
-        np.hstack([m.responses_a for m in chosen]), np.hstack([m.responses_b for m in chosen])
-    )
+    walk((), [0] * len(t), 0)
+    corners = ([[v[a] * v[2 + b] for b in range(2)] for a in range(2)] for v in _VERTICES)
+    max_chsh = max(abs(_facet_sum(s, corr)) for corr in corners for s in _CHSH_PATTERNS)
     return SearchResult(
-        found=bool(best_distance <= tol),
-        best=StrategyQuadruple.from_local(best_model),
-        best_distance=float(best_distance),
-        max_chsh=max_corr_int / alphabet_size,
+        found=best_distance <= tol,
+        vertices=best_pick,
+        best_distance=best_distance,
+        max_chsh=float(max_chsh),
         alphabet_size=alphabet_size,
         tolerance=tol,
         n_candidates=16**alphabet_size,

@@ -48,11 +48,7 @@ def _column_sums(rows: list[list[float]]) -> list[float]:
 
 
 def solve_feasibility(
-    A,
-    b,
-    tol: float = 1e-9,
-    *,
-    residual_tol: float | None = None,
+    A, b, tol: float = 1e-9, *, residual_tol: float | None = None
 ) -> list[float] | None:
     """Find x >= 0 with A x = b, or None if no such x exists (within tol).
 
@@ -61,7 +57,7 @@ def solve_feasibility(
     at most `residual_tol` (default `tol`, which also bounds the pivots).
     Entering variable: smallest index with a negative reduced cost.
     Leaving variable: among minimal-ratio rows, the one whose basic variable
-    has the smallest index (Bland).
+    has the smallest index (Bland), if any: else phase 1 ends as at optimality.
     """
     rows, rhs = [[float(x) for x in row] for row in A], [float(x) for x in b]
     m, n = len(rhs), len(rows[0]) if rows else 0
@@ -89,9 +85,8 @@ def solve_feasibility(
                 ratio = tableau[i][-1] / coef
                 if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leaving]):
                     best_ratio, leaving = ratio, i
-        if leaving < 0:
-            # the phase-1 objective is bounded below by 0: only rounding at tol = 0 gets here
-            raise ArithmeticError("phase-1 simplex reported an unbounded direction")
+        if leaving < 0:  # the phase-1 objective is bounded below by 0: as optimal, judge it
+            break
         divisor = tableau[leaving][entering]
         pivot = tableau[leaving] = [x / divisor for x in tableau[leaving]]
         for i, row in enumerate(tableau):
@@ -102,7 +97,7 @@ def solve_feasibility(
         raise ArithmeticError(f"simplex did not converge in {MAX_PIVOTS} pivots")
 
     residual = -tableau[m][-1]  # value of sum-of-artificials at the optimum
-    if residual > (tol if residual_tol is None else residual_tol):
+    if not residual <= (tol if residual_tol is None else residual_tol):  # NaN too
         return None
     x = [0.0] * n
     for i, var in enumerate(basis):

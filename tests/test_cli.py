@@ -896,7 +896,7 @@ class TestPeakMemory:
         argv = ("nogo", "--state", "singlet", "--angles", "0,90,45,135", "--alphabet-size")
         small = _peak_rss_mb(*argv, "1")
         large = _peak_rss_mb(*argv, "8")
-        # the 490,314 multisets of L = 8 as whole arrays would add about 580 MB
+        # the search keeps one path of at most 8 vertices, never the 490,314 multisets of L = 8
         assert large - small < 5.0
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")

@@ -52,7 +52,8 @@ EXACT = ["errors", "localpolytope", "quantum", "reporting", "simplex"]
 
 # per case: the argv, the chronobell modules it loads besides `cli`, and whether it loads
 # hashlib and numpy. `covariance` reads a file: a --seed run imports numpy.random, which
-# itself imports hashlib. `chsh` is plain float arithmetic, whatever its state or --out
+# itself imports hashlib. `chsh` and `nogo` are plain float arithmetic, whatever their
+# state, alphabet size or --out
 LOADED = {
     "gen-lambda": (("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"),
                    ["errors", "lambdafile", "reporting"], True, True),
@@ -60,7 +61,8 @@ LOADED = {
     "chsh-out": (("chsh", "--out", "report.json"), EXACT, False, False),
     "chsh-complex-state": (("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles",
                             "0,0.3:0.4:0.866,45,135"), EXACT, False, False),
-    "nogo": (("nogo", "--alphabet-size", "1"), EXACT, False, True),
+    "nogo": (("nogo", "--alphabet-size", "1"), EXACT, False, False),
+    "nogo-alphabet-8": (("nogo", "--alphabet-size", "8"), EXACT, False, False),
     "covariance": (("covariance", "--trials", "10", "--lambda-file", "lambda.bin"),
                    ["chronology", "errors", "lambdafile", "quantum", "reporting"], False, True),
     "flash": (("flash", "--runs", "2", "--seed", "1"),

@@ -5,8 +5,8 @@ equations and for behaviors, Monte Carlo sampling for mixture behaviors, and
 the CHSH facet values recomputed from raw correlator arithmetic. The frozen
 best-distance values for the uniform-alphabet search were computed with a
 standalone enumerator before this module was written (alphabet sizes 1..5)
-and with the whole-array multiset search (6..8). The chunked search is pinned
-to that whole-array search, kept here as `oracle_multiset_search`.
+and with the whole-array multiset search (6..8). The branch-and-bound search
+is pinned to that whole-array search, kept here as `oracle_multiset_search`.
 """
 
 import itertools
@@ -110,10 +110,9 @@ def oracle_multiset_search(alphabet_size, target, tol):
     """The vertex-multiset search with every multiset in one array.
 
     `np.argmin` takes the first minimum in lexicographic multiset order, the
-    tie-break the chunked search must keep; the CHSH patterns are read from the
-    module at call time, so a test that patches them patches both searches.
+    tie-break the branch-and-bound search must keep; the CHSH patterns are read
+    from the module at call time, so a test that patches them patches both searches.
     """
-    vertices = localpolytope._vertex_models()
     vertex_matrix = np.asarray(localpolytope._vertex_matrix())
     vertex_counts = vertex_matrix.T.reshape(16, 2, 2, 2, 2).astype(np.int64)
     picks = np.array(list(itertools.combinations_with_replacement(range(16), alphabet_size)))
@@ -125,13 +124,9 @@ def oracle_multiset_search(alphabet_size, target, tol):
     patterns = localpolytope._CHSH_PATTERNS
     max_corr_int = int(np.abs(np.einsum("sab,nab->ns", patterns, corr_int)).max())
 
-    chosen = [vertices[v] for v in picks[best]]
-    best_model = cb.LocalModel.uniform(
-        np.hstack([m.responses_a for m in chosen]), np.hstack([m.responses_b for m in chosen])
-    )
     return cb.SearchResult(
         found=bool(distances[best] <= tol),
-        best=cb.StrategyQuadruple.from_local(best_model),
+        vertices=tuple(int(v) for v in picks[best]),
         best_distance=float(distances[best]),
         max_chsh=max_corr_int / alphabet_size,
         alphabet_size=alphabet_size,
@@ -278,6 +273,16 @@ class TestBehaviorVector:
         probs[0, 0] = [[0.5, 0.5], [0.0, 0.0]]  # P(alpha=+|a0,b0) = 1
         with pytest.raises(ValueError):
             cb.BehaviorVector(probs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", range(16))
+    def test_validation_non_finite(self, entry, bad):
+        flat = np.full(16, 0.25)
+        flat[entry] = bad
+        with pytest.raises(ValueError):
+            cb.BehaviorVector(flat.reshape(2, 2, 2, 2))
+        with pytest.raises(ValueError):
+            cb.BehaviorVector.from_flat(flat)
 
     def test_flat_roundtrip(self):
         behavior = singlet_target()
@@ -543,17 +548,28 @@ class TestExhaustiveSearch:
             cb.exhaustive_nogo_search(0, singlet_target(), tol=1e-6)
 
 
-class TestChunkedSearch:
-    # every pure-vertex multiset reaches |S| = 2 on every CHSH facet, the last
-    # one (15, ..., 15) included, so a running maximum that forgot earlier
-    # chunks would still read 2. Under this non-facet pattern, (a0 - a1)(b0 + b1),
-    # the vertices 12..15 that end the order read 0 and the maximum 4 lies earlier.
-    SKEWED_PATTERNS = (np.array([[1, 1], [-1, -1]]),)
+def assert_same_search(alphabet_size, target, tol):
+    """Bit-identical to the whole-array search: distance, chosen multiset and the rest."""
+    expected = oracle_multiset_search(alphabet_size, target, tol)
+    result = cb.exhaustive_nogo_search(alphabet_size, target, tol)
+    assert result.best_distance.hex() == expected.best_distance.hex()
+    assert result.vertices == expected.vertices
+    assert result.max_chsh == expected.max_chsh
+    assert result.found == expected.found
+    assert result.n_candidates == expected.n_candidates
+    assert result.to_dict() == expected.to_dict()
+
+
+class TestBranchAndBoundSearch:
+    # every pure-vertex multiset reaches |S| = 2 on every CHSH facet, so a maximum
+    # read from any one vertex or pattern would still read 2. Under these non-facet
+    # patterns, a0 b0 + a1 b1 and (a0 - a1)(b0 + b1), the vertices read at most 2
+    # on the first and 0 or 4 on the second.
+    SKEWED_PATTERNS = (np.array([[1, 0], [0, 1]]), np.array([[1, 1], [-1, -1]]))
 
     @settings(max_examples=60, deadline=None)
     @given(
-        alphabet_size=st.integers(1, 5),
-        chunk=st.integers(1, 7),
+        alphabet_size=st.integers(1, 6),
         kind=st.sampled_from(["vertex", "vertex_pair", "quantum"]),
         u=st.integers(0, 15),
         v=st.integers(0, 15),
@@ -561,10 +577,8 @@ class TestChunkedSearch:
         tol=st.sampled_from([0.0, 1e-6, 0.3]),
         skewed=st.booleans(),
     )
-    def test_matches_whole_array_search(
-        self, alphabet_size, chunk, kind, u, v, seed, tol, skewed
-    ):
-        """Bit-identical to the whole-array search, ties across chunk edges included.
+    def test_matches_whole_array_search(self, alphabet_size, kind, u, v, seed, tol, skewed):
+        """Bit-identical to the whole-array search, ties included.
 
         A single vertex and an even mix of two are matched exactly or tie by
         construction: k copies of u and L - k of v sit as far from the mix as
@@ -583,12 +597,22 @@ class TestChunkedSearch:
             tol = 0.0
         patterns = self.SKEWED_PATTERNS if skewed else localpolytope._CHSH_PATTERNS
         with mock.patch.object(localpolytope, "_CHSH_PATTERNS", patterns):
-            expected = oracle_multiset_search(alphabet_size, target, tol)
-            with mock.patch.object(localpolytope, "SEARCH_CHUNK", chunk):
-                result = cb.exhaustive_nogo_search(alphabet_size, target, tol)
-        assert result.best_distance == expected.best_distance
-        assert result.max_chsh == expected.max_chsh
-        assert result.found == expected.found
-        assert result.n_candidates == expected.n_candidates
-        assert np.array_equal(result.best.first_ab, expected.best.first_ab)
-        assert np.array_equal(result.best.first_ba, expected.best.first_ba)
+            assert_same_search(alphabet_size, target, tol)
+
+    @pytest.mark.parametrize("alphabet_size,seed", [(7, 11), (8, 12)])
+    def test_matches_whole_array_search_at_large_alphabets(self, alphabet_size, seed):
+        rng = np.random.default_rng(seed)
+        target = cb.quantum_behavior(
+            cb.random_pure_state(rng), *(cb.random_setting(rng, party) for party in "AABB")
+        )
+        assert_same_search(alphabet_size, target, 1e-6)
+
+    def test_best_is_the_chosen_multiset(self):
+        """Lambda value i of `best` answers as vertex `vertices[i]`, in both time orders."""
+        result = cb.exhaustive_nogo_search(3, singlet_target(), tol=1e-6)
+        q = result.best
+        assert q.alphabet_size == 3
+        assert np.array_equal(q.second_ab, [q.first_ba] * 2)
+        assert np.array_equal(q.second_ba, [q.first_ab] * 2)
+        columns = [tuple(int(x) for x in c) for c in zip(*q.first_ab, *q.first_ba)]
+        assert [localpolytope._VERTICES.index(c) for c in columns] == list(result.vertices)
