@@ -18,7 +18,6 @@ generally do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +33,10 @@ from .quantum import (
     collapse,
     exact_table,
 )
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(Frozen, eq=True):
     """One simulated run: the time order, the outcome pair, and the lambdas used."""
 
     chronology: Chronology
@@ -194,8 +193,7 @@ def estimate_table(
     return covariance_pass(state, settings_a, settings_b, trials, chunks)[0][chronology]
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceReport:
+class CovarianceReport(Frozen):
     """Chronology comparison: exact distribution agreement, realized divergence.
 
     `distribution_max_diff[i, j]` is the largest entrywise gap between the
@@ -214,22 +212,18 @@ class CovarianceReport:
 
     @property
     def max_distribution_diff(self) -> float | None:
-        if self.distribution_max_diff is None:
-            return None
-        return float(self.distribution_max_diff.max())
+        diffs = self.distribution_max_diff
+        return None if diffs is None else float(diffs.max())
 
     @property
     def distribution_pass(self) -> bool | None:
         worst = self.max_distribution_diff
-        if worst is None:
-            return None
-        return worst <= self.tolerance
+        return None if worst is None else worst <= self.tolerance
 
     @property
     def max_divergence(self) -> float | None:
-        if self.divergence_fraction is None:
-            return None
-        return float(self.divergence_fraction.max())
+        fractions = self.divergence_fraction
+        return None if fractions is None else float(fractions.max())
 
     def to_dict(self) -> dict:
         out: dict = {

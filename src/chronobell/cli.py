@@ -12,14 +12,14 @@ locality checks disagreed (internal inconsistency).
 Each subcommand imports the modules it runs inside the function that runs
 it, so `chsh` never loads `flash` or `lambdafile`, and `gen-lambda` never
 loads `quantum`. Building the parser loads none of them, nor numpy, so
-`--help` and usage errors stay cheap.
+`--help` and usage errors stay cheap. The value types' base, `values.Frozen`,
+imports nothing, so a `chsh` process takes about 69 ms, not 83 ms (see README).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import math
 import os
@@ -246,7 +246,8 @@ def cmd_chsh(args, out) -> int:
 
 
 def cmd_covariance(args, out) -> int:
-    from .chronology import Chronology, covariance_pass, distribution_covariance_check
+    from .chronology import Chronology, CovarianceReport, covariance_pass
+    from .chronology import distribution_covariance_check
     from .lambdafile import DEFAULT_BLOCK
 
     state = parse_state(args.state)
@@ -262,7 +263,8 @@ def cmd_covariance(args, out) -> int:
         exact = distribution_covariance_check(state, settings_a, settings_b, args.tol)
         tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
         table = tables[chronology]
-        combined = dataclasses.replace(exact, divergence_fraction=divergence, trials=args.trials)
+        combined = CovarianceReport(exact.settings_a, exact.settings_b, exact.distribution_max_diff,
+                                    divergence, args.trials, exact.tolerance)
         report = {
             "command": "covariance",
             "config": {
@@ -318,19 +320,24 @@ def cmd_flash(args, out) -> int:
     import numpy as np
 
     from . import flash as flash_mod
+    from .lambdafile import CHUNK_ROWS
 
     if not all(0 < value < math.inf for value in (args.rate, args.duration, args.sigma)):
         raise ValueError("--rate, --duration and --sigma must be positive and finite")
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
-    if args.sites > flash_mod.MAX_EXACT_SITES:
-        raise ValueError(
-            f"--sites must be at most {flash_mod.MAX_EXACT_SITES} "
-            f"(the exact ordering check), got {args.sites}"
-        )
-    kernel = flash_mod.make_hit_kernel(args.sites, args.sigma)
+    if not 2 <= args.sites <= flash_mod.MAX_EXACT_SITES:
+        raise ValueError(f"--sites must be in 2..{flash_mod.MAX_EXACT_SITES} "
+                         f"(the exact ordering check), got {args.sites}")
+    try:
+        kernel = flash_mod.make_hit_kernel(args.sites, args.sigma)
+    except ValueError as exc:  # the sites are checked: only the width is left
+        raise ValueError(f"--sigma: {exc}") from None
     psi0 = flash_mod.make_entangled_pair(args.sites, args.sites // 4, (3 * args.sites) // 4)
     block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
+    if (chunk := min(args.runs, CHUNK_ROWS) * block) > flash_mod.MAX_CHUNK_WORDS:  # held at once
+        raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
+                         f"the cap of {flash_mod.MAX_CHUNK_WORDS}")
 
     source, chunks = _resolve_lambda(args, args.runs, block)
     digest = hashlib.sha256()

@@ -32,18 +32,19 @@ one ulp on some inputs, and the history file prints times with `repr`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ImpossibleFlashError, InvalidStateError, StreamExhaustedError
 from .lambdafile import LambdaStream, words_to_reals
 from .quantum import _PHASE_CUTOFF, ATOL, _frozen
+from .values import Frozen
 
 _ZERO_CENTER = 1e-24
 
 MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
+MAX_CHUNK_WORDS = 1 << 27  # lambda words of one chunk of runs at most: 1 GiB
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
 FORMAT_SLICE = 4096  # history lines FlashEnsemble.history_bytes formats at a time
 
@@ -62,8 +63,7 @@ def _normalize(re: np.ndarray, im: np.ndarray, weight: float) -> np.ndarray:
     return unit
 
 
-@dataclass(frozen=True, eq=False)
-class HitKernel:
+class HitKernel(Frozen):
     """Localization weights G[center, site] on a periodic grid.
 
     Columns are rescaled so sum_center G[center, site]**2 == 1 at every site,
@@ -79,7 +79,7 @@ class HitKernel:
         completeness = (w**2).sum(axis=0)
         if not np.all(np.abs(completeness - 1.0) <= ATOL):  # refuses NaN too
             raise ValueError("kernel columns must satisfy sum of squares == 1")
-        object.__setattr__(self, "weights", _frozen(w))
+        vars(self)["weights"] = _frozen(w)
 
     @property
     def n_sites(self) -> int:
@@ -94,18 +94,21 @@ def make_hit_kernel(n_sites: int, width: float) -> HitKernel:
     """Gaussian hit kernel with periodic wraparound, columns renormalized."""
     if n_sites < 2:
         raise ValueError(f"need at least 2 sites, got {n_sites}")
-    if width <= 0.0:
-        raise ValueError(f"localization width must be positive, got {width!r}")
+    try:
+        spread = 4.0 * width**2  # 0.0 if the square underflows
+    except OverflowError:
+        spread = 0.0
+    if not (width > 0.0 and spread > 0.0):  # refuses NaN too
+        raise ValueError(f"hit width must be positive, with a square in float range, got {width!r}")
     idx = np.arange(n_sites)
     dist = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(dist, n_sites - dist)
-    raw = np.vectorize(math.exp, otypes=[float])(-(dist**2) / (4.0 * width**2))  # not the SIMD exp
+    raw = np.vectorize(math.exp, otypes=[float])(-(dist**2) / spread)  # not the SIMD exp
     column_norms = np.sqrt((raw**2).sum(axis=0))
     return HitKernel(raw / column_norms[None, :])
 
 
-@dataclass(frozen=True, eq=False)
-class GridWavefunction:
+class GridWavefunction(Frozen):
     """Complex amplitudes over N sites (one particle) or N x N (two particles)."""
 
     amplitudes: np.ndarray
@@ -121,7 +124,7 @@ class GridWavefunction:
         norm = math.sqrt(float((amps.real**2 + amps.imag**2).sum()))  # not BLAS
         if abs(norm - 1.0) > ATOL:
             raise InvalidStateError(f"wavefunction must be normalized, got norm {norm!r}")
-        object.__setattr__(self, "amplitudes", _frozen(amps, complex))
+        vars(self)["amplitudes"] = _frozen(amps, complex)
 
     @property
     def n_particles(self) -> int:
@@ -203,8 +206,7 @@ def sample_hit_center(
     return min(index, kernel.n_sites - 1)
 
 
-@dataclass(frozen=True)
-class FlashRecord:
+class FlashRecord(Frozen, eq=True):
     """One flash: when, where, and which particle."""
 
     time: float
@@ -212,12 +214,12 @@ class FlashRecord:
     particle: int
 
 
-@dataclass(eq=False)
 class FlashHistory:
     """Replayable run: the flashes in time order plus the final state."""
 
-    records: list[FlashRecord] = field(default_factory=list)
-    final_state: GridWavefunction | None = None
+    def __init__(self, records=(), final_state: GridWavefunction | None = None) -> None:
+        self.records: list[FlashRecord] = list(records)
+        self.final_state = final_state
 
     def __len__(self) -> int:
         return len(self.records)
@@ -268,8 +270,7 @@ def run_flash_process(
     return FlashHistory(records, psi)
 
 
-@dataclass(frozen=True, eq=False)
-class FlashEnsemble:
+class FlashEnsemble(Frozen):
     """The flashes of many runs as flat arrays in (run, time) order, plus hits per run."""
 
     run: np.ndarray
@@ -426,8 +427,7 @@ def flash_block(mean_hits: float) -> int:
     return max(MIN_FLASH_BLOCK, 3 * hi + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class OrderingReport:
+class OrderingReport(Frozen):
     """Exact joint first-hit distributions under both hit orders, compared."""
 
     max_diff: float

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,7 @@ from .errors import (
     LambdaFormatError,
     StreamExhaustedError,
 )
+from .values import Frozen
 
 MAGIC = b"LMDA"
 FORMAT_VERSION = 1
@@ -58,8 +58,7 @@ def words_to_reals(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaFile:
+class LambdaFile(Frozen):
     """Immutable array of stored uint64 words plus a seed provenance note."""
 
     words: np.ndarray
@@ -73,8 +72,7 @@ class LambdaFile:
             raise EmptyFileError("a lambda file must contain at least one word")
         words = words.copy()
         words.flags.writeable = False
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "seed_note", int(self.seed_note) & (2**64 - 1))
+        vars(self).update(words=words, seed_note=int(self.seed_note) & (2**64 - 1))
 
     @property
     def count(self) -> int:
@@ -194,7 +192,6 @@ def _chunks(read, needed: int, block: int):
         yield words.astype("<u8", copy=False).reshape(-1, block)
 
 
-@dataclass(eq=False)
 class LambdaStream:
     """Single-owner cursor over a contiguous word range of a LambdaFile.
 
@@ -203,20 +200,14 @@ class LambdaStream:
     must take one substream each via `split`.
     """
 
-    file: LambdaFile
-    start: int = 0
-    length: int | None = None
-    label: str = "root"
-    _cursor: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.length is None:
-            self.length = self.file.count - self.start
-        if self.start < 0 or self.length < 0 or self.start + self.length > self.file.count:
-            raise CapacityError(
-                f"range [{self.start}, {self.start + self.length}) exceeds "
-                f"file capacity {self.file.count}"
-            )
+    def __init__(self, file: LambdaFile, start: int = 0, length: int | None = None,
+                 label: str = "root") -> None:
+        length = file.count - start if length is None else length
+        if start < 0 or length < 0 or start + length > file.count:
+            raise CapacityError(f"range [{start}, {start + length}) exceeds "
+                                f"file capacity {file.count}")
+        self.file, self.start, self.length, self.label = file, start, length, label
+        self._cursor = 0
 
     @property
     def position(self) -> int:
@@ -228,9 +219,7 @@ class LambdaStream:
     def next_real(self) -> float:
         """The next stored value as a float in [0, 1)."""
         if self._cursor >= self.length:
-            raise StreamExhaustedError(
-                f"stream {self.label!r} exhausted after {self.length} words"
-            )
+            raise StreamExhaustedError(f"stream {self.label!r} exhausted after {self.length} words")
         word = self.file.words[self.start + self._cursor]
         self._cursor += 1
         return float(words_to_reals(np.asarray([word]))[0])
@@ -240,9 +229,8 @@ class LambdaStream:
         if n < 0:
             raise ValueError("cannot take a negative number of values")
         if self._cursor + n > self.length:
-            raise StreamExhaustedError(
-                f"stream {self.label!r} holds {self.length - self._cursor} words, requested {n}"
-            )
+            raise StreamExhaustedError(f"stream {self.label!r} holds {self.length - self._cursor} "
+                                       f"words, requested {n}")
         lo = self.start + self._cursor
         self._cursor += n
         return words_to_reals(self.file.words[lo:lo + n])
@@ -270,14 +258,8 @@ class LambdaStream:
             raise ValueError("block size must be positive")
         end = (trial_index + 1) * block
         if end > self.length:
-            raise CapacityError(
-                f"substream {trial_index} needs words up to {end}, "
-                f"stream {self.label!r} holds {self.length}"
-            )
-        return LambdaStream(
-            self.file,
-            self.start + trial_index * block,
-            block,
-            f"{self.label}[{trial_index}]",
-        )
+            raise CapacityError(f"substream {trial_index} needs words up to {end}, "
+                                f"stream {self.label!r} holds {self.length}")
+        return LambdaStream(self.file, self.start + trial_index * block, block,
+                            f"{self.label}[{trial_index}]")
 

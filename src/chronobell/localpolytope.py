@@ -24,13 +24,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .errors import NotReducibleError, SearchSpaceError
 from .quantum import LOCAL_BOUND, OUTCOMES, BlochSetting, Chronology, TwoQubitState
 from .quantum import _cell_sum, _frozen, _nested, correlation, exact_table, signaling_defect
 from .simplex import solve_feasibility
+from .values import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,15 +68,14 @@ def _freeze_tables(model, tables: dict[str, int]) -> None:
     w = np.asarray(model.weights, dtype=float)
     if w.shape != (size,):
         raise ValueError(f"weights must have shape ({size},)")
-    if np.any(w < 0.0):
+    if not np.all(w >= 0.0):  # `not ... >=` and `not ... <=` refuse NaN too
         raise ValueError("weights must be nonnegative")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
+    if not abs(float(w.sum()) - 1.0) <= 1e-12:
         raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
     vars(model)["weights"] = _frozen(w)
 
 
-@dataclass(frozen=True, eq=False)
-class LocalModel:
+class LocalModel(Frozen):
     """Shared-randomness strategy: per-party response tables over a lambda alphabet.
 
     `responses_a[a, lam]` and `responses_b[b, lam]` are outcomes in {+1, -1};
@@ -105,8 +104,7 @@ class LocalModel:
         return cls.uniform(rng.choice([1, -1], size=shape), rng.choice([1, -1], size=shape))
 
 
-@dataclass(frozen=True, eq=False)
-class StrategyQuadruple:
+class StrategyQuadruple(Frozen):
     """The four response tables of a chronology-dependent simulation.
 
     `first_ab[a, lam]` is A's outcome when A measures first; `second_ab[a, b,
@@ -147,8 +145,7 @@ class StrategyQuadruple:
         )
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class BehaviorVector:
+class BehaviorVector(Frozen):
     """Conditional outcome probabilities P(alpha, beta | a, b), shape (2, 2, 2, 2).
 
     Index order [a, b, alpha_idx, beta_idx] with outcome index 0 <-> +1, in
@@ -202,8 +199,7 @@ def chsh_sign_patterns() -> tuple:
 _CHSH_PATTERNS = chsh_sign_patterns()
 
 
-@dataclass(frozen=True)
-class ConstraintViolation:
+class ConstraintViolation(Frozen, eq=True):
     """(a, b, lambda) triple on which the two chronologies disagree."""
 
     equation: str  # "alpha_consistency" or "beta_consistency"
@@ -214,8 +210,7 @@ class ConstraintViolation:
     rhs: int
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(Frozen, eq=True):
     holds: bool
     violations: tuple[ConstraintViolation, ...]
 
@@ -321,8 +316,7 @@ def _vertex_matrix() -> tuple[tuple[float, ...], ...]:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FacetCheck:
+class FacetCheck(Frozen):
     """Max over the 8 CHSH coefficient patterns; local iff it stays within 2."""
 
     local: bool
@@ -359,8 +353,7 @@ def chsh_facet_check(p: BehaviorVector, tol: float = 1e-9) -> FacetCheck:
     return FacetCheck(best_value <= LOCAL_BOUND + tol, best_value, best_signs, tol)
 
 
-@dataclass(frozen=True, eq=False)
-class MembershipResult:
+class MembershipResult(Frozen):
     """LP verdict: vertex weights if local, a violated CHSH facet if not."""
 
     local: bool
@@ -391,8 +384,7 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     return MembershipResult(True, weights, error, None)
 
 
-@dataclass(frozen=True, eq=False)
-class SearchResult:
+class SearchResult(Frozen):
     """The no-go search's verdict; `vertices` are the closest multiset's vertex indices."""
 
     found: bool
@@ -407,7 +399,8 @@ class SearchResult:
 
     def to_dict(self) -> dict:
         """Every field but the chosen vertices."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "vertices"}
+        names = "found best_distance max_chsh alphabet_size tolerance n_candidates".split()
+        return {name: getattr(self, name) for name in names}
 
 
 def exhaustive_nogo_search(alphabet_size: int, target: BehaviorVector, tol: float) -> SearchResult:
@@ -455,12 +448,5 @@ def exhaustive_nogo_search(alphabet_size: int, target: BehaviorVector, tol: floa
     walk((), [0] * len(t), 0)
     corners = ([[v[a] * v[2 + b] for b in range(2)] for a in range(2)] for v in _VERTICES)
     max_chsh = max(abs(_facet_sum(s, corr)) for corr in corners for s in _CHSH_PATTERNS)
-    return SearchResult(
-        found=best_distance <= tol,
-        vertices=best_pick,
-        best_distance=best_distance,
-        max_chsh=float(max_chsh),
-        alphabet_size=alphabet_size,
-        tolerance=tol,
-        n_candidates=16**alphabet_size,
-    )
+    return SearchResult(best_distance <= tol, best_pick, best_distance, float(max_chsh),
+                        alphabet_size, tol, 16**alphabet_size)

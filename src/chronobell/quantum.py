@@ -28,11 +28,11 @@ All functions are pure, so concurrent use needs no coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from .errors import ImpossibleOutcomeError, InvalidStateError
+from .values import Frozen
 
 ATOL = 1e-12
 _ZERO_BRANCH = 1e-24
@@ -104,8 +104,7 @@ def signaling_defect(values) -> float:
     return max(spreads, default=0.0)
 
 
-@dataclass(frozen=True, init=False)
-class BlochSetting:
+class BlochSetting(Frozen, eq=True):
     """A measurement direction (unit 3-vector) tagged with the measuring party.
 
     Zero or non-unit vectors are rejected outright rather than normalized;
@@ -131,8 +130,7 @@ class BlochSetting:
         return cls((math.sin(t), 0.0, math.cos(t)), Party(party))
 
 
-@dataclass(frozen=True, init=False)
-class TwoQubitState:
+class TwoQubitState(Frozen, eq=True):
     """Pure state of two qubits: 4 complex amplitudes, unit norm within 1e-12."""
 
     re: tuple[float, ...]
@@ -239,8 +237,7 @@ def collapse(state: TwoQubitState, setting: BlochSetting, outcome: int) -> TwoQu
     return TwoQubitState(_normalize(re, im, weight))
 
 
-@dataclass(frozen=True, init=False)
-class JointDistribution:
+class JointDistribution(Frozen, eq=True):
     """P(alpha, beta) for one setting pair; values[i][j] with index 0 <-> +1."""
 
     values: tuple[tuple[float, float], tuple[float, float]]
@@ -314,8 +311,7 @@ def chsh_value(
     return e[0][0] + e[0][1] + e[1][0] - e[1][1]
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class CorrelationTable:
+class CorrelationTable(Frozen):
     """Joint distributions over a grid of setting pairs.
 
     `values[i][j]` (as an array, `cells[i, j]`) is the (2, 2) outcome table for

@@ -1,0 +1,45 @@
+"""`Frozen`, the base of the package's value types. It imports nothing: a short
+process pays neither for loading `inspect` nor for generating code per class."""
+
+
+class Frozen:
+    """Read-only fields: a subclass's own annotations, in order, a class attribute the default.
+
+    `__init__` takes them by position or keyword, stores them in field order and
+    calls `__post_init__`; that, or a custom `__init__`, sets them through ``vars(self)``.
+    ``class X(Frozen, eq=True)`` compares and hashes by fields, the others by identity.
+    """
+
+    def __init_subclass__(cls, eq: bool = False) -> None:
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        if eq:
+            cls.__eq__, cls.__hash__ = _eq, lambda self: hash(_values(self))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        values = {**vars(type(self)), **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or {*kwargs} - {*names[len(args):]} or {*names} - {*values}:
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}, got "
+                            f"{len(args)} by position and {sorted(kwargs)} by keyword")
+        vars(self).update({name: values[name] for name in names})
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalize the fields; nothing by default."""
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, _values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _values(value: Frozen) -> tuple:
+    return tuple(getattr(value, name) for name in value._fields)
+
+
+def _eq(self, other):
+    return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented

@@ -11,7 +11,6 @@ The exact fractions were computed with it before the tests were written:
     product |00>, a = b = z            -> 0.0
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -341,8 +340,9 @@ class TestCovarianceReport:
         exact = cb.distribution_covariance_check(singlet, [a], [b])
         stream = cb.generate_lambda_file(seed=53, count=100 * 64).stream()
         realized = cb.realization_divergence(singlet, [a], [b], 100, stream)
-        combined = dataclasses.replace(
-            exact, divergence_fraction=realized.divergence_fraction, trials=100
+        combined = cb.CovarianceReport(
+            exact.settings_a, exact.settings_b, exact.distribution_max_diff,
+            realized.divergence_fraction, 100, exact.tolerance,
         )
         assert combined.distribution_pass
         assert combined.max_divergence == realized.max_divergence

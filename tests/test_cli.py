@@ -1,6 +1,5 @@
 """Command-line interface tests: reports, exit statuses, byte-level replay."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -163,7 +162,10 @@ class TestChsh:
 
         def contrary_lp(behavior, tol):
             verdict = localpolytope.chsh_facet_check(behavior, tol).local
-            return dataclasses.replace(real_lp(behavior, tol), local=not verdict)
+            real = real_lp(behavior, tol)
+            return localpolytope.MembershipResult(
+                not verdict, real.weights, real.reconstruction_error, real.certificate
+            )
 
         monkeypatch.setattr(localpolytope, "local_membership_lp", contrary_lp)
         on_facet = repr(plain["results"]["chsh_magnitude"] - 2.0)  # |S| - 2 == tol
@@ -406,22 +408,68 @@ class TestFlash:
         assert code == 2
         assert "--sites" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_underflowing_sigma_rejected_before_any_run(
-        self, capsys, tmp_path, monkeypatch, no_runs
+    @pytest.fixture
+    def sigma_rejected(self, capsys, tmp_path, monkeypatch, no_runs):
+        """Run flash at one --sigma and check it exits 2 naming --sigma, before any word."""
+        def words(*args, **kwargs):
+            raise AssertionError("lambda words were read")
+
+        monkeypatch.setattr(cli, "_resolve_lambda", words)
+
+        def check(sigma: str) -> None:
+            out = tmp_path / "h.txt"
+            out.write_bytes(b"a user's file\n")
+            argv = ("flash", "--seed", "1", "--runs", "3", "--sigma", sigma, "--out", str(out))
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert stdout == "" and err.startswith("error: --sigma: ") and "float range" in err
+            assert out.read_bytes() == b"a user's file\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["h.txt"]
+
+        return check
+
+    @pytest.mark.filterwarnings("error")  # numpy warned dividing by the zero square
+    def test_underflowing_sigma_rejected_before_any_run(self, sigma_rejected):
+        sigma_rejected("1e-300")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", ["1.5e-162", "1.3407807929942597e154", "1e155"])
+    def test_sigma_whose_square_leaves_the_float_range_rejected(self, sigma_rejected, sigma):
+        # the smallest square that rounds to 0.0, and the first two that raise OverflowError
+        sigma_rejected(sigma)
+
+    @pytest.mark.parametrize("sigma,digest", [
+        ("1.6e-162", "774f64a54aaae61e555ac97af61eadce8ed9e54de1ff141dee7a2852e5a0abe6"),
+        ("1.3407807929942596e154", "6a081dd734cf14701b231dc3ff4b490af397d4a7071050c72d31265312388a34"),
+    ])
+    def test_sigma_next_to_the_float_range_still_runs(self, capsys, sigma, digest):
+        # identity and uniform kernels: the stdout of the code before the range check
+        code, out, _ = run_cli(capsys, "flash", "--seed", "1", "--runs", "2", "--sigma", sigma)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_too_few_sites_rejected_naming_sites(self, capsys, no_runs):
+        code, _, err = run_cli(capsys, "flash", "--sites", "1", "--seed", "1", "--runs", "5")
+        assert code == 2
+        assert "--sites must be in 2..32" in err
+
+    def test_rate_whose_chunk_exceeds_the_cap_rejected_before_any_word(
+        self, capsys, monkeypatch, no_runs
     ):
         def words(*args, **kwargs):
             raise AssertionError("lambda words were read")
 
         monkeypatch.setattr(cli, "_resolve_lambda", words)
-        out = tmp_path / "h.txt"
-        out.write_bytes(b"a user's file\n")
-        argv = ("flash", "--seed", "1", "--runs", "3", "--sigma", "1e-300", "--out", str(out))
-        code, stdout, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert stdout == "" and "sum of squares == 1" in err
-        assert out.read_bytes() == b"a user's file\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["h.txt"]
+        monkeypatch.setattr(lambdafile, "word_blocks", words)
+        # 1e9 hits per unit time need about 2.4e10 words per run, 179 GiB for a single run
+        code, stdout, err = run_cli(capsys, "flash", "--seed", "1", "--runs", "1", "--rate", "1e9")
+        assert code == 2 and stdout == ""
+        assert "--rate and --duration" in err and str(flash.MAX_CHUNK_WORDS) in err
+
+    def test_chunk_cap_holds_a_gib(self):
+        assert flash.MAX_CHUNK_WORDS * 8 <= 2**30
+        # the benchmark's --rate 100 op: 512 runs of 3061 words per chunk
+        assert lambdafile.CHUNK_ROWS * flash.flash_block(800.0) <= flash.MAX_CHUNK_WORDS
 
     def test_undersized_lambda_file_rejected_before_any_run(self, capsys, tmp_path, no_runs):
         path = tmp_path / "small.bin"

@@ -109,11 +109,21 @@ class TestHitKernel:
         with pytest.raises(ValueError, match="sum of squares"):
             cb.HitKernel(np.full((4, 4), np.nan))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_width_whose_square_underflows_rejected(self):
-        # width**2 == 0 makes 0/0 on the diagonal, so every weight would be NaN
-        with pytest.raises(ValueError, match="sum of squares"):
+        # width**2 == 0 would make 0/0 on the diagonal: refused before numpy divides
+        with pytest.raises(ValueError, match="float range"):
             cb.make_hit_kernel(16, 1e-300)
+
+    @pytest.mark.parametrize("width", [1.3407807929942597e154, 1e155, 1e300])
+    def test_width_whose_square_overflows_rejected(self, width):
+        with pytest.raises(ValueError, match="float range"):  # not width**2's OverflowError
+            cb.make_hit_kernel(16, width)
+
+    @pytest.mark.parametrize("width", [math.nan, 0.0, -1.0, -1e155])
+    def test_width_not_positive_rejected(self, width):
+        with pytest.raises(ValueError, match="must be positive"):
+            cb.make_hit_kernel(16, width)
 
 
 class TestFlashDistribution:

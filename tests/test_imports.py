@@ -37,7 +37,8 @@ ALL = [
     "sample_flash_pair", "sample_hit_center", "sample_second", "simplex",
 ]
 
-# runs `python -m chronobell <argv>` and reports what the process imported on stderr
+# runs `python -m chronobell <argv>` and reports on stderr what the process imported:
+# its chronobell modules, and whether it loaded hashlib, numpy, dataclasses and inspect
 RUN_MAIN = """
 import json, runpy, sys
 try:
@@ -45,18 +46,19 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("chronobell."))
-sys.stderr.write(json.dumps([code, loaded, "hashlib" in sys.modules, "numpy" in sys.modules]))
+stdlib = [m in sys.modules for m in ("hashlib", "numpy", "dataclasses", "inspect")]
+sys.stderr.write(json.dumps([code, loaded, *stdlib]))
 """
 
-EXACT = ["errors", "localpolytope", "quantum", "reporting", "simplex"]
+EXACT = ["errors", "localpolytope", "quantum", "reporting", "simplex", "values"]
 
 # per case: the argv, the chronobell modules it loads besides `cli`, and whether it loads
 # hashlib and numpy. `covariance` reads a file: a --seed run imports numpy.random, which
 # itself imports hashlib. `chsh` and `nogo` are plain float arithmetic, whatever their
-# state, alphabet size or --out
+# state, alphabet size or --out. No subcommand loads dataclasses; numpy loads inspect
 LOADED = {
     "gen-lambda": (("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"),
-                   ["errors", "lambdafile", "reporting"], True, True),
+                   ["errors", "lambdafile", "reporting", "values"], True, True),
     "chsh": (("chsh",), EXACT, False, False),
     "chsh-out": (("chsh", "--out", "report.json"), EXACT, False, False),
     "chsh-complex-state": (("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles",
@@ -64,9 +66,10 @@ LOADED = {
     "nogo": (("nogo", "--alphabet-size", "1"), EXACT, False, False),
     "nogo-alphabet-8": (("nogo", "--alphabet-size", "8"), EXACT, False, False),
     "covariance": (("covariance", "--trials", "10", "--lambda-file", "lambda.bin"),
-                   ["chronology", "errors", "lambdafile", "quantum", "reporting"], False, True),
+                   ["chronology", "errors", "lambdafile", "quantum", "reporting", "values"],
+                   False, True),
     "flash": (("flash", "--runs", "2", "--seed", "1"),
-              ["errors", "flash", "lambdafile", "quantum", "reporting"], True, True),
+              ["errors", "flash", "lambdafile", "quantum", "reporting", "values"], True, True),
 }
 
 
@@ -92,11 +95,15 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
     cb.generate_lambda_file(seed=1, count=10 * 64).save(tmp_path / "lambda.bin")
     argv, modules, uses_hashlib, uses_numpy = LOADED[case]
     proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
-    code, loaded, hashlib_loaded, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+    code, loaded, hashlib_loaded, numpy_loaded, dataclasses_loaded, inspect_loaded = json.loads(
+        proc.stderr.splitlines()[-1]
+    )
     assert code == 0
     assert [m for m in loaded if m not in ("__main__", "cli")] == modules
     assert hashlib_loaded is uses_hashlib
     assert numpy_loaded is uses_numpy
+    assert dataclasses_loaded is False
+    assert inspect_loaded is uses_numpy  # numpy imports inspect
 
 
 @pytest.mark.parametrize(
@@ -106,10 +113,12 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
 )
 def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, expected_code):
     proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
-    code, loaded, _, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+    code, loaded, _, numpy_loaded, dataclasses_loaded, inspect_loaded = json.loads(
+        proc.stderr.splitlines()[-1]
+    )
     assert code == expected_code
     assert [m for m in loaded if m not in ("__main__", "cli")] == ["errors", "reporting"]
-    assert numpy_loaded is False
+    assert numpy_loaded is dataclasses_loaded is inspect_loaded is False
 
 
 def test_all_is_unchanged_and_listed_by_dir():

@@ -149,6 +149,20 @@ class TestLocalModel:
         with pytest.raises(ValueError):
             cb.LocalModel(ones, ones, np.array([-0.5, 1.5]))
 
+    @pytest.mark.parametrize("weights", [
+        [math.nan], [math.inf], [-math.inf], [math.nan, 1.0], [0.5, math.nan], [math.inf, -math.inf],
+    ], ids=["nan", "inf", "-inf", "nan-first", "nan-last", "inf-minus-inf"])
+    def test_non_finite_weights_rejected_at_construction(self, weights):
+        size = len(weights)
+        pair, trio = [[1] * size, [-1] * size], [[[1] * size] * 2] * 2
+        with pytest.raises(ValueError, match="weights"):
+            cb.LocalModel(pair, pair, weights)
+        with pytest.raises(ValueError, match="weights"):
+            cb.StrategyQuadruple(pair, trio, pair, trio, weights)
+        if size == 1:  # the example that used to construct
+            with pytest.raises(ValueError, match="weights must be nonnegative"):
+                cb.LocalModel([[1], [1]], [[1], [-1]], [math.nan])
+
 
 class TestCovarianceConstraints:
     def test_local_construction_holds(self, rng):
