@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import ImpossibleOutcomeError
-from .lambdafile import DEFAULT_BLOCK, LambdaStream, words_to_reals
+from .lambdafile import DEFAULT_BLOCK, LambdaStream, check_real, words_to_reals
 from .quantum import (
     OUTCOMES,
     BlochSetting,
@@ -55,14 +55,9 @@ class TrialResult(Frozen, eq=True):
         return (self.alpha, self.beta)
 
 
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda value must lie in [0, 1), got {lam!r}")
-
-
 def sample_first(state: TwoQubitState, setting: BlochSetting, lam: float) -> int:
     """Outcome of the chronologically first measurement: +1 iff lam < P(+)."""
-    _check_lambda(lam)
+    check_real(lam)
     return 1 if lam < born_marginal(state, setting, 1) else -1
 
 
@@ -74,7 +69,7 @@ def sample_second(
     lam: float,
 ) -> int:
     """Outcome of the second measurement, conditioned on the first by collapse."""
-    _check_lambda(lam)
+    check_real(lam)
     post = collapse(state, first_setting, first_outcome)
     return 1 if lam < born_marginal(post, second_setting, 1) else -1
 

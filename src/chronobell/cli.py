@@ -13,7 +13,7 @@ Each subcommand imports the modules it runs inside the function that runs
 it, so `chsh` never loads `flash` or `lambdafile`, and `gen-lambda` never
 loads `quantum`. Building the parser loads none of them, nor numpy, so
 `--help` and usage errors stay cheap. The value types' base, `values.Frozen`,
-imports nothing, so a `chsh` process takes about 69 ms, not 83 ms (see README).
+imports nothing.
 """
 
 from __future__ import annotations
@@ -77,8 +77,10 @@ def parse_state(spec: str) -> TwoQubitState:
     return TwoQubitState([z / norm for z in amps])
 
 
-def parse_direction(token: str) -> tuple[float, float, float]:
+def parse_setting(token: str, party: Party) -> BlochSetting:
     """An angle in degrees (x-z plane) or an explicit x:y:z triple, all finite."""
+    from .quantum import BlochSetting
+
     token = token.strip()
     parts = token.split(":")
     if len(parts) not in (1, 3):
@@ -87,21 +89,18 @@ def parse_direction(token: str) -> tuple[float, float, float]:
     if not all(map(math.isfinite, v)):
         raise ValueError(f"direction {token!r} must be finite")
     if len(v) == 1:
-        theta = math.radians(v[0])
-        return math.sin(theta), 0.0, math.cos(theta)
+        return BlochSetting.from_angle(v[0], party)
     norm = math.hypot(*v)
     if norm < 1e-9:
         raise ValueError(f"direction {token!r} has zero length")
-    return tuple(x / norm for x in v)
+    return BlochSetting(tuple(x / norm for x in v), party)
 
 
 def parse_direction_list(text: str, party: Party) -> list[BlochSetting]:
-    from .quantum import BlochSetting
-
     tokens = [t for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty setting list")
-    return [BlochSetting(parse_direction(t), party) for t in tokens]
+    return [parse_setting(t, party) for t in tokens]
 
 
 def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting]]:
@@ -124,6 +123,12 @@ def _resolve_lambda(args, n_blocks: int, block: int):
     source = {"lambda_file": args.lambda_file} if has_file else {"seed": args.seed}
     source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed)
     return source, chunks
+
+
+def _config(args, **extra) -> dict:
+    """Every parsed flag but --out, --seed and --lambda-file (as `lambda_source`), plus `extra`."""
+    skip = {"command", "func", "out", "seed", "lambda_file"}
+    return {k: v for k, v in vars(args).items() if k not in skip} | extra
 
 
 def _emit(out, report: dict) -> None:
@@ -173,7 +178,7 @@ def cmd_gen_lambda(args, out) -> int:
         digest.update(buf)
     report = {
         "command": "gen-lambda",
-        "config": {"seed": args.seed, "count": args.count, "out": str(args.out)},
+        "config": _config(args, seed=args.seed, out=str(args.out)),
         "results": {"path": str(Path(args.out)), "sha256": digest.hexdigest()},
     }
     sys.stdout.write(canonical_json(report))
@@ -194,14 +199,14 @@ def _certified_target(args, command: str, tol: float = 1e-9):
         local_membership_lp,
         quantum_behavior,
     )
-    from .quantum import LOCAL_BOUND, BlochSetting, Party
+    from .quantum import LOCAL_BOUND, Party
 
     state = parse_state(args.state)
     tokens = [t for t in args.angles.split(",") if t.strip()]
     if len(tokens) != 4:
         raise ValueError(f"{command} needs 4 settings: a,a2,b,b2")
-    a, a2 = (BlochSetting(parse_direction(t), Party.A) for t in tokens[:2])
-    b, b2 = (BlochSetting(parse_direction(t), Party.B) for t in tokens[2:])
+    a, a2 = (parse_setting(t, Party.A) for t in tokens[:2])
+    b, b2 = (parse_setting(t, Party.B) for t in tokens[2:])
     behavior = quantum_behavior(state, a, a2, b, b2)
     facet = chsh_facet_check(behavior, tol)
     membership = local_membership_lp(behavior, tol)
@@ -231,7 +236,7 @@ def cmd_chsh(args, out) -> int:
 
     report = {
         "command": "chsh",
-        "config": {"state": args.state, "angles": args.angles, "tol": args.tol},
+        "config": _config(args),
         "results": {
             "settings": {"a": a.xyz, "a2": a2.xyz, "b": b.xyz, "b2": b2.xyz},
             "chsh_value": value,
@@ -267,14 +272,7 @@ def cmd_covariance(args, out) -> int:
                                     divergence, args.trials, exact.tolerance)
         report = {
             "command": "covariance",
-            "config": {
-                "state": args.state,
-                "angles": args.angles,
-                "chronology": args.chronology,
-                "trials": args.trials,
-                "tol": args.tol,
-                "lambda_source": source,
-            },
+            "config": _config(args, lambda_source=source),
             "results": {
                 "covariance": combined.to_dict(),
                 "empirical_table": correlation_table_dict(table),
@@ -299,12 +297,7 @@ def cmd_nogo(args, out) -> int:
 
     report = {
         "command": "nogo",
-        "config": {
-            "state": args.state,
-            "angles": args.angles,
-            "alphabet_size": args.alphabet_size,
-            "tol": args.tol,
-        },
+        "config": _config(args),
         "results": {
             "search": result.to_dict(),
             "target": {"probabilities": target.values, **verdict},
@@ -376,15 +369,7 @@ def cmd_flash(args, out) -> int:
 
     report = {
         "command": "flash",
-        "config": {
-            "sites": args.sites,
-            "sigma": args.sigma,
-            "rate": args.rate,
-            "duration": args.duration,
-            "runs": args.runs,
-            "tol": args.tol,
-            "lambda_source": source,
-        },
+        "config": _config(args, lambda_source=source),
         "results": results,
     }
     sys.stdout.write(canonical_json(report))

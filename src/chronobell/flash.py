@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import ImpossibleFlashError, InvalidStateError, StreamExhaustedError
-from .lambdafile import LambdaStream, words_to_reals
+from .lambdafile import LambdaStream, check_real, words_to_reals
 from .quantum import _PHASE_CUTOFF, ATOL, _frozen
 from .values import Frozen
 
@@ -100,10 +100,10 @@ def make_hit_kernel(n_sites: int, width: float) -> HitKernel:
         spread = 0.0
     if not (width > 0.0 and spread > 0.0):  # refuses NaN too
         raise ValueError(f"hit width must be positive, with a square in float range, got {width!r}")
-    idx = np.arange(n_sites)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(dist, n_sites - dist)
-    raw = np.vectorize(math.exp, otypes=[float])(-(dist**2) / spread)  # not the SIMD exp
+    sites = range(n_sites)
+    dist = [[min(abs(i - j), n_sites - abs(i - j)) for j in sites] for i in sites]
+    # Python floats: a quotient past the float range is -inf, with no warning; not the SIMD exp
+    raw = np.array([[math.exp(-(d * d) / spread) for d in row] for row in dist])
     column_norms = np.sqrt((raw**2).sum(axis=0))
     return HitKernel(raw / column_norms[None, :])
 
@@ -199,8 +199,7 @@ def sample_hit_center(
     psi: GridWavefunction, kernel: HitKernel, particle: int, lam: float
 ) -> int:
     """Inverse-CDF draw from the flash distribution: smallest x with CDF(x) > lam."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda value must lie in [0, 1), got {lam!r}")
+    check_real(lam)
     cdf = np.cumsum(flash_distribution(psi, kernel, particle))
     index = int(np.searchsorted(cdf, lam, side="right"))
     return min(index, kernel.n_sites - 1)

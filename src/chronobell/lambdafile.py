@@ -102,9 +102,7 @@ class LambdaFile(Frozen):
 
     def save(self, path) -> Path:
         path = Path(path)
-        with path.open("wb") as fh:
-            fh.write(file_header(self.count, self.seed_note))
-            fh.write(memoryview(self.words.astype("<u8", copy=False)))
+        path.write_bytes(self.to_bytes())
         return path
 
     @classmethod
@@ -115,6 +113,12 @@ class LambdaFile(Frozen):
     def stream(self, label: str = "root") -> "LambdaStream":
         """A cursor over the whole file."""
         return LambdaStream(self, 0, self.count, label)
+
+
+def check_real(lam: float) -> None:
+    """Refuse a lambda value outside [0, 1), where every stored word maps."""
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"lambda value must lie in [0, 1), got {lam!r}")
 
 
 def file_header(count: int, seed_note: int) -> bytes:
@@ -218,19 +222,14 @@ class LambdaStream:
 
     def next_real(self) -> float:
         """The next stored value as a float in [0, 1)."""
-        if self._cursor >= self.length:
-            raise StreamExhaustedError(f"stream {self.label!r} exhausted after {self.length} words")
-        word = self.file.words[self.start + self._cursor]
-        self._cursor += 1
-        return float(words_to_reals(np.asarray([word]))[0])
+        return float(self.take(1)[0])
 
     def take(self, n: int) -> np.ndarray:
         """Consume and return the next `n` values as an array."""
         if n < 0:
             raise ValueError("cannot take a negative number of values")
         if self._cursor + n > self.length:
-            raise StreamExhaustedError(f"stream {self.label!r} holds {self.length - self._cursor} "
-                                       f"words, requested {n}")
+            raise StreamExhaustedError(f"stream {self.label!r} exhausted after {self.length} words")
         lo = self.start + self._cursor
         self._cursor += n
         return words_to_reals(self.file.words[lo:lo + n])

@@ -1,5 +1,6 @@
 """Command-line interface tests: reports, exit statuses, byte-level replay."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -442,6 +443,7 @@ class TestFlash:
         ("1.6e-162", "774f64a54aaae61e555ac97af61eadce8ed9e54de1ff141dee7a2852e5a0abe6"),
         ("1.3407807929942596e154", "6a081dd734cf14701b231dc3ff4b490af397d4a7071050c72d31265312388a34"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the -inf quotient must not warn
     def test_sigma_next_to_the_float_range_still_runs(self, capsys, sigma, digest):
         # identity and uniform kernels: the stdout of the code before the range check
         code, out, _ = run_cli(capsys, "flash", "--seed", "1", "--runs", "2", "--sigma", sigma)
@@ -516,6 +518,29 @@ OUT_ARGVS = {
     "covariance": ("covariance", "--seed", "1", "--trials", "10"),
     "flash": ("flash", "--seed", "3", "--runs", "40"),
 }
+
+
+def flag_dests(command: str) -> set:
+    """The dest of every flag the parser gives `command`."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions if action.dest != "help"}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command", sorted(OUT_ARGVS))
+    def test_config_echoes_every_flag_but_out_and_the_lambda_flags(self, capsys, tmp_path, command):
+        argv = [*OUT_ARGVS[command], "--out", str(tmp_path / "report")]
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0
+        expected = flag_dests(command) - {"out", "seed", "lambda_file"}
+        if command == "gen-lambda":  # the documented set: seed and path included
+            expected = {"seed", "count", "out"}
+        elif command in ("covariance", "flash"):
+            expected |= {"lambda_source"}
+        assert set(report["config"]) == expected
+        args = cli.build_parser().parse_args(argv)
+        assert all(report["config"][k] == getattr(args, k) for k in expected - {"lambda_source"})
 
 
 def fail_after_one_chunk(monkeypatch):

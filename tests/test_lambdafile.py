@@ -108,12 +108,12 @@ class TestStream:
     def test_exhaustion_raises(self):
         stream = cb.generate_lambda_file(seed=3, count=2).stream()
         stream.take(2)
-        with pytest.raises(cb.StreamExhaustedError):
+        with pytest.raises(cb.StreamExhaustedError, match=r"^stream 'root' exhausted after 2 words$"):
             stream.next_real()
 
     def test_take_exhaustion(self):
         stream = cb.generate_lambda_file(seed=3, count=2).stream()
-        with pytest.raises(cb.StreamExhaustedError):
+        with pytest.raises(cb.StreamExhaustedError, match=r"^stream 'root' exhausted after 2 words$"):
             stream.take(3)
 
 
