@@ -186,20 +186,10 @@ def cmd_gen_lambda(args, out) -> int:
 
 
 def _certified_target(args, command: str, tol: float = 1e-9):
-    """The --state behavior at the 4 --angles settings, checked by both locality oracles.
-
-    `tol` goes to both oracles; its default is theirs. The returned verdict
-    holds both oracles' report fields. They may disagree only when |S| - 2 is
-    within rounding of `tol`; the verdict is then marked ``"boundary"``, and
-    the facet check, exact in this scenario, decides.
-    """
-    from .localpolytope import (
-        BOUNDARY_ROUNDING,
-        chsh_facet_check,
-        local_membership_lp,
-        quantum_behavior,
-    )
-    from .quantum import LOCAL_BOUND, Party
+    """The --state behavior at the 4 --angles settings, with the verdict of
+    `localpolytope.certify_locality` at `tol`, whose default is the oracles'."""
+    from .localpolytope import certify_locality, quantum_behavior
+    from .quantum import Party
 
     state = parse_state(args.state)
     tokens = [t for t in args.angles.split(",") if t.strip()]
@@ -208,22 +198,7 @@ def _certified_target(args, command: str, tol: float = 1e-9):
     a, a2 = (parse_setting(t, Party.A) for t in tokens[:2])
     b, b2 = (parse_setting(t, Party.B) for t in tokens[2:])
     behavior = quantum_behavior(state, a, a2, b, b2)
-    facet = chsh_facet_check(behavior, tol)
-    membership = local_membership_lp(behavior, tol)
-    verdict = {
-        "chsh_magnitude": facet.max_facet_value,
-        "lp_local": membership.local,
-        "facet_local": facet.local,
-        "facet_certificate": facet.to_dict(),
-    }
-    if membership.local != facet.local:
-        if abs(facet.max_facet_value - LOCAL_BOUND - tol) > BOUNDARY_ROUNDING:
-            raise OracleDisagreementError(
-                f"membership LP says local={membership.local}, "
-                f"facet check says local={facet.local}"
-            )
-        verdict["boundary"] = True
-    return state, (a, a2, b, b2), behavior, verdict
+    return state, (a, a2, b, b2), behavior, certify_locality(behavior, tol)
 
 
 def cmd_chsh(args, out) -> int:
@@ -327,7 +302,10 @@ def cmd_flash(args, out) -> int:
     except ValueError as exc:  # the sites are checked: only the width is left
         raise ValueError(f"--sigma: {exc}") from None
     psi0 = flash_mod.make_entangled_pair(args.sites, args.sites // 4, (3 * args.sites) // 4)
-    block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
+    try:
+        block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
+    except ValueError as exc:  # each flag is finite, but their product may leave the range
+        raise ValueError(f"--rate and --duration: {exc}") from None
     if (chunk := min(args.runs, CHUNK_ROWS) * block) > flash_mod.MAX_CHUNK_WORDS:  # held at once
         raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
                          f"the cap of {flash_mod.MAX_CHUNK_WORDS}")

@@ -37,10 +37,8 @@ import numpy as np
 
 from .errors import ImpossibleFlashError, InvalidStateError, StreamExhaustedError
 from .lambdafile import LambdaStream, check_real, words_to_reals
-from .quantum import _PHASE_CUTOFF, ATOL, _frozen
+from .quantum import _SKIP_BRANCH, _ZERO_BRANCH, ATOL, _frozen, _phase
 from .values import Frozen
-
-_ZERO_CENTER = 1e-24
 
 MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
@@ -52,12 +50,8 @@ FORMAT_SLICE = 4096  # history lines FlashEnsemble.history_bytes formats at a ti
 def _normalize(re: np.ndarray, im: np.ndarray, weight: float) -> np.ndarray:
     """(re + i im) / sqrt(weight), phase fixed as `quantum.collapse` fixes it, as complex."""
     re, im = re * (1.0 / math.sqrt(weight)), im * (1.0 / math.sqrt(weight))
-    for r, i in zip(re.flat, im.flat):
-        size = abs(complex(r, i))
-        if size > _PHASE_CUTOFF:  # rotate by conj(lead) / |lead|
-            c, s = r * (1.0 / size), i * (1.0 / size)
-            re, im = re * c + im * s, im * c - re * s
-            break
+    c, s = _phase(re.flat, im.flat)
+    re, im = re * c + im * s, im * c - re * s
     unit = np.empty(re.shape, dtype=complex)
     unit.real, unit.imag = re, im
     return unit
@@ -188,7 +182,7 @@ def apply_hit(
         column = column[:, None] if particle == 0 else column[None, :]
     re, im = column * psi.amplitudes.real, column * psi.amplitudes.imag
     weight = float((re**2 + im**2).sum())
-    if weight <= _ZERO_CENTER:
+    if weight <= _ZERO_BRANCH:
         raise ImpossibleFlashError(
             f"hit at site {center} on particle {particle} has zero probability"
         )
@@ -461,8 +455,7 @@ def ordering_invariance_exact(
         first_dist = flash_distribution(psi, kernel, first_particle)
         for x_first in range(n):
             p_first = float(first_dist[x_first])
-            # skip centers apply_hit would reject as numerically impossible
-            if p_first <= 1e-20:
+            if p_first <= _SKIP_BRANCH:  # apply_hit would reject it as numerically impossible
                 continue
             post = apply_hit(psi, kernel, first_particle, x_first)
             joint[x_first] = p_first * flash_distribution(post, kernel, second_particle)

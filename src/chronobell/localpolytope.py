@@ -13,10 +13,11 @@ ordering-consistent quadruple can reproduce them.
 Membership in the local polytope is decided by two independent routes that
 must agree: a dense phase-1 simplex over the 16 vertices, and the 8 CHSH
 facet inequalities, which together with positivity are complete for this
-scenario. The exhaustive search covers every uniform-weight quadruple at
-alphabet sizes 1..8, as multisets of L vertices, by an exact branch and
-bound that skips only subtrees no nearer than the best multiset so far; it
-illustrates concretely what the facet bound proves for arbitrary mixtures.
+scenario; `certify_locality` runs both and reconciles them. The exhaustive
+search covers every uniform-weight quadruple at alphabet sizes 1..8, as
+multisets of L vertices, by an exact branch and bound that skips only
+subtrees no nearer than the best multiset so far; it illustrates concretely
+what the facet bound proves for arbitrary mixtures.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .errors import NotReducibleError, SearchSpaceError
+from .errors import NotReducibleError, OracleDisagreementError, SearchSpaceError
 from .quantum import LOCAL_BOUND, OUTCOMES, BlochSetting, Chronology, TwoQubitState
 from .quantum import _cell_sum, _frozen, _nested, correlation, exact_table, signaling_defect
 from .simplex import solve_feasibility
@@ -88,10 +89,6 @@ class LocalModel(Frozen):
 
     def __post_init__(self) -> None:
         _freeze_tables(self, {"responses_a": 1, "responses_b": 1})
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.responses_a.shape[1]
 
     @classmethod
     def uniform(cls, responses_a, responses_b) -> "LocalModel":
@@ -304,7 +301,7 @@ def _quadruple(picks) -> StrategyQuadruple:
 
 def enumerate_deterministic_strategies() -> list[BehaviorVector]:
     """The 16 deterministic behaviors: every (f: a->outcome) x (g: b->outcome)."""
-    return [behavior_of(_quadruple([v]), Chronology.AB) for v in range(len(_VERTICES))]
+    return [BehaviorVector.from_flat(column) for column in zip(*_vertex_matrix())]
 
 
 @functools.cache
@@ -354,12 +351,11 @@ def chsh_facet_check(p: BehaviorVector, tol: float = 1e-9) -> FacetCheck:
 
 
 class MembershipResult(Frozen):
-    """LP verdict: vertex weights if local, a violated CHSH facet if not."""
+    """LP verdict: vertex weights and their reconstruction error if local, None if not."""
 
     local: bool
     weights: list[float] | None
     reconstruction_error: float | None
-    certificate: FacetCheck | None
 
 
 def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResult:
@@ -367,10 +363,9 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
 
     Feasibility of p = sum_v w_v * vertex_v with w >= 0, sum w = 1 over the
     16 deterministic strategies, with the residual allowed RESIDUAL_PER_VIOLATION
-    * tol. On infeasibility the most violated CHSH facet is attached as the
-    separating certificate. The residual is that multiple of |S| - 2 only for
-    no-signalling `p`, as quantum behaviors are; a signalling defect (up to the
-    1e-9 `BehaviorVector` admits) adds several times itself to the residual.
+    * tol. The residual is that multiple of |S| - 2 only for no-signalling `p`,
+    as quantum behaviors are; a signalling defect (up to the 1e-9
+    `BehaviorVector` admits) adds several times itself to the residual.
     """
     if not tol < 1.0:  # tol also bounds the pivots, and no tableau entry exceeds 1
         raise ValueError(f"tolerance must be below 1, got {tol!r}")
@@ -379,9 +374,31 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     floor = max(tol, BOUNDARY_ROUNDING)  # at tol = 0 rounding alone reads as infeasible
     weights = solve_feasibility(A, b, tol=floor, residual_tol=RESIDUAL_PER_VIOLATION * floor)
     if weights is None:
-        return MembershipResult(False, None, None, chsh_facet_check(p, tol))
+        return MembershipResult(False, None, None)
     error = max(abs(math.fsum(a * w for a, w in zip(row, weights)) - y) for row, y in zip(A, b))
-    return MembershipResult(True, weights, error, None)
+    return MembershipResult(True, weights, error)
+
+
+def certify_locality(p: BehaviorVector, tol: float = 1e-9) -> dict:
+    """Both oracles' report fields for `p` at `tol`. They may disagree only with |S| - 2 within
+    BOUNDARY_ROUNDING of `tol`: the verdict is then marked ``"boundary"`` and the facet check,
+    exact in this scenario, decides. Any other disagreement is an `OracleDisagreementError`."""
+    facet = chsh_facet_check(p, tol)
+    membership = local_membership_lp(p, tol)
+    verdict = {
+        "chsh_magnitude": facet.max_facet_value,
+        "lp_local": membership.local,
+        "facet_local": facet.local,
+        "facet_certificate": facet.to_dict(),
+    }
+    if membership.local != facet.local:
+        if abs(facet.max_facet_value - LOCAL_BOUND - tol) > BOUNDARY_ROUNDING:
+            raise OracleDisagreementError(
+                f"membership LP says local={membership.local}, "
+                f"facet check says local={facet.local}"
+            )
+        verdict["boundary"] = True
+    return verdict
 
 
 class SearchResult(Frozen):

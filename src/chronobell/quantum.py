@@ -35,7 +35,8 @@ from .errors import ImpossibleOutcomeError, InvalidStateError
 from .values import Frozen
 
 ATOL = 1e-12
-_ZERO_BRANCH = 1e-24
+_ZERO_BRANCH = 1e-24  # collapse and flash.apply_hit refuse a branch this light
+_SKIP_BRANCH = 1e-20  # exact laws skip a branch this light; the mass lost is below any tolerance
 _PHASE_CUTOFF = 1e-12
 
 OUTCOMES = (1, -1)
@@ -214,16 +215,21 @@ def born_marginal(state: TwoQubitState, setting: BlochSetting, outcome: int) -> 
     return min(_squared_norm(*_project(state, setting, outcome)), 1.0)
 
 
+def _phase(re, im) -> tuple[float, float]:
+    """conj(lead) / |lead| as (c, s), lead the first entry of magnitude over _PHASE_CUTOFF;
+    a unit vector of n entries, as every caller's, has one of magnitude >= 1/sqrt(n)."""
+    for r, i in zip(re, im):
+        size = abs(complex(r, i))
+        if size > _PHASE_CUTOFF:
+            return r * (1.0 / size), i * (1.0 / size)
+
+
 def _normalize(re: list, im: list, weight: float) -> list[complex]:
     """(re + i im) / sqrt(weight), phase fixed, part by part as `flash._normalize` does."""
     scale = 1.0 / math.sqrt(weight)
     re, im = [x * scale for x in re], [y * scale for y in im]
-    for r, i in zip(re, im):
-        size = abs(complex(r, i))
-        if size > _PHASE_CUTOFF:  # rotate by conj(lead) / |lead|
-            c, s = r * (1.0 / size), i * (1.0 / size)
-            return [complex(x * c + y * s, y * c - x * s) for x, y in zip(re, im)]
-    return list(map(complex, re, im))
+    c, s = _phase(re, im)
+    return [complex(x * c + y * s, y * c - x * s) for x, y in zip(re, im)]
 
 
 def collapse(state: TwoQubitState, setting: BlochSetting, outcome: int) -> TwoQubitState:
@@ -288,10 +294,7 @@ def joint_distribution(
     probs = [[0.0, 0.0], [0.0, 0.0]]  # [first outcome][second outcome]
     for i, first_outcome in enumerate(OUTCOMES):
         p_first = born_marginal(state, first, first_outcome)
-        # skip branches collapse would reject as numerically impossible; the
-        # cutoff sits well above collapse's own and the lost mass is far
-        # below every tolerance in use
-        if p_first <= 1e-20:
+        if p_first <= _SKIP_BRANCH:  # collapse would reject it as numerically impossible
             continue
         post = collapse(state, first, first_outcome)
         for j, second_outcome in enumerate(OUTCOMES):

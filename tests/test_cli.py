@@ -165,7 +165,7 @@ class TestChsh:
             verdict = localpolytope.chsh_facet_check(behavior, tol).local
             real = real_lp(behavior, tol)
             return localpolytope.MembershipResult(
-                not verdict, real.weights, real.reconstruction_error, real.certificate
+                not verdict, real.weights, real.reconstruction_error
             )
 
         monkeypatch.setattr(localpolytope, "local_membership_lp", contrary_lp)
@@ -455,18 +455,29 @@ class TestFlash:
         assert code == 2
         assert "--sites must be in 2..32" in err
 
-    def test_rate_whose_chunk_exceeds_the_cap_rejected_before_any_word(
-        self, capsys, monkeypatch, no_runs
-    ):
+    @pytest.fixture
+    def no_words(self, monkeypatch, no_runs):
+        """Fail the test if any lambda word is read or any flash run simulated."""
         def words(*args, **kwargs):
             raise AssertionError("lambda words were read")
 
         monkeypatch.setattr(cli, "_resolve_lambda", words)
         monkeypatch.setattr(lambdafile, "word_blocks", words)
+
+    def test_rate_whose_chunk_exceeds_the_cap_rejected_before_any_word(self, capsys, no_words):
         # 1e9 hits per unit time need about 2.4e10 words per run, 179 GiB for a single run
         code, stdout, err = run_cli(capsys, "flash", "--seed", "1", "--runs", "1", "--rate", "1e9")
         assert code == 2 and stdout == ""
         assert "--rate and --duration" in err and str(flash.MAX_CHUNK_WORDS) in err
+
+    @pytest.mark.parametrize("value,mean", [("1e-300", "0.0"), ("1e300", "inf")])
+    def test_hit_count_out_of_range_rejected_naming_the_flags(self, capsys, no_words, value, mean):
+        # each flag is finite and positive, but the mean hit count underflows or overflows
+        argv = ("flash", "--seed", "1", "--runs", "2", "--rate", value, "--duration", value)
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err == ("error: --rate and --duration: mean hit count must be positive and "
+                       f"finite, got {mean}\n")
 
     def test_chunk_cap_holds_a_gib(self):
         assert flash.MAX_CHUNK_WORDS * 8 <= 2**30
@@ -479,6 +490,23 @@ class TestFlash:
         code, _, err = run_cli(capsys, "flash", "--runs", "5", "--lambda-file", str(path))
         assert code == 3
         assert "1024 words" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("chsh", "--state", "1,0,0,x"),
+     "cannot parse amplitudes '1,0,0,x': complex() arg is a malformed string"),
+    (("chsh", "--state", "0,2,0,0"), "amplitudes must be normalized (within 1e-6), got norm 2.0"),
+    (("chsh", "--angles", "1:2,90,45,135"), "direction triple must be x:y:z, got '1:2'"),
+    (("nogo", "--angles", "0,90,0:0:0,135"), "direction '0:0:0' has zero length"),
+    (("covariance", "--seed", "1", "--angles", ",/0"), "empty setting list"),
+    (("covariance", "--seed", "1", "--angles", "0,90"),
+     "settings must be 'a1,a2,.../b1,b2,...' (one '/')"),
+    (("covariance", "--seed", "1", "--trials", "0"), "--trials must be at least 1"),
+])
+def test_malformed_parameter_rejected_before_any_work(capsys, no_work, argv, message):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {message}\n"
 
 
 class TestGenLambda:

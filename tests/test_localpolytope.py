@@ -337,6 +337,12 @@ class TestDeterministicStrategies:
         seen = {tuple(v.flat) for v in cb.enumerate_deterministic_strategies()}
         assert len(seen) == 16
 
+    def test_vertex_table_matches_the_quadruple_behaviors(self):
+        # the table rows against behavior_of's matmul over a one-letter quadruple
+        for v, vertex in enumerate(cb.enumerate_deterministic_strategies()):
+            via_quadruple = cb.behavior_of(localpolytope._quadruple([v]), "AB")
+            assert vertex.values == via_quadruple.values
+
     def test_local_bound_saturated(self):
         """Every vertex respects |CHSH| <= 2 and at least 8 achieve equality."""
         values = [
@@ -387,11 +393,14 @@ class TestMembershipLp:
             )
             assert_allclose(vertex_flats @ result.weights, behavior.flat, atol=1e-9)
 
-    def test_singlet_infeasible_with_certificate(self):
+    def test_singlet_infeasible_without_the_facet_check(self, monkeypatch):
+        def facet_check(*args, **kwargs):
+            raise AssertionError("the LP consulted the other oracle")
+
+        monkeypatch.setattr(localpolytope, "chsh_facet_check", facet_check)
         result = cb.local_membership_lp(singlet_target())
         assert not result.local
-        assert result.certificate is not None
-        assert result.certificate.max_facet_value == pytest.approx(2 * SQRT2, abs=1e-12)
+        assert result.weights is None and result.reconstruction_error is None
 
     def test_uniform_behavior_feasible(self):
         result = cb.local_membership_lp(cb.BehaviorVector(np.full((2, 2, 2, 2), 0.25)))
@@ -487,9 +496,11 @@ class TestOracleAgreement:
         else:
             vertices = np.column_stack([v.flat for v in cb.enumerate_deterministic_strategies()])
             behavior = cb.BehaviorVector.from_flat(vertices @ rng.dirichlet(np.full(16, 0.3)))
-        facet = cb.chsh_facet_check(behavior, tol)
-        if abs(facet.max_facet_value - 2.0 - tol) > BOUNDARY_ROUNDING:
-            assert cb.local_membership_lp(behavior, tol).local == facet.local
+        verdict = localpolytope.certify_locality(behavior, tol)  # raises on a disagreement
+        if "boundary" not in verdict:
+            assert verdict["lp_local"] == verdict["facet_local"]
+        else:
+            assert abs(verdict["chsh_magnitude"] - 2.0 - tol) <= BOUNDARY_ROUNDING
 
 
 class TestExhaustiveSearch:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronobell as cb
@@ -252,9 +252,19 @@ class TestAgainstTheNumpyTableau:
         assert solve_feasibility(A, b, 0.0) == [0.0] * 8  # x = 0 solves A x = 0
 
 
+def ragged(n: int) -> list[float]:
+    """n values of mixed sign and magnitude, whose sum's last bits depend on the order."""
+    return [(-1) ** k * (k + 1) / 7.0 * 10.0 ** (k % 5 - 2) for k in range(n)]
+
+
 class TestNumpySummation:
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(ENTRIES, max_size=300))
+    # hypothesis seldom draws over 128 values, where the vector is split in two halves
+    # at a multiple of 8; summed left to right, or split at n // 2, these give other bits
+    @example(values=ragged(129))
+    @example(values=ragged(136))
+    @example(values=ragged(300))
     def test_vector_sum(self, values):
         assert (0.0 + _pairwise_sum(values)).hex() == float(np.array(values).sum()).hex()
 

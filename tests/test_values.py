@@ -45,8 +45,8 @@ VALUE_TYPES = {
         lambda: ((True, 2.0, ((1, 1), (1, -1)), 1e-9),) * 2,
     ),
     "MembershipResult": (
-        ("local", "weights", "reconstruction_error", "certificate"), False,
-        lambda: ((False, None, None, None),) * 2,
+        ("local", "weights", "reconstruction_error"), False,
+        lambda: ((False, None, None),) * 2,
     ),
     "SearchResult": (
         ("found", "vertices", "best_distance", "max_chsh", "alphabet_size", "tolerance",
