@@ -11,16 +11,20 @@ locality checks disagreed (internal inconsistency).
 
 Each subcommand imports the modules it runs inside the function that runs
 it, so `chsh` never loads `flash` or `lambdafile`, and `gen-lambda` never
-loads `quantum`. Building the parser loads none of them, nor numpy, so
-`--help` and usage errors stay cheap. The value types' base, `values.Frozen`,
-imports nothing.
+loads `quantum`. The three lambda-driven subcommands live in `cli_lambda`,
+which `chsh` and `nogo` never load. Building the parser loads none of them,
+nor numpy, so `--help` and usage errors stay cheap. The value types' base,
+`values.Frozen`, imports nothing.
+
+Run as a program (`python -m chronobell`, `python -m chronobell.cli` or the
+`chronobell` script), the process ends through `run`, without interpreter
+teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import os
 import sys
@@ -34,7 +38,7 @@ from .errors import (
     OracleDisagreementError,
     StreamExhaustedError,
 )
-from .reporting import canonical_json, correlation_table_csv, correlation_table_dict
+from .reporting import canonical_json
 
 if TYPE_CHECKING:
     from .quantum import BlochSetting, Party, TwoQubitState
@@ -96,23 +100,6 @@ def parse_setting(token: str, party: Party) -> BlochSetting:
     return BlochSetting(tuple(x / norm for x in v), party)
 
 
-def parse_direction_list(text: str, party: Party) -> list[BlochSetting]:
-    tokens = [t for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("empty setting list")
-    return [parse_setting(t, party) for t in tokens]
-
-
-def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting]]:
-    """Two comma-separated lists joined by '/': A-settings / B-settings."""
-    from .quantum import Party
-
-    if text.count("/") != 1:
-        raise ValueError("settings must be 'a1,a2,.../b1,b2,...' (one '/')")
-    part_a, part_b = text.split("/")
-    return parse_direction_list(part_a, Party.A), parse_direction_list(part_b, Party.B)
-
-
 def _resolve_lambda(args, n_blocks: int, block: int):
     """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed."""
     from .lambdafile import word_blocks
@@ -166,25 +153,6 @@ def _replacing(out: Path):
         raise
 
 
-def cmd_gen_lambda(args, out) -> int:
-    import hashlib
-
-    from .lambdafile import file_header, word_blocks
-
-    _, chunks = word_blocks(args.count, 1, seed=args.seed)
-    digest = hashlib.sha256()
-    for buf in itertools.chain([file_header(args.count, args.seed)], chunks):
-        out.write(buf)
-        digest.update(buf)
-    report = {
-        "command": "gen-lambda",
-        "config": _config(args, seed=args.seed, out=str(args.out)),
-        "results": {"path": str(Path(args.out)), "sha256": digest.hexdigest()},
-    }
-    sys.stdout.write(canonical_json(report))
-    return 0
-
-
 def _certified_target(args, command: str, tol: float = 1e-9):
     """The --state behavior at the 4 --angles settings, with the verdict of
     `localpolytope.certify_locality` at `tol`, whose default is the oracles'."""
@@ -225,40 +193,6 @@ def cmd_chsh(args, out) -> int:
     return 0
 
 
-def cmd_covariance(args, out) -> int:
-    from .chronology import Chronology, CovarianceReport, covariance_pass
-    from .chronology import distribution_covariance_check
-    from .lambdafile import DEFAULT_BLOCK
-
-    state = parse_state(args.state)
-    settings_a, settings_b = parse_setting_grid(args.angles)
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    chronology = Chronology(args.chronology.upper())
-
-    n_pairs = len(settings_a) * len(settings_b)
-    # the table goes next to the report: both are replaced, or neither
-    with _replacing(Path(f"{args.out}.csv")) if args.out else contextlib.nullcontext() as csv:
-        source, chunks = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK)
-        exact = distribution_covariance_check(state, settings_a, settings_b, args.tol)
-        tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
-        table = tables[chronology]
-        combined = CovarianceReport(exact.settings_a, exact.settings_b, exact.distribution_max_diff,
-                                    divergence, args.trials, exact.tolerance)
-        report = {
-            "command": "covariance",
-            "config": _config(args, lambda_source=source),
-            "results": {
-                "covariance": combined.to_dict(),
-                "empirical_table": correlation_table_dict(table),
-            },
-        }
-        _emit(out, report)
-        if csv:
-            csv.write(correlation_table_csv(table).encode())
-    return 0 if combined.distribution_pass else 1
-
-
 def cmd_nogo(args, out) -> int:
     from .localpolytope import MAX_SEARCH_ALPHABET, exhaustive_nogo_search
 
@@ -282,76 +216,14 @@ def cmd_nogo(args, out) -> int:
     return 0
 
 
-def cmd_flash(args, out) -> int:
-    import hashlib
+def _lambda_command(name: str):
+    """`cli_lambda`'s command `name`, imported only when it runs."""
+    def command(args, out) -> int:
+        from . import cli_lambda
 
-    import numpy as np
+        return getattr(cli_lambda, name)(args, out)
 
-    from . import flash as flash_mod
-    from .lambdafile import CHUNK_ROWS
-
-    if not all(0 < value < math.inf for value in (args.rate, args.duration, args.sigma)):
-        raise ValueError("--rate, --duration and --sigma must be positive and finite")
-    if args.runs < 1:
-        raise ValueError("--runs must be at least 1")
-    if not 2 <= args.sites <= flash_mod.MAX_EXACT_SITES:
-        raise ValueError(f"--sites must be in 2..{flash_mod.MAX_EXACT_SITES} "
-                         f"(the exact ordering check), got {args.sites}")
-    try:
-        kernel = flash_mod.make_hit_kernel(args.sites, args.sigma)
-    except ValueError as exc:  # the sites are checked: only the width is left
-        raise ValueError(f"--sigma: {exc}") from None
-    psi0 = flash_mod.make_entangled_pair(args.sites, args.sites // 4, (3 * args.sites) // 4)
-    try:
-        block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
-    except ValueError as exc:  # each flag is finite, but their product may leave the range
-        raise ValueError(f"--rate and --duration: {exc}") from None
-    if (chunk := min(args.runs, CHUNK_ROWS) * block) > flash_mod.MAX_CHUNK_WORDS:  # held at once
-        raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
-                         f"the cap of {flash_mod.MAX_CHUNK_WORDS}")
-
-    source, chunks = _resolve_lambda(args, args.runs, block)
-    digest = hashlib.sha256()
-    hit_counts = []
-    first_flash_counts = np.zeros(args.sites, dtype=np.int64)
-    for batch in flash_mod.flash_batches(psi0, kernel, args.rate, args.duration, chunks):
-        history = batch.history_bytes()
-        digest.update(history)
-        out.write(history)
-        hit_counts.append(batch.hit_counts)
-        first_flash_counts += np.bincount(batch.first_sites(), minlength=args.sites)
-    hit_counts = np.concatenate(hit_counts)
-
-    ordering = flash_mod.ordering_invariance_exact(psi0, kernel, args.tol)
-    mean_hits = float(hit_counts.mean())
-    dispersion = float(hit_counts.var() / mean_hits) if mean_hits > 0 else 0.0
-
-    results = {
-        "runs": args.runs,
-        "hits": {
-            "total": int(hit_counts.sum()),
-            "mean": mean_hits,
-            "expected": args.rate * args.duration * psi0.n_particles,
-            "dispersion": dispersion,
-        },
-        "first_flash_counts": first_flash_counts.tolist(),
-        "ordering_invariance": {
-            "max_diff": ordering.max_diff,
-            "tolerance": ordering.tolerance,
-            "pass": ordering.passed,
-        },
-        "history_sha256": digest.hexdigest(),
-    }
-    if args.out:
-        results["history_file"] = str(args.out)
-
-    report = {
-        "command": "flash",
-        "config": _config(args, lambda_source=source),
-        "results": results,
-    }
-    sys.stdout.write(canonical_json(report))
-    return 0 if ordering.passed else 1
+    return command
 
 
 def _add_lambda_flags(parser: argparse.ArgumentParser) -> None:
@@ -370,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True, help="number of 64-bit words")
     p.add_argument("--out", required=True, help="output path")
-    p.set_defaults(func=cmd_gen_lambda)
+    p.set_defaults(func=_lambda_command("cmd_gen_lambda"))
 
     p = sub.add_parser("chsh", help="exact CHSH value and locality certificates")
     p.add_argument("--state", default="singlet")
@@ -391,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     _add_lambda_flags(p)
     p.add_argument("--out", help="also write the report here (plus .csv for the table)")
-    p.set_defaults(func=cmd_covariance)
+    p.set_defaults(func=_lambda_command("cmd_covariance"))
 
     p = sub.add_parser("nogo", help="exhaustive ordering-consistent strategy search")
     p.add_argument("--state", default="singlet")
@@ -410,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     _add_lambda_flags(p)
     p.add_argument("--out", help="write the flash history file here")
-    p.set_defaults(func=cmd_flash)
+    p.set_defaults(func=_lambda_command("cmd_flash"))
 
     return parser
 
@@ -434,5 +306,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """`main` on this process's argv, then `os._exit` with its code, skipping teardown.
+
+    `main` has closed and renamed every file it wrote, and the package starts no
+    thread or child and registers no `atexit` handler: teardown would only flush the
+    standard streams. If a flush fails, `sys.exit` leaves the report to teardown.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # e.g. a closed pipe, or a closed stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

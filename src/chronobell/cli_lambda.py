@@ -1,0 +1,161 @@
+"""The lambda-driven subcommands, `gen-lambda`, `covariance` and `flash`, which `cli`
+imports only when one of them runs. They call `cli._resolve_lambda` through `cli`, so
+a replacement there takes effect here too."""
+
+from __future__ import annotations
+
+import contextlib
+import itertools
+import math
+import sys
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from . import cli
+from .cli import _config, _emit, _replacing, parse_setting, parse_state
+from .reporting import canonical_json, correlation_table_csv, correlation_table_dict
+
+if TYPE_CHECKING:
+    from .quantum import BlochSetting, Party
+
+
+def parse_direction_list(text: str, party: Party) -> list[BlochSetting]:
+    tokens = [t for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ValueError("empty setting list")
+    return [parse_setting(t, party) for t in tokens]
+
+
+def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting]]:
+    """Two comma-separated lists joined by '/': A-settings / B-settings."""
+    from .quantum import Party
+
+    if text.count("/") != 1:
+        raise ValueError("settings must be 'a1,a2,.../b1,b2,...' (one '/')")
+    part_a, part_b = text.split("/")
+    return parse_direction_list(part_a, Party.A), parse_direction_list(part_b, Party.B)
+
+
+def cmd_gen_lambda(args, out) -> int:
+    import hashlib
+
+    from .lambdafile import file_header, word_blocks
+
+    _, chunks = word_blocks(args.count, 1, seed=args.seed)
+    digest = hashlib.sha256()
+    for buf in itertools.chain([file_header(args.count, args.seed)], chunks):
+        out.write(buf)
+        digest.update(buf)
+    report = {
+        "command": "gen-lambda",
+        "config": _config(args, seed=args.seed, out=str(args.out)),
+        "results": {"path": str(Path(args.out)), "sha256": digest.hexdigest()},
+    }
+    sys.stdout.write(canonical_json(report))
+    return 0
+
+
+def cmd_covariance(args, out) -> int:
+    from .chronology import Chronology, CovarianceReport, covariance_pass
+    from .chronology import distribution_covariance_check
+    from .lambdafile import DEFAULT_BLOCK
+
+    state = parse_state(args.state)
+    settings_a, settings_b = parse_setting_grid(args.angles)
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    chronology = Chronology(args.chronology.upper())
+
+    n_pairs = len(settings_a) * len(settings_b)
+    # the table goes next to the report: both are replaced, or neither
+    with _replacing(Path(f"{args.out}.csv")) if args.out else contextlib.nullcontext() as csv:
+        source, chunks = cli._resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK)
+        exact = distribution_covariance_check(state, settings_a, settings_b, args.tol)
+        tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
+        table = tables[chronology]
+        combined = CovarianceReport(exact.settings_a, exact.settings_b, exact.distribution_max_diff,
+                                    divergence, args.trials, exact.tolerance)
+        report = {
+            "command": "covariance",
+            "config": _config(args, lambda_source=source),
+            "results": {
+                "covariance": combined.to_dict(),
+                "empirical_table": correlation_table_dict(table),
+            },
+        }
+        _emit(out, report)
+        if csv:
+            csv.write(correlation_table_csv(table).encode())
+    return 0 if combined.distribution_pass else 1
+
+
+def cmd_flash(args, out) -> int:
+    import hashlib
+
+    import numpy as np
+
+    from . import flash as flash_mod
+    from .lambdafile import CHUNK_ROWS
+
+    if not all(0 < value < math.inf for value in (args.rate, args.duration, args.sigma)):
+        raise ValueError("--rate, --duration and --sigma must be positive and finite")
+    if args.runs < 1:
+        raise ValueError("--runs must be at least 1")
+    if not 2 <= args.sites <= flash_mod.MAX_EXACT_SITES:
+        raise ValueError(f"--sites must be in 2..{flash_mod.MAX_EXACT_SITES} "
+                         f"(the exact ordering check), got {args.sites}")
+    try:
+        kernel = flash_mod.make_hit_kernel(args.sites, args.sigma)
+    except ValueError as exc:  # the sites are checked: only the width is left
+        raise ValueError(f"--sigma: {exc}") from None
+    psi0 = flash_mod.make_entangled_pair(args.sites, args.sites // 4, (3 * args.sites) // 4)
+    try:
+        block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
+    except ValueError as exc:  # each flag is finite, but their product may leave the range
+        raise ValueError(f"--rate and --duration: {exc}") from None
+    if (chunk := min(args.runs, CHUNK_ROWS) * block) > flash_mod.MAX_CHUNK_WORDS:  # held at once
+        raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
+                         f"the cap of {flash_mod.MAX_CHUNK_WORDS}")
+
+    source, chunks = cli._resolve_lambda(args, args.runs, block)
+    digest = hashlib.sha256()
+    hit_counts = []
+    first_flash_counts = np.zeros(args.sites, dtype=np.int64)
+    for batch in flash_mod.flash_batches(psi0, kernel, args.rate, args.duration, chunks):
+        history = batch.history_bytes()
+        digest.update(history)
+        out.write(history)
+        hit_counts.append(batch.hit_counts)
+        first_flash_counts += np.bincount(batch.first_sites(), minlength=args.sites)
+    hit_counts = np.concatenate(hit_counts)
+
+    ordering = flash_mod.ordering_invariance_exact(psi0, kernel, args.tol)
+    mean_hits = float(hit_counts.mean())
+    dispersion = float(hit_counts.var() / mean_hits) if mean_hits > 0 else 0.0
+
+    results = {
+        "runs": args.runs,
+        "hits": {
+            "total": int(hit_counts.sum()),
+            "mean": mean_hits,
+            "expected": args.rate * args.duration * psi0.n_particles,
+            "dispersion": dispersion,
+        },
+        "first_flash_counts": first_flash_counts.tolist(),
+        "ordering_invariance": {
+            "max_diff": ordering.max_diff,
+            "tolerance": ordering.tolerance,
+            "pass": ordering.passed,
+        },
+        "history_sha256": digest.hexdigest(),
+    }
+    if args.out:
+        results["history_file"] = str(args.out)
+
+    report = {
+        "command": "flash",
+        "config": _config(args, lambda_source=source),
+        "results": results,
+    }
+    sys.stdout.write(canonical_json(report))
+    return 0 if ordering.passed else 1

@@ -1,6 +1,7 @@
 """Command-line interface tests: reports, exit statuses, byte-level replay."""
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -1007,3 +1008,86 @@ class TestPeakMemory:
         large = _peak_rss_mb(*argv, "100000")
         # the words, flashes and history of every run would add about 250 MB
         assert large - small < 15.0
+
+
+def _run_module(cwd, *argv, **env) -> subprocess.CompletedProcess:
+    """`python -m chronobell argv` in `cwd`, with `env` added; output in bytes."""
+    return subprocess.run([sys.executable, "-m", "chronobell", *argv], cwd=cwd,
+                          env=child_env(**env), capture_output=True, timeout=120)
+
+
+class TestProcessExit:
+    """`python -m chronobell` ends through `cli.run`, with `os._exit` after `cli.main`."""
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+    def test_golden_stdout(self, tmp_path, argv):
+        proc = _run_module(tmp_path, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert sha256(proc.stdout) == GOLDEN_STDOUT[argv]
+
+    @pytest.mark.parametrize("code,argv", [
+        (1, ("flash", "--seed", "1", "--runs", "2", "--tol", "0")),
+        (2, ("chsh", "--state", "bogus")),
+        (3, ("covariance", "--trials", "1000", "--lambda-file", "small.bin")),
+    ], ids=["exit-1", "exit-2", "exit-3"])
+    def test_failing_run_matches_main(self, capsys, tmp_path, monkeypatch, code, argv):
+        monkeypatch.chdir(tmp_path)  # the exit-3 message names the file as given
+        cb.generate_lambda_file(seed=1, count=64).save("small.bin")
+        proc = _run_module(tmp_path, *argv)
+        assert run_cli(capsys, *argv) == (code, proc.stdout.decode(), proc.stderr.decode())
+        assert proc.returncode == code
+
+    def test_flash_history_matches_main(self, capsys, tmp_path, monkeypatch):
+        argv = ("flash", "--seed", "1", "--runs", "20", "--out", "history.txt")
+        (tmp_path / "child").mkdir()
+        (tmp_path / "main").mkdir()
+        proc = _run_module(tmp_path / "child", *argv)
+        monkeypatch.chdir(tmp_path / "main")
+        code, out, _ = run_cli(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout.decode() == out
+        history = (tmp_path / "child" / "history.txt").read_bytes()
+        assert history == (tmp_path / "main" / "history.txt").read_bytes()
+        assert sha256(history) == GOLDEN_FLASH_HISTORY
+
+    @pytest.mark.parametrize("module", ["chronobell", "chronobell.cli"])
+    def test_process_ends_without_teardown(self, tmp_path, module):
+        child = ("import atexit, runpy, sys; atexit.register(print, 'teardown', file=sys.stderr); "
+                 f"sys.argv[1:] = ['chsh']; runpy.run_module({module!r}, run_name='__main__')")
+        proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=child_env(),
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert sha256(proc.stdout) == GOLDEN_STDOUT[("chsh",)]
+
+    @pytest.mark.parametrize("unbuffered,code,stderr", [
+        (False, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                     "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+        (True, 2, "error: [Errno 32] Broken pipe\n"),
+    ], ids=["buffered", "unbuffered"])
+    def test_stdout_on_a_closed_pipe(self, tmp_path, unbuffered, code, stderr):
+        """A failed write or final flush is reported as the interpreter reports it: with
+        buffered stdout by teardown's own flush, unbuffered by `main` at the write."""
+        env = child_env(PYTHONIOENCODING="utf-8")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "chronobell", "chsh"], cwd=tmp_path,
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
+
+    def test_console_script_runs_what_python_m_runs(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+        tree = ast.parse((SRC / "chronobell" / "__main__.py").read_text())
+        imported = {alias.asname or alias.name: f"chronobell.{node.module}:{alias.name}"
+                    for node in tree.body if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        called = [node.value.func.id for node in tree.body
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+        script = pyproject["project"]["scripts"]["chronobell"]
+        assert [imported[name] for name in called] == [script] == ["chronobell.cli:run"]

@@ -38,9 +38,13 @@ ALL = [
 ]
 
 # runs `python -m chronobell <argv>` and reports on stderr what the process imported:
-# its chronobell modules, and whether it loaded hashlib, numpy, dataclasses and inspect
+# its chronobell modules, and whether it loaded hashlib, numpy, dataclasses and inspect.
+# `cli.run` ends the process with os._exit, here made a SystemExit so that the report runs
 RUN_MAIN = """
-import json, runpy, sys
+import json, os, runpy, sys
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 try:
     runpy.run_module("chronobell", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -53,12 +57,13 @@ sys.stderr.write(json.dumps([code, loaded, *stdlib]))
 EXACT = ["errors", "localpolytope", "quantum", "reporting", "simplex", "values"]
 
 # per case: the argv, the chronobell modules it loads besides `cli`, and whether it loads
-# hashlib and numpy. `covariance` reads a file: a --seed run imports numpy.random, which
+# hashlib and numpy. Only the lambda-driven subcommands load `cli_lambda`, and none loads
+# `strategies`. `covariance` reads a file: a --seed run imports numpy.random, which
 # itself imports hashlib. `chsh` and `nogo` are plain float arithmetic, whatever their
 # state, alphabet size or --out. No subcommand loads dataclasses; numpy loads inspect
 LOADED = {
     "gen-lambda": (("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"),
-                   ["errors", "lambdafile", "reporting", "values"], True, True),
+                   ["cli_lambda", "errors", "lambdafile", "reporting", "values"], True, True),
     "chsh": (("chsh",), EXACT, False, False),
     "chsh-out": (("chsh", "--out", "report.json"), EXACT, False, False),
     "chsh-complex-state": (("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles",
@@ -66,10 +71,12 @@ LOADED = {
     "nogo": (("nogo", "--alphabet-size", "1"), EXACT, False, False),
     "nogo-alphabet-8": (("nogo", "--alphabet-size", "8"), EXACT, False, False),
     "covariance": (("covariance", "--trials", "10", "--lambda-file", "lambda.bin"),
-                   ["chronology", "errors", "lambdafile", "quantum", "reporting", "values"],
+                   ["chronology", "cli_lambda", "errors", "lambdafile", "quantum", "reporting",
+                    "values"],
                    False, True),
     "flash": (("flash", "--runs", "2", "--seed", "1"),
-              ["errors", "flash", "lambdafile", "quantum", "reporting", "values"], True, True),
+              ["cli_lambda", "errors", "flash", "lambdafile", "quantum", "reporting", "values"],
+              True, True),
 }
 
 

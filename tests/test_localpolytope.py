@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
-from chronobell import localpolytope
+from chronobell import localpolytope, strategies
 from chronobell.localpolytope import BOUNDARY_ROUNDING, chsh_sign_patterns
 
 SQRT2 = math.sqrt(2.0)
@@ -340,7 +340,7 @@ class TestDeterministicStrategies:
     def test_vertex_table_matches_the_quadruple_behaviors(self):
         # the table rows against behavior_of's matmul over a one-letter quadruple
         for v, vertex in enumerate(cb.enumerate_deterministic_strategies()):
-            via_quadruple = cb.behavior_of(localpolytope._quadruple([v]), "AB")
+            via_quadruple = cb.behavior_of(strategies._quadruple([v]), "AB")
             assert vertex.values == via_quadruple.values
 
     def test_local_bound_saturated(self):
