@@ -35,6 +35,8 @@ from .quantum import (
 )
 from .values import Frozen
 
+TRIAL_WORDS = 2  # lambda words a trial reads: the first of its block, then the second
+
 
 class TrialResult(Frozen, eq=True):
     """One simulated run: the time order, the outcome pair, and the lambdas used."""
@@ -128,12 +130,12 @@ def covariance_pass(
 ) -> tuple[dict[Chronology, CorrelationTable], np.ndarray]:
     """Empirical tables per chronology and the realized divergence, in one pass.
 
-    `chunks` yields (rows, block) lambda words, block >= 2. Row r is trial
-    ``r % trials`` of setting pair ``r // trials`` (pairs in row-major order)
-    and reads the first two words of its row. Both chronologies replay each
-    row, so `divergence[i, j]` is the share of pair (i, j)'s trials whose
-    realized (alpha, beta) differ between AB and BA: purely the time order,
-    never the randomness.
+    `chunks` yields (rows, block) lambda words, block >= `TRIAL_WORDS`. Row r
+    is trial ``r % trials`` of setting pair ``r // trials`` (pairs in
+    row-major order) and reads the first `TRIAL_WORDS` words of its row. Both
+    chronologies replay each row, so `divergence[i, j]` is the share of pair
+    (i, j)'s trials whose realized (alpha, beta) differ between AB and BA:
+    purely the time order, never the randomness.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -147,11 +149,12 @@ def covariance_pass(
     diverging = np.zeros(len(pairs), dtype=np.int64)
     row = 0
     for words in chunks:
-        if words.shape[1] < 2:
-            raise ValueError("a trial reads 2 lambda words, blocks must hold at least 2")
+        if words.shape[1] < TRIAL_WORDS:
+            raise ValueError(f"a trial reads {TRIAL_WORDS} lambda words, "
+                             f"blocks must hold at least {TRIAL_WORDS}")
         pair = (row + np.arange(len(words))) // trials
         row += len(words)
-        lams = words_to_reals(words[:, :2])
+        lams = words_to_reals(words[:, :TRIAL_WORDS])
         codes = {c: _outcome_codes(thresholds[c][pair], lams, c) for c in Chronology}
         for chronology, code in codes.items():
             counts[chronology] += np.bincount(4 * pair + code, minlength=4 * len(pairs))

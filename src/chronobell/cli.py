@@ -100,15 +100,17 @@ def parse_setting(token: str, party: Party) -> BlochSetting:
     return BlochSetting(tuple(x / norm for x in v), party)
 
 
-def _resolve_lambda(args, n_blocks: int, block: int):
-    """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed."""
+def _resolve_lambda(args, n_blocks: int, block: int, prefix=None):
+    """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed;
+    with `prefix`, of each block's first `prefix` words (`lambdafile.word_blocks`)."""
     from .lambdafile import word_blocks
 
     has_file = args.lambda_file is not None
     if has_file == (args.seed is not None):
         raise ValueError("provide exactly one of --lambda-file or --seed")
     source = {"lambda_file": args.lambda_file} if has_file else {"seed": args.seed}
-    source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed)
+    source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed,
+                                          prefix=prefix)
     return source, chunks
 
 
@@ -323,4 +325,6 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # `cli_lambda` imports `chronobell.cli`: let it find this module, not compile a second
+    sys.modules.setdefault("chronobell.cli", sys.modules[__name__])
     run()

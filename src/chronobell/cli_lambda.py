@@ -56,7 +56,7 @@ def cmd_gen_lambda(args, out) -> int:
 
 
 def cmd_covariance(args, out) -> int:
-    from .chronology import Chronology, CovarianceReport, covariance_pass
+    from .chronology import TRIAL_WORDS, Chronology, CovarianceReport, covariance_pass
     from .chronology import distribution_covariance_check
     from .lambdafile import DEFAULT_BLOCK
 
@@ -69,7 +69,8 @@ def cmd_covariance(args, out) -> int:
     n_pairs = len(settings_a) * len(settings_b)
     # the table goes next to the report: both are replaced, or neither
     with _replacing(Path(f"{args.out}.csv")) if args.out else contextlib.nullcontext() as csv:
-        source, chunks = cli._resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK)
+        source, chunks = cli._resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK,
+                                             TRIAL_WORDS)
         exact = distribution_covariance_check(state, settings_a, settings_b, args.tol)
         tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
         table = tables[chronology]

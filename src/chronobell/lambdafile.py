@@ -25,6 +25,15 @@ fixes where every word is, the vectorized consumers read consecutive
 substreams only as chunks, (rows, block) arrays of `CHUNK_WORDS` words or
 `CHUNK_ROWS` rows, whichever is more, from a file or a seed (`word_blocks`)
 or from memory (`LambdaStream.blocks`).
+
+A consumer that reads only the first words of each block (a covariance trial
+reads 2 of 64) asks `word_blocks` for that prefix and gets (rows, prefix)
+chunks. From a file they are views of the chunk read. From a seed they are the
+only words generated: `pcg64` jumps ahead to each, without ``numpy.random``.
+Dense reads (`generate_lambda_file`, ``gen-lambda``, ``flash``) keep
+``PCG64.random_raw``, which makes consecutive words faster than jumps do; a
+flash run reads a prefix of its block that depends on the run, and growing its
+seeded words lazily made ``flash`` slower while saving under 3 MB.
 """
 
 from __future__ import annotations
@@ -153,22 +162,30 @@ def generate_lambda_file(seed: int, count: int) -> LambdaFile:
     return LambdaFile(words.reshape(-1), seed_note=int(seed))
 
 
-def word_blocks(n_blocks: int, block: int, *, path=None, seed=None):
+def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None):
     """(words available, chunks of the first `n_blocks` blocks of `block` words).
 
     The words come from the stored file at `path` if it is given, else from
     `seed`. Each chunk is a (rows, block) array of `CHUNK_WORDS` words or
-    `CHUNK_ROWS` rows, whichever is more; the last may be shorter. Bad input
-    raises before this returns; a file that shrinks raises when the missing
-    chunk is read.
+    `CHUNK_ROWS` rows, whichever is more; the last may be shorter. With
+    `prefix`, each chunk holds only the first `prefix` words of its rows:
+    (rows, prefix). Bad input raises before this returns; a file that shrinks
+    raises when the missing chunk is read.
     """
     needed = n_blocks * block
+    if prefix is not None and not 1 <= prefix <= block:
+        raise ValueError(f"a prefix of {prefix} words does not fit blocks of {block}")
+    prefix = block if prefix is None else prefix
     if path is None:
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if needed < 1:
             raise EmptyFileError("count must be at least 1")
+        if prefix < block:  # generate only the words read
+            from .pcg64 import prefix_chunks
+
+            return needed, prefix_chunks(seed, n_blocks, block, prefix, _chunk_rows(block))
         bits = np.random.PCG64(seed)  # random_raw is sequential: chunks equal one call
         return needed, _chunks(lambda lo, n: bits.random_raw(n), needed, block)
     with Path(path).open("rb") as fh:
@@ -182,18 +199,23 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None):
     def read(lo: int, n: int) -> np.ndarray:
         return np.fromfile(path, dtype="<u8", count=n, offset=_HEADER.size + 8 * lo)
 
-    return available, _chunks(read, needed, block)
+    return available, _chunks(read, needed, block, prefix)
 
 
-def _chunks(read, needed: int, block: int):
-    """Words [0, needed) as (rows, block) chunks, words [lo, lo + n) from `read(lo, n)`."""
-    step = max(CHUNK_ROWS, CHUNK_WORDS // block) * block
+def _chunk_rows(block: int) -> int:
+    return max(CHUNK_ROWS, CHUNK_WORDS // block)
+
+
+def _chunks(read, needed: int, block: int, prefix=None):
+    """Words [0, needed) as (rows, block) chunks, or views of their first `prefix`
+    columns, words [lo, lo + n) from `read(lo, n)`."""
+    step = _chunk_rows(block) * block
     for lo in range(0, needed, step):
         n = min(step, needed - lo)
         words = read(lo, n)
         if words.size != n:
             raise LambdaFormatError(f"lambda words ran out after {lo + words.size} of {needed}")
-        yield words.astype("<u8", copy=False).reshape(-1, block)
+        yield words.astype("<u8", copy=False).reshape(-1, block)[:, :prefix]
 
 
 class LambdaStream:

@@ -38,7 +38,8 @@ ALL = [
 ]
 
 # runs `python -m chronobell <argv>` and reports on stderr what the process imported:
-# its chronobell modules, and whether it loaded hashlib, numpy, dataclasses and inspect.
+# its chronobell modules, and whether it loaded hashlib, numpy, numpy.random, dataclasses
+# and inspect.
 # `cli.run` ends the process with os._exit, here made a SystemExit so that the report runs
 RUN_MAIN = """
 import json, os, runpy, sys
@@ -50,33 +51,36 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("chronobell."))
-stdlib = [m in sys.modules for m in ("hashlib", "numpy", "dataclasses", "inspect")]
+stdlib = [m in sys.modules for m in ("hashlib", "numpy", "numpy.random", "dataclasses", "inspect")]
 sys.stderr.write(json.dumps([code, loaded, *stdlib]))
 """
 
 EXACT = ["errors", "localpolytope", "quantum", "reporting", "simplex", "values"]
 
 # per case: the argv, the chronobell modules it loads besides `cli`, and whether it loads
-# hashlib and numpy. Only the lambda-driven subcommands load `cli_lambda`, and none loads
-# `strategies`. `covariance` reads a file: a --seed run imports numpy.random, which
-# itself imports hashlib. `chsh` and `nogo` are plain float arithmetic, whatever their
-# state, alphabet size or --out. No subcommand loads dataclasses; numpy loads inspect
+# hashlib, numpy and numpy.random. Only the lambda-driven subcommands load `cli_lambda`,
+# and none loads `strategies`. numpy.random, which itself imports hashlib, makes the dense
+# seeded words of gen-lambda and flash; covariance reads 2 words of each block, which
+# `pcg64` makes from a --seed without it. `chsh` and `nogo` are plain float arithmetic,
+# whatever their state, alphabet size or --out. No subcommand loads dataclasses; numpy
+# loads inspect
+COVARIANCE = ["chronology", "cli_lambda", "errors", "lambdafile", "quantum", "reporting", "values"]
 LOADED = {
     "gen-lambda": (("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"),
-                   ["cli_lambda", "errors", "lambdafile", "reporting", "values"], True, True),
-    "chsh": (("chsh",), EXACT, False, False),
-    "chsh-out": (("chsh", "--out", "report.json"), EXACT, False, False),
+                   ["cli_lambda", "errors", "lambdafile", "reporting", "values"], True, True, True),
+    "chsh": (("chsh",), EXACT, False, False, False),
+    "chsh-out": (("chsh", "--out", "report.json"), EXACT, False, False, False),
     "chsh-complex-state": (("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles",
-                            "0,0.3:0.4:0.866,45,135"), EXACT, False, False),
-    "nogo": (("nogo", "--alphabet-size", "1"), EXACT, False, False),
-    "nogo-alphabet-8": (("nogo", "--alphabet-size", "8"), EXACT, False, False),
+                            "0,0.3:0.4:0.866,45,135"), EXACT, False, False, False),
+    "nogo": (("nogo", "--alphabet-size", "1"), EXACT, False, False, False),
+    "nogo-alphabet-8": (("nogo", "--alphabet-size", "8"), EXACT, False, False, False),
     "covariance": (("covariance", "--trials", "10", "--lambda-file", "lambda.bin"),
-                   ["chronology", "cli_lambda", "errors", "lambdafile", "quantum", "reporting",
-                    "values"],
-                   False, True),
+                   COVARIANCE, False, True, False),
+    "covariance-seed": (("covariance", "--trials", "10", "--seed", "1"),
+                        sorted([*COVARIANCE, "pcg64"]), False, True, False),
     "flash": (("flash", "--runs", "2", "--seed", "1"),
               ["cli_lambda", "errors", "flash", "lambdafile", "quantum", "reporting", "values"],
-              True, True),
+              True, True, True),
 }
 
 
@@ -100,15 +104,15 @@ def test_import_loads_no_submodule_and_no_numpy(tmp_path):
 @pytest.mark.parametrize("case", list(LOADED))
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
     cb.generate_lambda_file(seed=1, count=10 * 64).save(tmp_path / "lambda.bin")
-    argv, modules, uses_hashlib, uses_numpy = LOADED[case]
+    argv, modules, uses_hashlib, uses_numpy, uses_numpy_random = LOADED[case]
     proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
-    code, loaded, hashlib_loaded, numpy_loaded, dataclasses_loaded, inspect_loaded = json.loads(
-        proc.stderr.splitlines()[-1]
-    )
+    code, loaded, hashlib_loaded, numpy_loaded, numpy_random_loaded, dataclasses_loaded, \
+        inspect_loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0
     assert [m for m in loaded if m not in ("__main__", "cli")] == modules
     assert hashlib_loaded is uses_hashlib
     assert numpy_loaded is uses_numpy
+    assert numpy_random_loaded is uses_numpy_random
     assert dataclasses_loaded is False
     assert inspect_loaded is uses_numpy  # numpy imports inspect
 
@@ -120,12 +124,28 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
 )
 def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, expected_code):
     proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
-    code, loaded, _, numpy_loaded, dataclasses_loaded, inspect_loaded = json.loads(
+    code, loaded, _, numpy_loaded, _, dataclasses_loaded, inspect_loaded = json.loads(
         proc.stderr.splitlines()[-1]
     )
     assert code == expected_code
     assert [m for m in loaded if m not in ("__main__", "cli")] == ["errors", "reporting"]
     assert numpy_loaded is dataclasses_loaded is inspect_loaded is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"),
+    ("covariance", "--trials", "10", "--seed", "1"),
+], ids=["gen-lambda", "covariance-seed"])
+def test_cli_run_as_a_module_compiles_cli_once(tmp_path, argv):
+    # `cli_lambda` imports `chronobell.cli`, which must be the module `-m` runs
+    as_cli = _python(tmp_path, "-X", "importtime", "-m", "chronobell.cli", *argv)
+    as_package = _python(tmp_path, "-m", "chronobell", *argv)
+    assert as_cli.returncode == as_package.returncode == 0
+    assert as_cli.stdout == as_package.stdout
+    imported = [line.rsplit("|", 1)[1].strip() for line in as_cli.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "chronobell.cli_lambda" in imported
+    assert "chronobell.cli" not in imported
 
 
 def test_all_is_unchanged_and_listed_by_dir():

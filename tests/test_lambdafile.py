@@ -8,11 +8,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronobell as cb
-from chronobell import cli, lambdafile
+from chronobell import cli, lambdafile, pcg64
 from chronobell.lambdafile import FORMAT_VERSION, MAGIC, word_blocks, words_to_reals
 
 # first words of the stored generator at seed 1, frozen so that any change to
@@ -365,6 +365,74 @@ class TestWordBlocks:
             cb.generate_lambda_file(seed, count)
         with pytest.raises(type(from_generate.value), match=str(from_generate.value)):
             word_blocks(count, 1, seed=seed)
+
+
+EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+
+
+class TestPrefixReads:
+    """`word_blocks(..., prefix=p)`: the first p words of each block, from a file or a seed."""
+
+    @pytest.mark.filterwarnings("error")  # numpy warns when uint64 scalars overflow
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_blocks=st.integers(1, 40),
+        block=st.integers(1, 24),
+        data=st.data(),
+        chunk=st.integers(1, 64),
+        rows=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_prefix_chunks_replay_the_leading_words(
+        self, tmp_path_factory, n_blocks, block, data, chunk, rows, seed
+    ):
+        prefix = data.draw(st.integers(1, block), label="prefix")
+        dense = cb.generate_lambda_file(seed, n_blocks * block)
+        expected = dense.words.reshape(n_blocks, block)[:, :prefix]
+        path = dense.save(tmp_path_factory.mktemp("prefix") / "lam.bin")
+        # several chunks per run, sized by words or by rows
+        with mock.patch.multiple(lambdafile, CHUNK_WORDS=chunk, CHUNK_ROWS=rows):
+            step = max(rows, chunk // block)
+            for source in ({"path": path}, {"seed": seed}):
+                available, chunks = word_blocks(n_blocks, block, prefix=prefix, **source)
+                assert available == n_blocks * block
+                chunks = list(chunks)
+                for c in chunks:
+                    assert c.dtype == np.uint64 and c.shape[1] == prefix
+                assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
+                assert 0 < len(chunks[-1]) <= step
+                np.testing.assert_array_equal(np.concatenate(chunks), expected)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0).via("edge")
+    @example(seed=2**32 - 1).via("edge")
+    @example(seed=2**32).via("edge")
+    @example(seed=2**64 - 1).via("edge")
+    def test_seeding_equals_numpys(self, seed):
+        state = np.random.PCG64(seed).state["state"]
+        assert pcg64.seed_state(seed) == (state["state"], state["inc"])
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("n_blocks, block, prefix", [(5000, 64, 2), (600, 3061, 5), (3, 2, 1)])
+    def test_default_chunks_equal_random_raw(self, seed, n_blocks, block, prefix):
+        # 5000 and 600 blocks cross the default chunk edges at 2048 and 512 rows
+        expected = np.random.PCG64(seed).random_raw(n_blocks * block).reshape(n_blocks, block)
+        _, chunks = word_blocks(n_blocks, block, seed=seed, prefix=prefix)
+        np.testing.assert_array_equal(np.concatenate(list(chunks)), expected[:, :prefix])
+
+    def test_file_prefix_is_a_view_of_the_chunk_read(self, tmp_path):
+        path = cb.generate_lambda_file(seed=1, count=40).save(tmp_path / "lam.bin")
+        (chunk,) = word_blocks(10, 4, path=path, prefix=2)[1]
+        assert chunk.shape == (10, 2) and chunk.base is not None and chunk.base.size == 40
+
+    @pytest.mark.parametrize("prefix", [0, -1, 5])
+    def test_prefix_outside_the_block_rejected(self, tmp_path, prefix):
+        path = cb.generate_lambda_file(seed=1, count=40).save(tmp_path / "lam.bin")
+        for source in ({"path": path}, {"seed": 1}):
+            with pytest.raises(ValueError, match=f"a prefix of {prefix} words does not fit blocks of 4"):
+                word_blocks(10, 4, prefix=prefix, **source)
 
 
 class TestStreamBlocks:
