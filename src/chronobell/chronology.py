@@ -12,7 +12,8 @@ trial's substream, so both orders run on identical lambda budgets.
 Two facts fall out and are quantified here: the exact outcome distributions
 do not depend on the chronology (compared on `quantum.exact_table` under both
 orders), while the realized outcome pairs produced from one shared lambda file
-generally do.
+generally do. Both hold per setting pair, and so does the count
+(`covariance_pass`): it takes only each pair's AB and BA threshold triples.
 """
 
 from __future__ import annotations
@@ -110,14 +111,14 @@ def _conditional_thresholds(
     return thresholds
 
 
-def _outcome_codes(thresholds: np.ndarray, lams: np.ndarray, chronology: Chronology) -> np.ndarray:
+def _outcome_codes(thresholds, lams: np.ndarray, chronology: Chronology) -> np.ndarray:
     """Code ``2 * (alpha == -1) + (beta == -1)`` of each row of (lam1, lam2).
 
-    Row r is sampled by the run_trial rule with thresholds[r] = (P(first=+),
+    Every row is sampled by the run_trial rule with thresholds = (P(first=+),
     P(second=+ | first=+), P(second=+ | first=-)); the tests pin the two
     paths to each other row by row.
     """
-    p_first, q_plus, q_minus = thresholds.T
+    p_first, q_plus, q_minus = thresholds
     first_minus = ~(lams[:, 0] < p_first)
     second_minus = ~(lams[:, 1] < np.where(first_minus, q_minus, q_plus))
     if chronology is Chronology.BA:
@@ -132,37 +133,35 @@ def covariance_pass(
 
     `chunks` yields (rows, block) lambda words, block >= `TRIAL_WORDS`. Row r
     is trial ``r % trials`` of setting pair ``r // trials`` (pairs in
-    row-major order) and reads the first `TRIAL_WORDS` words of its row. Both
-    chronologies replay each row, so `divergence[i, j]` is the share of pair
-    (i, j)'s trials whose realized (alpha, beta) differ between AB and BA:
-    purely the time order, never the randomness.
+    row-major order) and reads the first `TRIAL_WORDS` words of its row; a
+    chunk is counted as runs of one pair's rows. Both chronologies replay each
+    row, so `divergence[i, j]` is the share of pair (i, j)'s trials whose
+    realized (alpha, beta) differ between AB and BA: purely the time order,
+    never the randomness.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     settings_a, settings_b = tuple(settings_a), tuple(settings_b)
     pairs = [(a, b) for a in settings_a for b in settings_b]
-    thresholds = {
-        Chronology.AB: np.array([_conditional_thresholds(state, a, b) for a, b in pairs]),
-        Chronology.BA: np.array([_conditional_thresholds(state, b, a) for a, b in pairs]),
-    }
-    counts = {chronology: np.zeros(4 * len(pairs), dtype=np.int64) for chronology in Chronology}
+    thresholds = [(_conditional_thresholds(state, a, b), _conditional_thresholds(state, b, a))
+                  for a, b in pairs]
+    counts = np.zeros((len(Chronology), len(pairs), 4), dtype=np.int64)
     diverging = np.zeros(len(pairs), dtype=np.int64)
     row = 0
     for words in chunks:
-        if words.shape[1] < TRIAL_WORDS:
-            raise ValueError(f"a trial reads {TRIAL_WORDS} lambda words, "
-                             f"blocks must hold at least {TRIAL_WORDS}")
-        pair = (row + np.arange(len(words))) // trials
-        row += len(words)
+        first = row
         lams = words_to_reals(words[:, :TRIAL_WORDS])
-        codes = {c: _outcome_codes(thresholds[c][pair], lams, c) for c in Chronology}
-        for chronology, code in codes.items():
-            counts[chronology] += np.bincount(4 * pair + code, minlength=4 * len(pairs))
-        differs = codes[Chronology.AB] != codes[Chronology.BA]
-        diverging += np.bincount(pair[differs], minlength=len(pairs))
+        while row < first + len(lams):
+            pair, t = divmod(row, trials)
+            run = lams[row - first : row - first + trials - t]  # to the pair's or the chunk's end
+            ab, ba = (_outcome_codes(triple, run, chronology)
+                      for triple, chronology in zip(thresholds[pair], Chronology))
+            counts[:, pair] += np.bincount(ab, minlength=4), np.bincount(ba, minlength=4)
+            diverging[pair] += np.count_nonzero(ab != ba)
+            row += len(run)
     shape = (len(settings_a), len(settings_b))
     tables = {}
-    for chronology, count in counts.items():
+    for chronology, count in zip(Chronology, counts):
         freqs = count.reshape(*shape, 2, 2) / trials
         stderr = np.sqrt(freqs * (1.0 - freqs) / trials)
         tables[chronology] = CorrelationTable(settings_a, settings_b, freqs, stderr, trials)
@@ -176,18 +175,17 @@ def estimate_table(
     chronology: Chronology | str,
     trials: int,
     stream: LambdaStream,
-    block: int = DEFAULT_BLOCK,
 ) -> CorrelationTable:
     """Empirical outcome tables from `trials` runs per setting pair.
 
-    Trial t of setting pair k draws from substream ``k * trials + t`` (the
-    first two of words ``[(k*trials + t)*block, (k*trials + t + 1)*block)`` of
-    the stream's range), so the estimate is a pure function of the file and is
+    Trial t of setting pair k reads the first two words of substream
+    ``k * trials + t`` (blocks of `DEFAULT_BLOCK` words of the stream's
+    range), so the estimate is a pure function of the file and is
     independent of execution order.
     """
     chronology = Chronology(chronology)
     settings_a, settings_b = tuple(settings_a), tuple(settings_b)
-    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, block)
+    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, DEFAULT_BLOCK)
     return covariance_pass(state, settings_a, settings_b, trials, chunks)[0][chronology]
 
 
@@ -260,16 +258,14 @@ def realization_divergence(
     settings_b,
     trials: int,
     stream: LambdaStream,
-    block: int = DEFAULT_BLOCK,
-    tol: float = 1e-12,
 ) -> CovarianceReport:
     """Share of trials whose realized outcome pairs differ between chronologies.
 
     Both chronologies replay the same substream per trial, laid out as in
     `estimate_table`, so any difference is purely the time order, never the
-    randomness.
+    randomness. The report has no distribution part to read its tolerance.
     """
     settings_a, settings_b = tuple(settings_a), tuple(settings_b)
-    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, block)
+    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, DEFAULT_BLOCK)
     _, fractions = covariance_pass(state, settings_a, settings_b, trials, chunks)
-    return CovarianceReport(settings_a, settings_b, None, fractions, trials, tol)
+    return CovarianceReport(settings_a, settings_b, None, fractions, trials, 1e-12)

@@ -96,7 +96,7 @@ def cmd_flash(args, out) -> int:
     import numpy as np
 
     from . import flash as flash_mod
-    from .lambdafile import CHUNK_ROWS
+    from .lambdafile import chunk_rows
 
     if not all(0 < value < math.inf for value in (args.rate, args.duration, args.sigma)):
         raise ValueError("--rate, --duration and --sigma must be positive and finite")
@@ -114,7 +114,7 @@ def cmd_flash(args, out) -> int:
         block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
     except ValueError as exc:  # each flag is finite, but their product may leave the range
         raise ValueError(f"--rate and --duration: {exc}") from None
-    if (chunk := min(args.runs, CHUNK_ROWS) * block) > flash_mod.MAX_CHUNK_WORDS:  # held at once
+    if (chunk := min(args.runs, chunk_rows(block)) * block) > flash_mod.MAX_CHUNK_WORDS:
         raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
                          f"the cap of {flash_mod.MAX_CHUNK_WORDS}")
 

@@ -185,7 +185,7 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None)
         if prefix < block:  # generate only the words read
             from .pcg64 import prefix_chunks
 
-            return needed, prefix_chunks(seed, n_blocks, block, prefix, _chunk_rows(block))
+            return needed, prefix_chunks(seed, n_blocks, block, prefix, chunk_rows(block))
         bits = np.random.PCG64(seed)  # random_raw is sequential: chunks equal one call
         return needed, _chunks(lambda lo, n: bits.random_raw(n), needed, block)
     with Path(path).open("rb") as fh:
@@ -202,14 +202,15 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None)
     return available, _chunks(read, needed, block, prefix)
 
 
-def _chunk_rows(block: int) -> int:
+def chunk_rows(block: int) -> int:
+    """Rows of `block` words in every chunk but the last."""
     return max(CHUNK_ROWS, CHUNK_WORDS // block)
 
 
 def _chunks(read, needed: int, block: int, prefix=None):
     """Words [0, needed) as (rows, block) chunks, or views of their first `prefix`
     columns, words [lo, lo + n) from `read(lo, n)`."""
-    step = _chunk_rows(block) * block
+    step = chunk_rows(block) * block
     for lo in range(0, needed, step):
         n = min(step, needed - lo)
         words = read(lo, n)

@@ -389,10 +389,56 @@ class TestCovariancePass:
                 np.testing.assert_array_equal(tables[chronology].cells[r, 0], cell)
             assert divergence[r, 0] == float(pairs[cb.Chronology.AB] != pairs[cb.Chronology.BA])
 
-    def test_blocks_too_small_for_a_trial(self, singlet, zz_settings):
-        a, b = zz_settings
-        stream = cb.generate_lambda_file(seed=1, count=64).stream()
-        with pytest.raises(ValueError, match="blocks must hold at least 2"):
-            cb.estimate_table(singlet, [a], [b], "AB", 4, stream, block=1)
-        with pytest.raises(ValueError, match="block size must be positive"):
-            cb.realization_divergence(singlet, [a], [b], 4, stream, block=0)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_a=st.integers(1, 3),
+        n_b=st.integers(1, 3),
+        trials=st.integers(1, 40),
+        width=st.integers(2, 4),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=5),
+        kind=st.sampled_from(["random", "product", "singlet"]),
+    )
+    def test_pairs_of_many_trials_across_chunk_cuts(
+        self, seed, n_a, n_b, trials, width, cuts, kind
+    ):
+        """Cells, stderr and divergence equal a run_trial loop bit for bit, however
+        the rows are cut: a pair may span chunks and a chunk may hold several pairs."""
+        rng = np.random.default_rng(seed)
+        rows = n_a * n_b * trials
+        words = rng.integers(0, 2**64, size=(rows, width), dtype=np.uint64)
+        edges = np.array([0, 2**62, 2**63, 2**64 - 1], dtype=np.uint64)  # reals on thresholds
+        on_edge = rng.random(words.shape) < 0.2
+        words[on_edge] = rng.choice(edges, size=int(on_edge.sum()))
+        if kind == "random":
+            state = cb.random_pure_state(rng)
+            settings_a = [cb.random_setting(rng, "A") for _ in range(n_a)]
+            settings_b = [cb.random_setting(rng, "B") for _ in range(n_b)]
+        else:  # thresholds of exactly 0, 1/2 and 1, and nan branches for the product state
+            state = cb.make_product_state() if kind == "product" else cb.make_singlet()
+            settings_a = [A(deg) for deg in rng.choice([0.0, 90.0], n_a)]
+            settings_b = [B(deg) for deg in rng.choice([0.0, 90.0], n_b)]
+        bounds = [0, *sorted(round(cut * rows) for cut in cuts), rows]
+        chunks = (words[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        tables, divergence = covariance_pass(state, settings_a, settings_b, trials, chunks)
+
+        counts = {chronology: np.zeros((n_a, n_b, 2, 2)) for chronology in cb.Chronology}
+        differing = np.zeros((n_a, n_b))
+        for row in range(rows):
+            i, j = divmod(row // trials, n_b)
+            realized = {}
+            for chronology in cb.Chronology:
+                stream = cb.LambdaFile(words[row]).stream()
+                alpha, beta = realized[chronology] = cb.run_trial(
+                    state, settings_a[i], settings_b[j], chronology, stream
+                ).pair
+                counts[chronology][i, j, int(alpha == -1), int(beta == -1)] += 1
+            differing[i, j] += realized[cb.Chronology.AB] != realized[cb.Chronology.BA]
+        for chronology, count in counts.items():
+            freqs = count / trials
+            np.testing.assert_array_equal(tables[chronology].cells, freqs)
+            np.testing.assert_array_equal(
+                tables[chronology].stderr, np.sqrt(freqs * (1.0 - freqs) / trials)
+            )
+            assert tables[chronology].trials == trials
+        np.testing.assert_array_equal(divergence, differing / trials)

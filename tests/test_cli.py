@@ -471,6 +471,13 @@ class TestFlash:
         assert code == 2 and stdout == ""
         assert "--rate and --duration" in err and str(flash.MAX_CHUNK_WORDS) in err
 
+    def test_chunk_cap_takes_the_chunk_shape_from_lambdafile(self, capsys, monkeypatch, no_words):
+        # chunks of 2**28 words hold 2**20 runs of the default 256-word block
+        monkeypatch.setattr(lambdafile, "CHUNK_WORDS", 2**28)
+        code, stdout, err = run_cli(capsys, "flash", "--seed", "1", "--runs", "600000")
+        assert code == 2 and stdout == ""
+        assert f"make chunks of {600000 * 256} lambda words" in err
+
     @pytest.mark.parametrize("value,mean", [("1e-300", "0.0"), ("1e300", "inf")])
     def test_hit_count_out_of_range_rejected_naming_the_flags(self, capsys, no_words, value, mean):
         # each flag is finite and positive, but the mean hit count underflows or overflows
@@ -767,6 +774,15 @@ GOLDEN_STDOUT.update({
      "--angles", "68.28200723177017,52.46604633741214,10.814029949043586,56.937520794879326"):
         "815a05190fd2c20a3f99660fc3631b501042733aba85787901e3b1e8fbd4ce6b",
 })
+# recorded while covariance still gathered thresholds row by row; 6 setting pairs of
+# 3000 trials are 18 000 rows in chunks of 2048, so pairs begin and end inside chunks
+# and span chunk edges
+CHUNK_EDGE_COVARIANCE_ARGV = (
+    "covariance", "--trials", "3000", "--angles", "0,30,60/45,135", "--chronology", "ba",
+)
+GOLDEN_STDOUT[(*CHUNK_EDGE_COVARIANCE_ARGV, "--seed", "5")] = (
+    "ebb4a6720b306f2381147a04920815072fe1b35b1c9118f3c95de3330ae5181a"
+)
 
 
 def sha256(data: bytes) -> str:
@@ -835,6 +851,13 @@ class TestGolden:
         cb.generate_lambda_file(seed=3, count=4 * 200 * 64).save(path)
         _, from_file, _ = run_json(capsys, *argv, "--lambda-file", str(path))
         _, from_seed, _ = run_json(capsys, *argv, "--seed", "3")
+        assert from_file["results"] == from_seed["results"]
+
+    def test_covariance_pairs_across_chunk_edges_from_file_match_seed(self, capsys, tmp_path):
+        path = tmp_path / "lam.bin"
+        cb.generate_lambda_file(seed=5, count=6 * 3000 * 64).save(path)
+        _, from_file, _ = run_json(capsys, *CHUNK_EDGE_COVARIANCE_ARGV, "--lambda-file", str(path))
+        _, from_seed, _ = run_json(capsys, *CHUNK_EDGE_COVARIANCE_ARGV, "--seed", "5")
         assert from_file["results"] == from_seed["results"]
 
 
