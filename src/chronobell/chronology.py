@@ -163,8 +163,7 @@ def covariance_pass(
     tables = {}
     for chronology, count in zip(Chronology, counts):
         freqs = count.reshape(*shape, 2, 2) / trials
-        stderr = np.sqrt(freqs * (1.0 - freqs) / trials)
-        tables[chronology] = CorrelationTable(settings_a, settings_b, freqs, stderr, trials)
+        tables[chronology] = CorrelationTable(settings_a, settings_b, freqs, trials)
     return tables, (diverging / trials).reshape(shape)
 
 

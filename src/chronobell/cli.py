@@ -94,36 +94,27 @@ def parse_setting(token: str, party: Party) -> BlochSetting:
         raise ValueError(f"direction {token!r} must be finite")
     if len(v) == 1:
         return BlochSetting.from_angle(v[0], party)
+    if math.hypot(*v) == math.inf:  # overflowed: the same direction, scaled into range
+        top = max(map(abs, v))
+        v = [x / top for x in v]
     norm = math.hypot(*v)
     if norm < 1e-9:
         raise ValueError(f"direction {token!r} has zero length")
     return BlochSetting(tuple(x / norm for x in v), party)
 
 
-def _resolve_lambda(args, n_blocks: int, block: int, prefix=None):
-    """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed;
-    with `prefix`, of each block's first `prefix` words (`lambdafile.word_blocks`)."""
-    from .lambdafile import word_blocks
+def _emit(args, results: dict, sink=None, **config_extra) -> None:
+    """The one report writer: prints the report of `args.command`, and writes it to `sink`.
 
-    has_file = args.lambda_file is not None
-    if has_file == (args.seed is not None):
-        raise ValueError("provide exactly one of --lambda-file or --seed")
-    source = {"lambda_file": args.lambda_file} if has_file else {"seed": args.seed}
-    source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed,
-                                          prefix=prefix)
-    return source, chunks
-
-
-def _config(args, **extra) -> dict:
-    """Every parsed flag but --out, --seed and --lambda-file (as `lambda_source`), plus `extra`."""
+    Its config is every parsed flag but --out, --seed and --lambda-file (which
+    commands give as `lambda_source`), plus `config_extra`.
+    """
     skip = {"command", "func", "out", "seed", "lambda_file"}
-    return {k: v for k, v in vars(args).items() if k not in skip} | extra
-
-
-def _emit(out, report: dict) -> None:
-    text = canonical_json(report)
+    config = {k: v for k, v in vars(args).items() if k not in skip} | config_extra
+    text = canonical_json({"command": args.command, "config": config, "results": results})
     sys.stdout.write(text)
-    out.write(text.encode())
+    if sink is not None:
+        sink.write(text.encode())
 
 
 @contextlib.contextmanager
@@ -179,19 +170,15 @@ def cmd_chsh(args, out) -> int:
     state, (a, a2, b, b2), _, verdict = _certified_target(args, "chsh", args.tol)
     value = chsh_value(state, a, a2, b, b2)
 
-    report = {
-        "command": "chsh",
-        "config": _config(args),
-        "results": {
-            "settings": {"a": a.xyz, "a2": a2.xyz, "b": b.xyz, "b2": b2.xyz},
-            "chsh_value": value,
-            "local_bound": LOCAL_BOUND,
-            "tsirelson_bound": TSIRELSON_BOUND,
-            "local": verdict["facet_local"],
-            **verdict,
-        },
+    results = {
+        "settings": {"a": a.xyz, "a2": a2.xyz, "b": b.xyz, "b2": b2.xyz},
+        "chsh_value": value,
+        "local_bound": LOCAL_BOUND,
+        "tsirelson_bound": TSIRELSON_BOUND,
+        "local": verdict["facet_local"],
+        **verdict,
     }
-    _emit(out, report)
+    _emit(args, results, out)
     return 0
 
 
@@ -204,17 +191,8 @@ def cmd_nogo(args, out) -> int:
         )
     # --tol is the search tolerance; the oracles keep their default
     _, _, target, verdict = _certified_target(args, "nogo")
-    result = exhaustive_nogo_search(args.alphabet_size, target, args.tol)
-
-    report = {
-        "command": "nogo",
-        "config": _config(args),
-        "results": {
-            "search": result.to_dict(),
-            "target": {"probabilities": target.values, **verdict},
-        },
-    }
-    _emit(out, report)
+    search = exhaustive_nogo_search(args.alphabet_size, target, args.tol).to_dict()
+    _emit(args, {"search": search, "target": {"probabilities": target.values, **verdict}}, out)
     return 0
 
 

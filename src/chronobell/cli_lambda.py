@@ -1,19 +1,16 @@
 """The lambda-driven subcommands, `gen-lambda`, `covariance` and `flash`, which `cli`
-imports only when one of them runs. They call `cli._resolve_lambda` through `cli`, so
-a replacement there takes effect here too."""
+imports only when one of them runs."""
 
 from __future__ import annotations
 
 import contextlib
 import itertools
 import math
-import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import cli
-from .cli import _config, _emit, _replacing, parse_setting, parse_state
-from .reporting import canonical_json, correlation_table_csv, correlation_table_dict
+from .cli import _emit, _replacing, parse_setting, parse_state
+from .reporting import correlation_table_csv, correlation_table_dict
 
 if TYPE_CHECKING:
     from .quantum import BlochSetting, Party
@@ -36,6 +33,20 @@ def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting
     return parse_direction_list(part_a, Party.A), parse_direction_list(part_b, Party.B)
 
 
+def _resolve_lambda(args, n_blocks: int, block: int, prefix=None):
+    """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed;
+    with `prefix`, of each block's first `prefix` words (`lambdafile.word_blocks`)."""
+    from .lambdafile import word_blocks
+
+    has_file = args.lambda_file is not None
+    if has_file == (args.seed is not None):
+        raise ValueError("provide exactly one of --lambda-file or --seed")
+    source = {"lambda_file": args.lambda_file} if has_file else {"seed": args.seed}
+    source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed,
+                                          prefix=prefix)
+    return source, chunks
+
+
 def cmd_gen_lambda(args, out) -> int:
     import hashlib
 
@@ -46,12 +57,8 @@ def cmd_gen_lambda(args, out) -> int:
     for buf in itertools.chain([file_header(args.count, args.seed)], chunks):
         out.write(buf)
         digest.update(buf)
-    report = {
-        "command": "gen-lambda",
-        "config": _config(args, seed=args.seed, out=str(args.out)),
-        "results": {"path": str(Path(args.out)), "sha256": digest.hexdigest()},
-    }
-    sys.stdout.write(canonical_json(report))
+    _emit(args, {"path": str(Path(args.out)), "sha256": digest.hexdigest()},
+          seed=args.seed, out=str(args.out))
     return 0
 
 
@@ -69,22 +76,15 @@ def cmd_covariance(args, out) -> int:
     n_pairs = len(settings_a) * len(settings_b)
     # the table goes next to the report: both are replaced, or neither
     with _replacing(Path(f"{args.out}.csv")) if args.out else contextlib.nullcontext() as csv:
-        source, chunks = cli._resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK,
-                                             TRIAL_WORDS)
+        source, chunks = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK, TRIAL_WORDS)
         exact = distribution_covariance_check(state, settings_a, settings_b, args.tol)
         tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
         table = tables[chronology]
         combined = CovarianceReport(exact.settings_a, exact.settings_b, exact.distribution_max_diff,
                                     divergence, args.trials, exact.tolerance)
-        report = {
-            "command": "covariance",
-            "config": _config(args, lambda_source=source),
-            "results": {
-                "covariance": combined.to_dict(),
-                "empirical_table": correlation_table_dict(table),
-            },
-        }
-        _emit(out, report)
+        results = {"covariance": combined.to_dict(),
+                   "empirical_table": correlation_table_dict(table)}
+        _emit(args, results, out, lambda_source=source)
         if csv:
             csv.write(correlation_table_csv(table).encode())
     return 0 if combined.distribution_pass else 1
@@ -110,15 +110,16 @@ def cmd_flash(args, out) -> int:
     except ValueError as exc:  # the sites are checked: only the width is left
         raise ValueError(f"--sigma: {exc}") from None
     psi0 = flash_mod.make_entangled_pair(args.sites, args.sites // 4, (3 * args.sites) // 4)
+    expected_hits = args.rate * args.duration * psi0.n_particles
     try:
-        block = flash_mod.flash_block(args.rate * args.duration * psi0.n_particles)
+        block = flash_mod.flash_block(expected_hits)
     except ValueError as exc:  # each flag is finite, but their product may leave the range
         raise ValueError(f"--rate and --duration: {exc}") from None
     if (chunk := min(args.runs, chunk_rows(block)) * block) > flash_mod.MAX_CHUNK_WORDS:
         raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
                          f"the cap of {flash_mod.MAX_CHUNK_WORDS}")
 
-    source, chunks = cli._resolve_lambda(args, args.runs, block)
+    source, chunks = _resolve_lambda(args, args.runs, block)
     digest = hashlib.sha256()
     hit_counts = []
     first_flash_counts = np.zeros(args.sites, dtype=np.int64)
@@ -139,7 +140,7 @@ def cmd_flash(args, out) -> int:
         "hits": {
             "total": int(hit_counts.sum()),
             "mean": mean_hits,
-            "expected": args.rate * args.duration * psi0.n_particles,
+            "expected": expected_hits,
             "dispersion": dispersion,
         },
         "first_flash_counts": first_flash_counts.tolist(),
@@ -152,11 +153,5 @@ def cmd_flash(args, out) -> int:
     }
     if args.out:
         results["history_file"] = str(args.out)
-
-    report = {
-        "command": "flash",
-        "config": _config(args, lambda_source=source),
-        "results": results,
-    }
-    sys.stdout.write(canonical_json(report))
+    _emit(args, results, lambda_source=source)
     return 0 if ordering.passed else 1

@@ -31,6 +31,7 @@ one ulp on some inputs, and the history file prints times with `repr`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -423,10 +424,12 @@ def flash_block(mean_hits: float) -> int:
 class OrderingReport(Frozen):
     """Exact joint first-hit distributions under both hit orders, compared."""
 
-    max_diff: float
     tolerance: float
     joint_first_then_second: np.ndarray
     joint_second_then_first: np.ndarray
+
+    max_diff = functools.cached_property(lambda self: float(
+        np.max(np.abs(self.joint_first_then_second - self.joint_second_then_first.T))))
 
     @property
     def passed(self) -> bool:
@@ -461,10 +464,8 @@ def ordering_invariance_exact(
             joint[x_first] = p_first * flash_distribution(post, kernel, second_particle)
         return joint
 
-    joint_12 = sequential_joint(0)
-    joint_21 = sequential_joint(1)  # indexed [x2, x1]
-    max_diff = float(np.max(np.abs(joint_12 - joint_21.T)))
-    return OrderingReport(max_diff, tol, joint_12, joint_21)
+    # the second joint is indexed [x2, x1]
+    return OrderingReport(tol, sequential_joint(0), sequential_joint(1))
 
 
 def sample_flash_pair(

@@ -88,7 +88,7 @@ class LambdaFile(Frozen):
         return int(self.words.size)
 
     @classmethod
-    def from_reals(cls, values, seed_note: int = 0) -> "LambdaFile":
+    def from_reals(cls, values) -> "LambdaFile":
         """Build a file whose derived reals approximate `values` to ~2**-53.
 
         Test convenience: lets a scenario pin specific lambda draws.
@@ -97,7 +97,7 @@ class LambdaFile(Frozen):
         if np.any(values < 0.0) or np.any(values >= 1.0):
             raise ValueError("values must lie in [0, 1)")
         words = np.floor(values * 2.0**64).astype(np.uint64)
-        return cls(words, seed_note)
+        return cls(words)
 
     def to_bytes(self) -> bytes:
         payload = self.words.astype("<u8", copy=False).tobytes()

@@ -123,12 +123,12 @@ def _vertex_matrix() -> tuple[tuple[float, ...], ...]:
 class FacetCheck(Frozen):
     """Max over the 8 CHSH coefficient patterns; local iff it stays within 2."""
 
-    local: bool
     max_facet_value: float
     signs: tuple[tuple[int, int], tuple[int, int]]
     tolerance: float
 
     best_signs = functools.cached_property(lambda self: _frozen(self.signs, int))
+    local = property(lambda self: self.max_facet_value <= LOCAL_BOUND + self.tolerance)
 
     def to_dict(self) -> dict:
         return {
@@ -154,15 +154,16 @@ def chsh_facet_check(p: BehaviorVector, tol: float = 1e-9) -> FacetCheck:
         value = abs(_facet_sum(signs, corr))
         if value > best_value:
             best_value, best_signs = value, signs
-    return FacetCheck(best_value <= LOCAL_BOUND + tol, best_value, best_signs, tol)
+    return FacetCheck(best_value, best_signs, tol)
 
 
 class MembershipResult(Frozen):
     """LP verdict: vertex weights and their reconstruction error if local, None if not."""
 
-    local: bool
     weights: list[float] | None
     reconstruction_error: float | None
+
+    local = property(lambda self: self.weights is not None)
 
 
 def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResult:
@@ -181,9 +182,9 @@ def local_membership_lp(p: BehaviorVector, tol: float = 1e-9) -> MembershipResul
     floor = max(tol, BOUNDARY_ROUNDING)  # at tol = 0 rounding alone reads as infeasible
     weights = solve_feasibility(A, b, tol=floor, residual_tol=RESIDUAL_PER_VIOLATION * floor)
     if weights is None:
-        return MembershipResult(False, None, None)
+        return MembershipResult(None, None)
     error = max(abs(math.fsum(a * w for a, w in zip(row, weights)) - y) for row, y in zip(A, b))
-    return MembershipResult(True, weights, error)
+    return MembershipResult(weights, error)
 
 
 def certify_locality(p: BehaviorVector, tol: float = 1e-9) -> dict:
@@ -211,13 +212,14 @@ def certify_locality(p: BehaviorVector, tol: float = 1e-9) -> dict:
 class SearchResult(Frozen):
     """The no-go search's verdict; `vertices` are the closest multiset's vertex indices."""
 
-    found: bool
     vertices: tuple[int, ...]
     best_distance: float
     max_chsh: float
     alphabet_size: int
     tolerance: float
-    n_candidates: int
+
+    found = property(lambda self: self.best_distance <= self.tolerance)
+    n_candidates = property(lambda self: 16**self.alphabet_size)
 
     @functools.cached_property
     def best(self):
@@ -227,7 +229,7 @@ class SearchResult(Frozen):
         return _quadruple(self.vertices)
 
     def to_dict(self) -> dict:
-        """Every field but the chosen vertices."""
+        """Every field but the chosen vertices, with `found` and `n_candidates`."""
         names = "found best_distance max_chsh alphabet_size tolerance n_candidates".split()
         return {name: getattr(self, name) for name in names}
 
@@ -277,5 +279,4 @@ def exhaustive_nogo_search(alphabet_size: int, target: BehaviorVector, tol: floa
     walk((), [0] * len(t), 0)
     corners = ([[v[a] * v[2 + b] for b in range(2)] for a in range(2)] for v in _VERTICES)
     max_chsh = max(abs(_facet_sum(s, corr)) for corr in corners for s in _CHSH_PATTERNS)
-    return SearchResult(best_distance <= tol, best_pick, best_distance, float(max_chsh),
-                        alphabet_size, tol, 16**alphabet_size)
+    return SearchResult(best_pick, best_distance, float(max_chsh), alphabet_size, tol)

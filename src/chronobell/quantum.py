@@ -318,30 +318,31 @@ class CorrelationTable(Frozen):
     """Joint distributions over a grid of setting pairs.
 
     `values[i][j]` (as an array, `cells[i, j]`) is the (2, 2) outcome table for
-    A-setting i and B-setting j. Empirical tables carry per-cell standard errors
-    (an array) and the trial count; exact tables leave both as None.
+    A-setting i and B-setting j. Empirical tables carry the trial count, and from
+    it per-cell standard errors (an array); exact tables leave both as None.
     """
 
     settings_a: tuple[BlochSetting, ...]
     settings_b: tuple[BlochSetting, ...]
     values: tuple
-    stderr: object = None
     trials: int | None = None
 
-    def __init__(self, settings_a, settings_b, cells, stderr=None, trials=None) -> None:
+    def __init__(self, settings_a, settings_b, cells, trials=None) -> None:
         settings_a, settings_b = tuple(settings_a), tuple(settings_b)
-        expected = (len(settings_a), len(settings_b), 2, 2)
-        values = _nested(cells, expected, "cells")
+        values = _nested(cells, (len(settings_a), len(settings_b), 2, 2), "cells")
         if any(abs(_cell_sum(t) - 1.0) > 1e-9 for row in values for t in row):
             raise ValueError("each setting pair's probabilities must sum to 1")
-        if stderr is not None:
-            stderr = _frozen(stderr)
-            if stderr.shape != expected:
-                raise ValueError("stderr must match cells' shape")
-        vars(self).update(settings_a=settings_a, settings_b=settings_b, values=values)
-        vars(self).update(stderr=stderr, trials=trials)
+        vars(self).update(settings_a=settings_a, settings_b=settings_b, values=values,
+                          trials=trials)
 
     cells = cached_property(lambda self: _frozen(self.values).reshape(*self.shape, 2, 2))
+
+    @cached_property
+    def stderr(self):
+        import numpy as np
+
+        if self.trials is not None:
+            return _frozen(np.sqrt(self.cells * (1.0 - self.cells) / self.trials))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -125,8 +125,9 @@ class ConstraintViolation(Frozen, eq=True):
 
 
 class ConstraintReport(Frozen, eq=True):
-    holds: bool
     violations: tuple[ConstraintViolation, ...]
+
+    holds = property(lambda self: not self.violations)
 
 
 def check_covariance_constraints(q: StrategyQuadruple) -> ConstraintReport:
@@ -145,7 +146,7 @@ def check_covariance_constraints(q: StrategyQuadruple) -> ConstraintReport:
         ):
             if lhs != rhs:
                 violations.append(ConstraintViolation(equation, a, b, lam, int(lhs), int(rhs)))
-    return ConstraintReport(not violations, tuple(violations))
+    return ConstraintReport(tuple(violations))
 
 
 def reduce_to_local(q: StrategyQuadruple) -> LocalModel:

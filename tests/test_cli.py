@@ -13,10 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import chronobell as cb
-from chronobell import chronology, cli, flash, lambdafile, localpolytope
+from chronobell import chronology, cli, cli_lambda, flash, lambdafile, localpolytope
 from chronobell.errors import OracleDisagreementError, StreamExhaustedError
 
 SQRT2 = math.sqrt(2.0)
@@ -50,7 +52,7 @@ def no_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("work was done")
 
-    monkeypatch.setattr(cli, "_resolve_lambda", work)
+    monkeypatch.setattr(cli_lambda, "_resolve_lambda", work)
     monkeypatch.setattr(lambdafile, "word_blocks", work)
     for name in ("quantum_behavior", "chsh_facet_check", "local_membership_lp"):
         monkeypatch.setattr(localpolytope, name, work)
@@ -165,9 +167,8 @@ class TestChsh:
         def contrary_lp(behavior, tol):
             verdict = localpolytope.chsh_facet_check(behavior, tol).local
             real = real_lp(behavior, tol)
-            return localpolytope.MembershipResult(
-                not verdict, real.weights, real.reconstruction_error
-            )
+            weights = None if verdict else [1.0 / 16] * 16  # the LP says local iff it has weights
+            return localpolytope.MembershipResult(weights, real.reconstruction_error)
 
         monkeypatch.setattr(localpolytope, "local_membership_lp", contrary_lp)
         on_facet = repr(plain["results"]["chsh_magnitude"] - 2.0)  # |S| - 2 == tol
@@ -317,9 +318,9 @@ class TestNogo:
 
         def lying_check(behavior, tol=1e-9):
             result = real_check(behavior, tol)
-            return type(result)(
-                not result.local, result.max_facet_value, result.best_signs, result.tolerance
-            )
+            # the verdict is derived from the tolerance: flip it through the tolerance
+            tolerance = -math.inf if result.local else math.inf
+            return type(result)(result.max_facet_value, result.best_signs, tolerance)
 
         monkeypatch.setattr(localpolytope, "chsh_facet_check", lying_check)
         code, _, err = run_cli(capsys, "nogo", "--alphabet-size", "1")
@@ -416,7 +417,7 @@ class TestFlash:
         def words(*args, **kwargs):
             raise AssertionError("lambda words were read")
 
-        monkeypatch.setattr(cli, "_resolve_lambda", words)
+        monkeypatch.setattr(cli_lambda, "_resolve_lambda", words)
 
         def check(sigma: str) -> None:
             out = tmp_path / "h.txt"
@@ -462,7 +463,7 @@ class TestFlash:
         def words(*args, **kwargs):
             raise AssertionError("lambda words were read")
 
-        monkeypatch.setattr(cli, "_resolve_lambda", words)
+        monkeypatch.setattr(cli_lambda, "_resolve_lambda", words)
         monkeypatch.setattr(lambdafile, "word_blocks", words)
 
     def test_rate_whose_chunk_exceeds_the_cap_rejected_before_any_word(self, capsys, no_words):
@@ -515,6 +516,46 @@ def test_malformed_parameter_rejected_before_any_work(capsys, no_work, argv, mes
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert err == f"error: {message}\n"
+
+
+# every finite float, subnormals included, and the float limits of either sign
+EXTREME = st.sampled_from([sys.float_info.max, 1.7e308, 1e308, sys.float_info.min, 5e-324, 0.0])
+COMPONENT = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EXTREME,
+                      EXTREME.map(lambda x: -x))
+
+
+@given(triple=st.tuples(COMPONENT, COMPONENT, COMPONENT))
+@example(triple=(1.7e308, 1.7e308, 0.0))
+@example(triple=(sys.float_info.max, -sys.float_info.max, sys.float_info.max))
+@example(triple=(5e-324, 0.0, 0.0))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_direction_triple_is_a_unit_setting_along_it_or_rejected_naming_it(
+    capsys, no_work, triple
+):
+    token = ":".join(map(repr, triple))
+    try:
+        setting = cli.parse_setting(token, cb.Party.A)
+    except ValueError:
+        for argv in (("chsh", f"--angles={token},90,45,135"),
+                     ("covariance", "--seed", "1", f"--angles={token}/0")):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 2 and stdout == "" and token in err
+        return
+    scaled = np.array(triple) / max(map(abs, triple))  # in range, and along the triple
+    assert abs(math.hypot(*setting.xyz) - 1.0) <= 1e-12
+    np.testing.assert_allclose(setting.xyz, scaled / np.linalg.norm(scaled), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("chsh", "--angles", "{},90,45,135"),
+    ("covariance", "--seed", "3", "--trials", "50", "--angles", "{},0/45"),
+])
+def test_overflowing_triple_means_the_direction_scaled_into_range(capsys, argv):
+    reports = [run_json(capsys, *(a.format(token) for a in argv))
+               for token in ("1.7e308:1.7e308:0", "1:1:0")]
+    assert [code for code, _, _ in reports] == [0, 0]
+    assert reports[0][1]["results"] == reports[1][1]["results"]
 
 
 class TestGenLambda:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chronobell as cb
-from chronobell import cli, lambdafile, pcg64
+from chronobell import cli_lambda, lambdafile, pcg64
 from chronobell.lambdafile import FORMAT_VERSION, MAGIC, word_blocks, words_to_reals
 
 # first words of the stored generator at seed 1, frozen so that any change to
@@ -306,8 +306,9 @@ class TestWordBlocks:
         )
         # several chunks per run, sized by words or by rows
         with mock.patch.multiple(lambdafile, CHUNK_WORDS=chunk, CHUNK_ROWS=rows):
-            stored, from_file = cli._resolve_lambda(_lambda_args(path=path), n_blocks, block)
-            generated, from_seed = cli._resolve_lambda(_lambda_args(seed=seed), n_blocks, block)
+            resolve = cli_lambda._resolve_lambda
+            stored, from_file = resolve(_lambda_args(path=path), n_blocks, block)
+            generated, from_seed = resolve(_lambda_args(seed=seed), n_blocks, block)
             assert (stored["words"], generated["words"]) == (needed + spare, needed)
             step = max(rows, chunk // block)
             for chunks in (loaded.stream().blocks(n_blocks, block), from_file, from_seed):

@@ -125,13 +125,11 @@ def oracle_multiset_search(alphabet_size, target, tol):
     max_corr_int = int(np.abs(np.einsum("sab,nab->ns", patterns, corr_int)).max())
 
     return cb.SearchResult(
-        found=bool(distances[best] <= tol),
         vertices=tuple(int(v) for v in picks[best]),
         best_distance=float(distances[best]),
         max_chsh=max_corr_int / alphabet_size,
         alphabet_size=alphabet_size,
         tolerance=tol,
-        n_candidates=16**alphabet_size,
     )
 
 

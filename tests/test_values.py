@@ -23,7 +23,7 @@ VALUE_TYPES = {
     "TwoQubitState": (("re", "im"), True, lambda: (([0, 1, 0, 0],), ([0, 0, 1, 0],))),
     "JointDistribution": (("values",), True, lambda: (([[0.5, 0], [0, 0.5]],), ([[0, 0.5], [0.5, 0]],))),
     "CorrelationTable": (
-        ("settings_a", "settings_b", "values", "stderr", "trials"), False,
+        ("settings_a", "settings_b", "values", "trials"), False,
         lambda: (([A], [B], [[[[0.25, 0.25], [0.25, 0.25]]]]),) * 2,
     ),
     "LocalModel": (
@@ -39,19 +39,21 @@ VALUE_TYPES = {
         ("equation", "a", "b", "lam", "lhs", "rhs"), True,
         lambda: (("alpha_consistency", 0, 1, 0, 1, -1), ("alpha_consistency", 0, 1, 1, 1, -1)),
     ),
-    "ConstraintReport": (("holds", "violations"), True, lambda: ((True, ()), (False, ()))),
+    "ConstraintReport": (
+        ("violations",), True,
+        lambda: (((),), ((cb.ConstraintViolation("alpha_consistency", 0, 1, 0, 1, -1),),)),
+    ),
     "FacetCheck": (
-        ("local", "max_facet_value", "signs", "tolerance"), False,
-        lambda: ((True, 2.0, ((1, 1), (1, -1)), 1e-9),) * 2,
+        ("max_facet_value", "signs", "tolerance"), False,
+        lambda: ((2.0, ((1, 1), (1, -1)), 1e-9),) * 2,
     ),
     "MembershipResult": (
-        ("local", "weights", "reconstruction_error"), False,
-        lambda: ((False, None, None),) * 2,
+        ("weights", "reconstruction_error"), False,
+        lambda: ((None, None),) * 2,
     ),
     "SearchResult": (
-        ("found", "vertices", "best_distance", "max_chsh", "alphabet_size", "tolerance",
-         "n_candidates"), False,
-        lambda: ((False, (0,), 0.5, 2.0, 1, 1e-6, 16),) * 2,
+        ("vertices", "best_distance", "max_chsh", "alphabet_size", "tolerance"), False,
+        lambda: (((0,), 0.5, 2.0, 1, 1e-6),) * 2,
     ),
     "TrialResult": (
         ("chronology", "alpha", "beta", "lambdas"), True,
@@ -70,8 +72,8 @@ VALUE_TYPES = {
         lambda: ((EMPTY, np.zeros(0), EMPTY, EMPTY, np.zeros(1, dtype=np.int64)),) * 2,
     ),
     "OrderingReport": (
-        ("max_diff", "tolerance", "joint_first_then_second", "joint_second_then_first"), False,
-        lambda: ((0.0, 1e-12, np.zeros((2, 2)), np.zeros((2, 2))),) * 2,
+        ("tolerance", "joint_first_then_second", "joint_second_then_first"), False,
+        lambda: ((1e-12, np.zeros((2, 2)), np.zeros((2, 2))),) * 2,
     ),
     "LambdaFile": (("words", "seed_note"), False, lambda: (([1, 2, 3],), ([1, 2, 3], 5))),
 }
