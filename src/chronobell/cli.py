@@ -94,10 +94,11 @@ def parse_setting(token: str, party: Party) -> BlochSetting:
         raise ValueError(f"direction {token!r} must be finite")
     if len(v) == 1:
         return BlochSetting.from_angle(v[0], party)
-    if math.hypot(*v) == math.inf:  # overflowed: the same direction, scaled into range
+    norm = math.hypot(*v)
+    if norm == math.inf or (norm < 1e-9 and any(v)):  # the same direction, scaled into range
         top = max(map(abs, v))
         v = [x / top for x in v]
-    norm = math.hypot(*v)
+        norm = math.hypot(*v)
     if norm < 1e-9:
         raise ValueError(f"direction {token!r} has zero length")
     return BlochSetting(tuple(x / norm for x in v), party)

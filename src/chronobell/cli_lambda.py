@@ -33,9 +33,10 @@ def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting
     return parse_direction_list(part_a, Party.A), parse_direction_list(part_b, Party.B)
 
 
-def _resolve_lambda(args, n_blocks: int, block: int, prefix=None):
+def _resolve_lambda(args, n_blocks: int, block: int, prefix=None, rows=None):
     """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed;
-    with `prefix`, of each block's first `prefix` words (`lambdafile.word_blocks`)."""
+    with `prefix`, of each block's first `prefix` words, and with `rows`, of that many
+    blocks each (`lambdafile.word_blocks`)."""
     from .lambdafile import word_blocks
 
     has_file = args.lambda_file is not None
@@ -43,7 +44,7 @@ def _resolve_lambda(args, n_blocks: int, block: int, prefix=None):
         raise ValueError("provide exactly one of --lambda-file or --seed")
     source = {"lambda_file": args.lambda_file} if has_file else {"seed": args.seed}
     source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed,
-                                          prefix=prefix)
+                                          prefix=prefix, rows=rows)
     return source, chunks
 
 
@@ -96,7 +97,6 @@ def cmd_flash(args, out) -> int:
     import numpy as np
 
     from . import flash as flash_mod
-    from .lambdafile import chunk_rows
 
     if not all(0 < value < math.inf for value in (args.rate, args.duration, args.sigma)):
         raise ValueError("--rate, --duration and --sigma must be positive and finite")
@@ -115,21 +115,21 @@ def cmd_flash(args, out) -> int:
         block = flash_mod.flash_block(expected_hits)
     except ValueError as exc:  # each flag is finite, but their product may leave the range
         raise ValueError(f"--rate and --duration: {exc}") from None
-    if (chunk := min(args.runs, chunk_rows(block)) * block) > flash_mod.MAX_CHUNK_WORDS:
+    if (chunk := min(args.runs, flash_mod.CHUNK_RUNS) * block) > flash_mod.MAX_CHUNK_WORDS:
         raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
                          f"the cap of {flash_mod.MAX_CHUNK_WORDS}")
 
-    source, chunks = _resolve_lambda(args, args.runs, block)
+    source, chunks = _resolve_lambda(args, args.runs, block, rows=flash_mod.CHUNK_RUNS)
     digest = hashlib.sha256()
-    hit_counts = []
+    hit_counts, done = np.empty(args.runs, dtype=np.intp), 0
     first_flash_counts = np.zeros(args.sites, dtype=np.int64)
     for batch in flash_mod.flash_batches(psi0, kernel, args.rate, args.duration, chunks):
         history = batch.history_bytes()
         digest.update(history)
         out.write(history)
-        hit_counts.append(batch.hit_counts)
+        hit_counts[done : done + batch.hit_counts.size] = batch.hit_counts
+        done += batch.hit_counts.size
         first_flash_counts += np.bincount(batch.first_sites(), minlength=args.sites)
-    hit_counts = np.concatenate(hit_counts)
 
     ordering = flash_mod.ordering_invariance_exact(psi0, kernel, args.tol)
     mean_hits = float(hit_counts.mean())

@@ -17,16 +17,18 @@ to 1 exactly on a finite grid), and no wave evolution between hits - the
 point is hit-order covariance, not dynamics. Defaults (16 sites, width 2,
 rate 1, duration 4) keep exact oracles cheap while still localizing visibly.
 
-Ensembles run through `flash_batches`, which advances the runs of each chunk
-of lambda words in lockstep, keeps nothing across chunks, and gives each run
-the flashes of `run_flash_process` on its substream. That reference run is
-built from the single-hit rules: `sample_hit_center`, then `apply_hit`.
-The batch keeps no amplitude grid per run. Because hits act diagonally on
-separate tensor factors and nothing evolves between hits, a run's density
-is exactly the initial one times a real weight vector per particle (the
-product of that particle's squared kernel rows). Waiting times are computed
-word by word with `math.log1p`, as in the scalar run: `np.log1p` is off by
-one ulp on some inputs, and the history file prints times with `repr`.
+Ensembles run through `flash_batches`, which keeps nothing across chunks of
+lambda words and gives each run the flashes of `run_flash_process` on its
+substream. That reference run is built from the single-hit rules:
+`sample_hit_center`, then `apply_hit`. Hit times and particles depend on no
+hit, so a chunk's are drawn first, and its raw words dropped before the hit
+centers are stepped. The batch keeps no amplitude grid per run. Because hits
+act diagonally on separate tensor factors and nothing evolves between hits,
+a run's density is exactly the initial one times a real weight vector per
+particle (the product of that particle's squared kernel rows). Waiting times
+are computed word by word with `math.log1p`, as in the scalar run:
+`np.log1p` is off by one ulp on some inputs, and the history file prints
+times with `repr`.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from .values import Frozen
 MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
 MAX_CHUNK_WORDS = 1 << 27  # lambda words of one chunk of runs at most: 1 GiB
+CHUNK_RUNS = 256  # runs per chunk of lambda words, whatever their block
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
-FORMAT_SLICE = 4096  # history lines FlashEnsemble.history_bytes formats at a time
+FORMAT_SLICE = 1024  # history lines FlashEnsemble.history_bytes formats at a time
 
 
 def _normalize(re: np.ndarray, im: np.ndarray, weight: float) -> np.ndarray:
@@ -312,7 +315,8 @@ def run_flash_processes(
     _check_process(psi0, kernel, rate, duration)
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    batches = flash_batches(psi0, kernel, rate, duration, stream.blocks(runs, block), stream.label)
+    chunks = stream.blocks(runs, block, CHUNK_RUNS)
+    batches = flash_batches(psi0, kernel, rate, duration, chunks, stream.label)
     columns = zip(*(vars(batch).values() for batch in batches))
     return FlashEnsemble(*(np.concatenate(column) for column in columns))
 
@@ -320,11 +324,12 @@ def run_flash_processes(
 def flash_batches(psi0, kernel, rate, duration, chunks, label="root"):
     """One `FlashEnsemble` per (runs, block) chunk of lambda words, run ids counted on.
 
-    Row r of the chunks is the block of run r. The runs of a chunk advance
-    together, one hit per step, over those still inside `duration`. At step
-    k run r reads words 3k (waiting time), 3k+1 (particle) and 3k+2 (center)
-    of its row. Times and particles come from the same floating-point
-    operations as in the scalar run. Each particle's state is a weight
+    Row r of the chunks is the block of run r, and run r reads words 3k
+    (waiting time), 3k+1 (particle) and 3k+2 (center) of its row for hit k.
+    Phase 1 (`_draw_hits`) draws every run's hit times and particles with the
+    same floating-point operations as the scalar run; then the chunk is
+    dropped, before phase 2 (`_draw_centers`) steps the runs' hit centers
+    together, hit k of every run at step k. Each particle's state is a weight
     vector w (see the module docstring), so with ``P0 = |psi0|**2`` the
     marginals are ``w0 * (P0 @ w1)`` and ``w1 * (P0.T @ w0)``; they sum in
     another order than the scalar run's, so a center could differ only where
@@ -334,63 +339,84 @@ def flash_batches(psi0, kernel, rate, duration, chunks, label="root"):
     _check_process(psi0, kernel, rate, duration)
     first_run = 0
     for words in chunks:
-        yield _run_chunk(psi0, kernel, rate, duration, words, label, first_run)
-        first_run += len(words)
+        runs = len(words)
+        hits = _draw_hits(psi0.n_particles, rate, duration, words, label, first_run)
+        del words  # the chunk's raw words go before its centers are stepped
+        yield _draw_centers(psi0, kernel, first_run, *hits)
+        first_run += runs
 
 
-def _run_chunk(psi0, kernel, rate, duration, words, label, first_run):
-    """The `FlashEnsemble` of the runs whose blocks are `words`."""
-    n_particles = psi0.n_particles
-    total_rate = rate * n_particles
-    kernel_sq = kernel.squared()
-    density = psi0.site_probabilities()
+def _draw_hits(n_particles, rate, duration, words, label, first_run):
+    """(time, particle, center word, hits per run, steps) of the runs whose blocks are
+    `words`, the first three flat in (run, time) order; step k of `steps` is the runs
+    with more than k hits, in run order, and the flat index of each one's hit k.
+
+    Every run that overruns its block first needs word `block`, and the runs
+    reach it together, so the lowest such run is the first overrunning one.
+    """
     runs, block = words.shape
+    total_rate = rate * n_particles
 
-    def draw(offset: int, active: np.ndarray) -> np.ndarray:
-        if offset >= block:
-            name = f"{label}[{first_run + active[0]}]"
-            raise StreamExhaustedError(f"stream {name!r} exhausted after {block} words")
-        return words_to_reals(words[active, offset])
+    def overrun(active: np.ndarray) -> StreamExhaustedError:
+        name = f"{label}[{first_run + active[0]}]"
+        return StreamExhaustedError(f"stream {name!r} exhausted after {block} words")
 
-    weights = np.ones((n_particles, runs, psi0.n_sites))
-    now = np.zeros(runs)
+    clock = np.zeros(runs)  # the time of each active run
+    hit_counts = np.zeros(runs, dtype=np.intp)
+    steps = []  # (runs hit, their times) at each hit index, in run order
     active = np.arange(runs)
-    no_runs = np.zeros(0, dtype=np.intp)
-    steps = [(no_runs, np.zeros(0), no_runs, no_runs)]  # typed even when no run is hit
     offset = 0
     while active.size:
-        now[active] += [-math.log1p(-u) / total_rate for u in draw(offset, active).tolist()]
-        active = active[now[active] <= duration]
-        if not active.size:
-            break
-        particle = np.minimum(
-            (draw(offset + 1, active) * n_particles).astype(np.intp), n_particles - 1
-        )
-
-        w = weights[:, active]
-        if n_particles == 1:
-            marginal = density * w[0]
-        else:
-            marginal = np.where(
-                particle[:, None] == 0,
-                w[0] * np.einsum("ij,rj->ri", density, w[1]),
-                w[1] * np.einsum("ij,ri->rj", density, w[0]),
-            )
-        marginal /= marginal.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(np.einsum("cj,rj->rc", kernel_sq, marginal), axis=1)
-        u_center = draw(offset + 2, active)
-        center = np.minimum((cdf <= u_center[:, None]).sum(axis=1), kernel.n_sites - 1)
-
-        hit = weights[particle, active] * kernel_sq[center]
-        weights[particle, active] = hit / hit.sum(axis=1, keepdims=True)
-        steps.append((active, now[active], particle, center))
+        if offset >= block:
+            raise overrun(active)
+        u_time = words_to_reals(words[active, offset]).tolist()
+        clock = clock + [-math.log1p(-u) / total_rate for u in u_time]
+        inside = clock <= duration
+        active, clock = active[inside], clock[inside]
+        if active.size and offset + 2 >= block:
+            raise overrun(active)
+        steps.append((active, clock))
+        hit_counts[active] = len(steps)
         offset += 3
 
-    index, time, particle, site = (np.concatenate(column) for column in zip(*steps))
-    order = np.argsort(index, kind="stable")
-    columns = (first_run + index, time, particle, site)
-    hit_counts = np.bincount(index, minlength=runs)
-    return FlashEnsemble(*(column[order] for column in columns), hit_counts)
+    starts = np.cumsum(hit_counts) - hit_counts
+    time = np.empty(int(hit_counts.sum()))
+    for k, (live, clock) in enumerate(steps):
+        hit = starts[live] + k
+        time[hit], steps[k] = clock, (live, hit)
+    run = np.repeat(np.arange(runs), hit_counts)
+    word = 3 * (np.arange(time.size) - starts[run])  # each hit's waiting-time word
+    u_particle = words_to_reals(words[run, word + 1])
+    particle = np.minimum((u_particle * n_particles).astype(np.intp), n_particles - 1)
+    return time, particle, words_to_reals(words[run, word + 2]), hit_counts, steps
+
+
+def _draw_centers(psi0, kernel, first_run, time, particle, u_center, hit_counts, steps):
+    """The `FlashEnsemble` of `_draw_hits`'s hits, their centers drawn from `u_center`."""
+    n_particles = psi0.n_particles
+    kernel_sq = kernel.squared()
+    density = psi0.site_probabilities()
+    weights = np.ones((n_particles, hit_counts.size, psi0.n_sites))
+    site = np.empty(time.size, dtype=np.intp)
+    for live, hit in steps:
+        on = particle[hit]
+        if n_particles == 1:
+            marginal = density * weights[0, live]
+        else:  # each particle's marginal, on the runs whose hit k is on it
+            marginal = np.empty((live.size, psi0.n_sites))
+            first = on == 0
+            w = weights[:, live[first]]
+            marginal[first] = w[0] * np.einsum("ij,rj->ri", density, w[1])
+            w = weights[:, live[~first]]
+            marginal[~first] = w[1] * np.einsum("ij,ri->rj", density, w[0])
+        marginal /= marginal.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(np.einsum("cj,rj->rc", kernel_sq, marginal), axis=1)
+        center = np.minimum((cdf <= u_center[hit, None]).sum(axis=1), kernel.n_sites - 1)
+        damped = weights[on, live] * kernel_sq[center]
+        weights[on, live] = damped / damped.sum(axis=1, keepdims=True)
+        site[hit] = center
+    run = first_run + np.repeat(np.arange(hit_counts.size), hit_counts)
+    return FlashEnsemble(run, time, particle, site, hit_counts)
 
 
 def flash_block(mean_hits: float) -> int:

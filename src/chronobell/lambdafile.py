@@ -23,8 +23,10 @@ Splitting is fixed-block: substream ``i`` of a stream owns words
 independent of the order in which substreams are consumed. Because the layout
 fixes where every word is, the vectorized consumers read consecutive
 substreams only as chunks, (rows, block) arrays of `CHUNK_WORDS` words or
-`CHUNK_ROWS` rows, whichever is more, from a file or a seed (`word_blocks`)
-or from memory (`LambdaStream.blocks`).
+`CHUNK_ROWS` rows, whichever is more, or of the rows the consumer asks for,
+from a file or a seed (`word_blocks`) or from memory (`LambdaStream.blocks`).
+No chunk source keeps a chunk once it is yielded, so a consumer that drops
+chunk k before asking for chunk k+1 never holds two.
 
 A consumer that reads only the first words of each block (a covariance trial
 reads 2 of 64) asks `word_blocks` for that prefix and gets (rows, prefix)
@@ -32,8 +34,8 @@ chunks. From a file they are views of the chunk read. From a seed they are the
 only words generated: `pcg64` jumps ahead to each, without ``numpy.random``.
 Dense reads (`generate_lambda_file`, ``gen-lambda``, ``flash``) keep
 ``PCG64.random_raw``, which makes consecutive words faster than jumps do; a
-flash run reads a prefix of its block that depends on the run, and growing its
-seeded words lazily made ``flash`` slower while saving under 3 MB.
+flash run reads a prefix of its block that depends on the run, so ``flash``
+reads its chunks whole, and drops each before it steps the chunk's runs.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ MAGIC = b"LMDA"
 FORMAT_VERSION = 1
 DEFAULT_BLOCK = 64
 CHUNK_WORDS = 1 << 17  # words per chunk (1 MiB) for blocks of up to 256 words
-CHUNK_ROWS = 512  # blocks per chunk at least: a chunk's flash runs take one step per hit
+CHUNK_ROWS = 512  # blocks per chunk at least, for blocks of more than 256 words
 
 _HEADER = struct.Struct("<4sBQQ")
 
@@ -162,15 +164,15 @@ def generate_lambda_file(seed: int, count: int) -> LambdaFile:
     return LambdaFile(words.reshape(-1), seed_note=int(seed))
 
 
-def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None):
+def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None, rows=None):
     """(words available, chunks of the first `n_blocks` blocks of `block` words).
 
     The words come from the stored file at `path` if it is given, else from
-    `seed`. Each chunk is a (rows, block) array of `CHUNK_WORDS` words or
-    `CHUNK_ROWS` rows, whichever is more; the last may be shorter. With
-    `prefix`, each chunk holds only the first `prefix` words of its rows:
-    (rows, prefix). Bad input raises before this returns; a file that shrinks
-    raises when the missing chunk is read.
+    `seed`. Each chunk is a (rows, block) array of `rows` rows, by default
+    `chunk_rows(block)`; the last may be shorter. With `prefix`, each chunk
+    holds only the first `prefix` words of its rows: (rows, prefix). Bad
+    input raises before this returns; a file that shrinks raises when the
+    missing chunk is read.
     """
     needed = n_blocks * block
     if prefix is not None and not 1 <= prefix <= block:
@@ -185,9 +187,10 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None)
         if prefix < block:  # generate only the words read
             from .pcg64 import prefix_chunks
 
-            return needed, prefix_chunks(seed, n_blocks, block, prefix, chunk_rows(block))
+            rows = chunk_rows(block) if rows is None else rows
+            return needed, prefix_chunks(seed, n_blocks, block, prefix, rows)
         bits = np.random.PCG64(seed)  # random_raw is sequential: chunks equal one call
-        return needed, _chunks(lambda lo, n: bits.random_raw(n), needed, block)
+        return needed, _chunks(lambda lo, n: bits.random_raw(n), needed, block, rows)
     with Path(path).open("rb") as fh:
         available, _ = _parse_header(fh.read(_HEADER.size))
         _check_payload(os.fstat(fh.fileno()).st_size - _HEADER.size, available)
@@ -197,26 +200,27 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None)
         raise CapacityError(f"lambda file {path} holds {available} words, this run needs {needed}")
 
     def read(lo: int, n: int) -> np.ndarray:
-        return np.fromfile(path, dtype="<u8", count=n, offset=_HEADER.size + 8 * lo)
+        words = np.fromfile(path, dtype="<u8", count=n, offset=_HEADER.size + 8 * lo)
+        if words.size != n:
+            raise LambdaFormatError(f"lambda words ran out after {lo + words.size} of {needed}")
+        return words
 
-    return available, _chunks(read, needed, block, prefix)
+    return available, _chunks(read, needed, block, rows, prefix)
 
 
 def chunk_rows(block: int) -> int:
-    """Rows of `block` words in every chunk but the last."""
+    """Rows of `block` words in every chunk but the last, unless the consumer asks for others."""
     return max(CHUNK_ROWS, CHUNK_WORDS // block)
 
 
-def _chunks(read, needed: int, block: int, prefix=None):
-    """Words [0, needed) as (rows, block) chunks, or views of their first `prefix`
-    columns, words [lo, lo + n) from `read(lo, n)`."""
-    step = chunk_rows(block) * block
+def _chunks(read, needed: int, block: int, rows=None, prefix=None):
+    """Words [0, needed) as chunks of `rows` blocks (by default `chunk_rows(block)`), or
+    views of their first `prefix` columns, words [lo, lo + n) from `read(lo, n)`. No
+    local names a chunk while it is out, so the consumer's reference is its last."""
+    step = (chunk_rows(block) if rows is None else rows) * block
     for lo in range(0, needed, step):
-        n = min(step, needed - lo)
-        words = read(lo, n)
-        if words.size != n:
-            raise LambdaFormatError(f"lambda words ran out after {lo + words.size} of {needed}")
-        yield words.astype("<u8", copy=False).reshape(-1, block)[:, :prefix]
+        yield (read(lo, min(step, needed - lo)).astype("<u8", copy=False)
+               .reshape(-1, block)[:, :prefix])
 
 
 class LambdaStream:
@@ -257,8 +261,9 @@ class LambdaStream:
         self._cursor += n
         return words_to_reals(self.file.words[lo:lo + n])
 
-    def blocks(self, n_blocks: int, block: int):
-        """Substreams 0..n_blocks-1 of `split(i, block)` as (rows, block) read-only views.
+    def blocks(self, n_blocks: int, block: int, rows=None):
+        """Substreams 0..n_blocks-1 of `split(i, block)` as read-only views of `rows`
+        blocks each (by default `chunk_rows(block)`).
 
         Like `split`, ignores the cursor; raises for the first block past the end up front.
         """
@@ -267,7 +272,7 @@ class LambdaStream:
         if n_blocks * block > self.length:
             self.split(self.length // block, block)  # raises CapacityError
         words = self.file.words[self.start :]
-        return _chunks(lambda lo, n: words[lo : lo + n], n_blocks * block, block)
+        return _chunks(lambda lo, n: words[lo : lo + n], n_blocks * block, block, rows)
 
     def split(self, trial_index: int, block: int = DEFAULT_BLOCK) -> "LambdaStream":
         """Substream owning words [i*block, (i+1)*block) of this stream's range.

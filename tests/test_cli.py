@@ -472,9 +472,9 @@ class TestFlash:
         assert code == 2 and stdout == ""
         assert "--rate and --duration" in err and str(flash.MAX_CHUNK_WORDS) in err
 
-    def test_chunk_cap_takes_the_chunk_shape_from_lambdafile(self, capsys, monkeypatch, no_words):
-        # chunks of 2**28 words hold 2**20 runs of the default 256-word block
-        monkeypatch.setattr(lambdafile, "CHUNK_WORDS", 2**28)
+    def test_chunk_cap_takes_the_chunk_shape_from_flash(self, capsys, monkeypatch, no_words):
+        # chunks of 2**20 runs of the default 256-word block hold 2**28 words
+        monkeypatch.setattr(flash, "CHUNK_RUNS", 2**20)
         code, stdout, err = run_cli(capsys, "flash", "--seed", "1", "--runs", "600000")
         assert code == 2 and stdout == ""
         assert f"make chunks of {600000 * 256} lambda words" in err
@@ -490,8 +490,8 @@ class TestFlash:
 
     def test_chunk_cap_holds_a_gib(self):
         assert flash.MAX_CHUNK_WORDS * 8 <= 2**30
-        # the benchmark's --rate 100 op: 512 runs of 3061 words per chunk
-        assert lambdafile.CHUNK_ROWS * flash.flash_block(800.0) <= flash.MAX_CHUNK_WORDS
+        # the benchmark's --rate 100 op: 256 runs of 3061 words per chunk
+        assert flash.CHUNK_RUNS * flash.flash_block(800.0) <= flash.MAX_CHUNK_WORDS
 
     def test_undersized_lambda_file_rejected_before_any_run(self, capsys, tmp_path, no_runs):
         path = tmp_path / "small.bin"
@@ -528,20 +528,23 @@ COMPONENT = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EXTREME,
 @example(triple=(1.7e308, 1.7e308, 0.0))
 @example(triple=(sys.float_info.max, -sys.float_info.max, sys.float_info.max))
 @example(triple=(5e-324, 0.0, 0.0))
+@example(triple=(1e-10, 0.0, 1e-10))
+@example(triple=(-0.0, 0.0, -0.0))
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_direction_triple_is_a_unit_setting_along_it_or_rejected_naming_it(
     capsys, no_work, triple
 ):
     token = ":".join(map(repr, triple))
-    try:
-        setting = cli.parse_setting(token, cb.Party.A)
-    except ValueError:
+    if not any(triple):  # zeros of either sign name no direction
+        with pytest.raises(ValueError, match="has zero length"):
+            cli.parse_setting(token, cb.Party.A)
         for argv in (("chsh", f"--angles={token},90,45,135"),
                      ("covariance", "--seed", "1", f"--angles={token}/0")):
             code, stdout, err = run_cli(capsys, *argv)
             assert code == 2 and stdout == "" and token in err
         return
+    setting = cli.parse_setting(token, cb.Party.A)  # every other finite triple is a direction
     scaled = np.array(triple) / max(map(abs, triple))  # in range, and along the triple
     assert abs(math.hypot(*setting.xyz) - 1.0) <= 1e-12
     np.testing.assert_allclose(setting.xyz, scaled / np.linalg.norm(scaled), rtol=0, atol=1e-12)
@@ -643,8 +646,7 @@ def fail_after_one_chunk(monkeypatch):
 def overrun_mid_batch(monkeypatch):
     """31 words hold 10 hits: flash run 13 overruns, in the fourth chunk of 4 runs."""
     monkeypatch.setattr(flash, "flash_block", lambda mean_hits: 31)
-    monkeypatch.setattr(lambdafile, "CHUNK_WORDS", 4 * 31)
-    monkeypatch.setattr(lambdafile, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(flash, "CHUNK_RUNS", 4)
 
 
 # (subcommand, how its run fails part-way, exit code, stderr)
@@ -1072,6 +1074,15 @@ class TestPeakMemory:
         large = _peak_rss_mb(*argv, "100000")
         # the words, flashes and history of every run would add about 250 MB
         assert large - small < 15.0
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_flash_working_set_is_one_chunk_of_words(self, tmp_path):
+        one_run = _peak_rss_mb("flash", "--seed", "1", "--runs", "1")
+        # 20 chunks of 256 runs; then 4 chunks of 32-site runs at twice the rate
+        for argv in (("--runs", "5000", "--out", str(tmp_path / "history")),
+                     ("--sites", "32", "--rate", "2", "--runs", "1000")):
+            # two live chunks of 512 runs' words, as read before, added about 4 MB
+            assert _peak_rss_mb("flash", "--seed", "1", *argv) - one_run < 2.0
 
 
 def _run_module(cwd, *argv, **env) -> subprocess.CompletedProcess:

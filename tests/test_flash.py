@@ -10,6 +10,7 @@ rectangle decomposition of the (u1, u2) unit square.
 import itertools
 import math
 import re
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chronobell as cb
-from chronobell import lambdafile
 from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, _normalize, flash_block
 
 
@@ -382,7 +382,7 @@ class TestRunFlashProcesses:
         stream.take(cursor)  # splits ignore the cursor; so must the batch
         args = (psi, kernel, rate, duration, stream, runs, block)
         expected = outcome(scalar_ensemble, *args)
-        with mock.patch.multiple(lambdafile, CHUNK_WORDS=1, CHUNK_ROWS=chunk):  # chunk runs each
+        with mock.patch.object(cb.flash, "CHUNK_RUNS", chunk):  # chunk runs each
             assert outcome(batched_ensemble, *args) == expected
         if short_block is None:
             assert not isinstance(expected, str)
@@ -397,6 +397,50 @@ class TestRunFlashProcesses:
         assert message == "stream 'root[3]' exhausted after 13 words"
         with pytest.raises(cb.StreamExhaustedError, match=re.escape(message)):
             batched_ensemble(*args)
+
+    # a block of 3m words fails a run at its (m+1)th waiting time, 3m+1 at its
+    # (m+1)th particle and 3m+2 at its (m+1)th center
+    @pytest.mark.parametrize("block, seed", [(33, 3), (34, 27), (35, 9)])
+    def test_several_overruns_in_one_chunk_name_the_first(self, block, seed):
+        psi = cb.make_entangled_pair(16, 4, 12)
+        kernel = cb.make_hit_kernel(16, 2.0)
+        stream = cb.generate_lambda_file(seed=seed, count=40 * block).stream()
+        overrun = []
+        for run in range(40):
+            try:
+                cb.run_flash_process(psi, kernel, 1.0, 4.0, stream.split(run, block))
+            except cb.StreamExhaustedError:
+                overrun.append(run)
+        first = overrun[0]
+        # chunks of 8 runs: the first overrun lies past the first chunk, beside another
+        assert first >= 8 and len([run for run in overrun if run // 8 == first // 8]) >= 2
+        message = outcome(scalar_ensemble, psi, kernel, 1.0, 4.0, stream, 40, block)
+        assert message == f"stream 'root[{first}]' exhausted after {block} words"
+        with mock.patch.object(cb.flash, "CHUNK_RUNS", 8):
+            with pytest.raises(cb.StreamExhaustedError, match=re.escape(message)):
+                batched_ensemble(psi, kernel, 1.0, 4.0, stream, 40, block)
+
+    def test_batches_drop_each_chunk_before_stepping_its_centers(self, monkeypatch):
+        psi = cb.make_entangled_pair(16, 4, 12)
+        kernel = cb.make_hit_kernel(16, 2.0)
+        words = cb.generate_lambda_file(seed=3, count=3 * 256 * 256).words
+        chunk_refs = []
+
+        def chunk(lo):  # a new array, which only the batches hold once it is yielded
+            rows = words[lo : lo + 256 * 256].reshape(256, 256).copy()
+            chunk_refs.append(weakref.ref(rows))
+            return rows
+
+        draw_centers = cb.flash._draw_centers
+
+        def centers_of_a_dropped_chunk(*args):
+            assert chunk_refs[-1]() is None
+            return draw_centers(*args)
+
+        monkeypatch.setattr(cb.flash, "_draw_centers", centers_of_a_dropped_chunk)
+        chunks = map(chunk, range(0, words.size, 256 * 256))
+        batches = cb.flash.flash_batches(psi, kernel, 1.0, 4.0, chunks)
+        assert [len(batch.hit_counts) for batch in batches] == [256] * 3
 
     def test_capacity_checked_up_front(self):
         psi = cb.make_uniform(8)

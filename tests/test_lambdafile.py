@@ -3,6 +3,7 @@
 import argparse
 import re
 import struct
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -434,6 +435,45 @@ class TestPrefixReads:
         for source in ({"path": path}, {"seed": 1}):
             with pytest.raises(ValueError, match=f"a prefix of {prefix} words does not fit blocks of 4"):
                 word_blocks(10, 4, prefix=prefix, **source)
+
+
+class TestChunkShapeAndLifetime:
+    """`rows` sets a chunk's height; no chunk source keeps a chunk it has yielded."""
+
+    @staticmethod
+    def _sources(lf, path, rows):
+        """Chunks of lf's first 10 blocks of 8 words, from every source, by name."""
+        return {
+            "file": word_blocks(10, 8, path=path, rows=rows)[1],
+            "seed": word_blocks(10, 8, seed=lf.seed_note, rows=rows)[1],
+            "prefix-file": word_blocks(10, 8, path=path, prefix=3, rows=rows)[1],
+            "prefix-seed": word_blocks(10, 8, seed=lf.seed_note, prefix=3, rows=rows)[1],
+            "stream": lf.stream().blocks(10, 8, rows),
+        }
+
+    @pytest.mark.parametrize("rows", [1, 3, 10, 11])
+    def test_rows_set_the_chunk_height(self, tmp_path, rows):
+        lf = cb.generate_lambda_file(seed=6, count=10 * 8)
+        expected = lf.words.reshape(10, 8)
+        heights = [min(rows, 10 - lo) for lo in range(0, 10, rows)]
+        for name, chunks in self._sources(lf, lf.save(tmp_path / "lam.bin"), rows).items():
+            chunks = list(chunks)
+            assert [len(c) for c in chunks] == heights, name
+            np.testing.assert_array_equal(
+                np.concatenate(chunks), expected[:, :3] if "prefix" in name else expected
+            )
+
+    @pytest.mark.parametrize("name", ["file", "seed", "prefix-file", "prefix-seed", "stream"])
+    def test_a_dropped_chunk_is_freed_before_the_next_is_read(self, tmp_path, name):
+        lf = cb.generate_lambda_file(seed=6, count=10 * 8)
+        chunks = self._sources(lf, lf.save(tmp_path / "lam.bin"), 2)[name]
+        chunk = next(chunks)
+        for _ in range(4):
+            # the buffer a chunk views, unless that is the stream's file, which stays
+            ref = weakref.ref(chunk if chunk.base is None or chunk.base is lf.words else chunk.base)
+            del chunk
+            assert ref() is None
+            chunk = next(chunks)
 
 
 class TestStreamBlocks:
