@@ -5,9 +5,11 @@ rerunning with identical inputs reproduces identical output bytes. Each file
 a command writes is staged by `_replacing` before any work starts and replaced
 only if the command returns, so a bad `--out` exits 2 before any work.
 
-Exit codes: 0 success, 1 a requested check failed, 2 usage or parameter
-error, 3 lambda stream exhausted or file too small, 4 the two independent
-locality checks disagreed (internal inconsistency).
+Each rule on one flag sits on its declaration, a `Bounded` range or the required
+`--seed`/`--lambda-file` group, so argparse rejects a bad flag before any work: it
+prints the usage, then `chronobell <cmd>: error: argument --flag: ...`. `main` returns
+every exit code: 0 success, 1 a requested check failed, 2 usage or parameter error, 3
+lambda stream exhausted or file too small, 4 the two locality checks disagreed.
 
 Each subcommand imports the modules it runs inside the function that runs
 it, so `chsh` never loads `flash` or `lambdafile`, and `gen-lambda` never
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -42,12 +45,6 @@ from .reporting import canonical_json
 
 if TYPE_CHECKING:
     from .quantum import BlochSetting, Party, TwoQubitState
-
-# defaults of the flash subcommand
-DEFAULT_SITES = 16
-DEFAULT_WIDTH = 2.0
-DEFAULT_RATE = 1.0
-DEFAULT_DURATION = 4.0
 
 _NAMED_STATES = {
     "singlet": None,
@@ -166,8 +163,6 @@ def _certified_target(args, command: str, tol: float = 1e-9):
 def cmd_chsh(args, out) -> int:
     from .quantum import LOCAL_BOUND, TSIRELSON_BOUND, chsh_value
 
-    if args.tol >= 1.0:  # vacuous: |S| - 2 <= 2*sqrt(2) - 2 < 1 for every quantum behavior
-        raise ValueError(f"chsh --tol must be below 1, got {args.tol}")
     state, (a, a2, b, b2), _, verdict = _certified_target(args, "chsh", args.tol)
     value = chsh_value(state, a, a2, b, b2)
 
@@ -184,12 +179,8 @@ def cmd_chsh(args, out) -> int:
 
 
 def cmd_nogo(args, out) -> int:
-    from .localpolytope import MAX_SEARCH_ALPHABET, exhaustive_nogo_search
+    from .localpolytope import exhaustive_nogo_search
 
-    if not 1 <= args.alphabet_size <= MAX_SEARCH_ALPHABET:
-        raise ValueError(
-            f"--alphabet-size must be in 1..{MAX_SEARCH_ALPHABET}, got {args.alphabet_size}"
-        )
     # --tol is the search tolerance; the oracles keep their default
     _, _, target, verdict = _certified_target(args, "nogo")
     search = exhaustive_nogo_search(args.alphabet_size, target, args.tol).to_dict()
@@ -207,9 +198,30 @@ def _lambda_command(name: str):
     return command
 
 
+class Bounded:
+    """An argparse `type=`: an int or float `kind` from `lo` to `hi`, with `ends` "[)", "[]" or
+    "()". `__name__` is `kind`'s, so a token that is no number keeps argparse's wording."""
+
+    def __init__(self, kind: type, lo, hi=math.inf, ends: str = "[)"):
+        self.__name__, self.kind, self.lo, self._hi, self.ends = kind.__name__, kind, lo, hi, ends
+
+    @property
+    def hi(self):
+        named = isinstance(self._hi, str)  # "module.NAME": the lazy package imports it now
+        return operator.attrgetter(self._hi)(sys.modules[__package__]) if named else self._hi
+
+    def __call__(self, token: str):
+        value, lo, hi, (left, right) = self.kind(token), self.lo, self.hi, self.ends
+        if not lo <= value <= hi or value == lo and left == "(" or value == hi and right == ")":
+            raise argparse.ArgumentTypeError(f"must be in {left}{lo}, {hi}{right}, got {token}")
+        return value
+
+
 def _add_lambda_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda-file", help="path to a stored lambda file")
-    parser.add_argument("--seed", type=int, help="generate the lambda words from this seed")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lambda-file", help="path to a stored lambda file")
+    source.add_argument("--seed", type=Bounded(int, 0, 2**64),
+                        help="generate the lambda words from this seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-lambda", help="write a lambda file to disk")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True, help="number of 64-bit words")
+    p.add_argument("--seed", type=Bounded(int, 0, 2**64), required=True)
+    p.add_argument("--count", type=Bounded(int, 1), required=True, help="number of 64-bit words")
     p.add_argument("--out", required=True, help="output path")
     p.set_defaults(func=_lambda_command("cmd_gen_lambda"))
 
@@ -232,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="0,90,45,135",
         help="a,a2,b,b2 as x-z plane degrees or x:y:z triples",
     )
-    p.add_argument("--tol", type=float, default=1e-9)
+    # below 1: |S| - 2 <= 2*sqrt(2) - 2 < 1 for every quantum behavior, so 1 is vacuous
+    p.add_argument("--tol", type=Bounded(float, 0, 1), default=1e-9)
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(func=cmd_chsh)
 
@@ -240,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="singlet")
     p.add_argument("--angles", default="0/0", help="A-list/B-list, e.g. '0,90/45,135'")
     p.add_argument("--chronology", choices=("ab", "ba"), default="ab")
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--trials", type=Bounded(int, 1), default=10_000)
+    p.add_argument("--tol", type=Bounded(float, 0), default=1e-12)
     _add_lambda_flags(p)
     p.add_argument("--out", help="also write the report here (plus .csv for the table)")
     p.set_defaults(func=_lambda_command("cmd_covariance"))
@@ -249,18 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nogo", help="exhaustive ordering-consistent strategy search")
     p.add_argument("--state", default="singlet")
     p.add_argument("--angles", default="0,90,45,135", help="target settings a,a2,b,b2")
-    p.add_argument("--alphabet-size", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--alphabet-size", type=Bounded(int, 1, "localpolytope.MAX_SEARCH_ALPHABET",
+                                                   "[]"), default=4)
+    p.add_argument("--tol", type=Bounded(float, 0), default=1e-6)
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(func=cmd_nogo)
 
     p = sub.add_parser("flash", help="spontaneous-localization hit process")
-    p.add_argument("--sites", type=int, default=DEFAULT_SITES)
-    p.add_argument("--sigma", type=float, default=DEFAULT_WIDTH)
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE)
-    p.add_argument("--duration", type=float, default=DEFAULT_DURATION)
-    p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--sites", type=Bounded(int, 2, "flash.MAX_EXACT_SITES", "[]"), default=16)
+    p.add_argument("--sigma", type=Bounded(float, 0, ends="()"), default=2.0)
+    p.add_argument("--rate", type=Bounded(float, 0, ends="()"), default=1.0)
+    p.add_argument("--duration", type=Bounded(float, 0, ends="()"), default=4.0)
+    p.add_argument("--runs", type=Bounded(int, 1), default=1000)
+    p.add_argument("--tol", type=Bounded(float, 0), default=1e-12)
     _add_lambda_flags(p)
     p.add_argument("--out", help="write the flash history file here")
     p.set_defaults(func=_lambda_command("cmd_flash"))
@@ -269,13 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # before any work
-            raise ValueError(f"--tol must be nonnegative and finite, got {args.tol}")
+        args = build_parser().parse_args(argv)
         with _replacing(Path(args.out)) if args.out else open(os.devnull, "wb") as out:
             return args.func(args, out)
+    except SystemExit as exc:  # --help or a usage error, which argparse has printed
+        return exc.code
     except (StreamExhaustedError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

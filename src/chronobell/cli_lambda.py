@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,10 +38,7 @@ def _resolve_lambda(args, n_blocks: int, block: int, prefix=None, rows=None):
     blocks each (`lambdafile.word_blocks`)."""
     from .lambdafile import word_blocks
 
-    has_file = args.lambda_file is not None
-    if has_file == (args.seed is not None):
-        raise ValueError("provide exactly one of --lambda-file or --seed")
-    source = {"lambda_file": args.lambda_file} if has_file else {"seed": args.seed}
+    source = {"lambda_file": args.lambda_file} if args.seed is None else {"seed": args.seed}
     source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed,
                                           prefix=prefix, rows=rows)
     return source, chunks
@@ -70,8 +66,6 @@ def cmd_covariance(args, out) -> int:
 
     state = parse_state(args.state)
     settings_a, settings_b = parse_setting_grid(args.angles)
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     chronology = Chronology(args.chronology.upper())
 
     n_pairs = len(settings_a) * len(settings_b)
@@ -98,13 +92,6 @@ def cmd_flash(args, out) -> int:
 
     from . import flash as flash_mod
 
-    if not all(0 < value < math.inf for value in (args.rate, args.duration, args.sigma)):
-        raise ValueError("--rate, --duration and --sigma must be positive and finite")
-    if args.runs < 1:
-        raise ValueError("--runs must be at least 1")
-    if not 2 <= args.sites <= flash_mod.MAX_EXACT_SITES:
-        raise ValueError(f"--sites must be in 2..{flash_mod.MAX_EXACT_SITES} "
-                         f"(the exact ordering check), got {args.sites}")
     try:
         kernel = flash_mod.make_hit_kernel(args.sites, args.sigma)
     except ValueError as exc:  # the sites are checked: only the width is left

@@ -43,6 +43,18 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def subparsers() -> dict:
+    """Each subcommand's parser, as `cli.build_parser` builds it."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def usage_error(command: str, message: str) -> str:
+    """argparse's stderr for a usage error of `command`: its usage, then the message."""
+    sub = subparsers()[command]
+    return f"{sub.format_usage()}{sub.prog}: error: {message}\n"
+
+
 BAD_TOLERANCES = ["-1", "nan", "inf"]
 
 
@@ -109,31 +121,27 @@ class TestChsh:
         assert code == 2
 
     def test_missing_flag_value_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["chsh", "--angles"])
-        assert exc.value.code == 2
+        assert run_cli(capsys, "chsh", "--angles")[0] == 2
 
     def test_unknown_subcommand_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["frobnicate"])
-        assert exc.value.code == 2
+        assert run_cli(capsys, "frobnicate")[0] == 2
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES + ["1", "2", "4.99", "5", "100"])
     def test_bad_tolerance_rejected_before_any_oracle(self, capsys, no_work, tol):
         code, _, err = run_cli(capsys, "chsh", "--tol", tol)
         assert code == 2
-        if tol in BAD_TOLERANCES:
-            assert "--tol must be nonnegative and finite" in err
-        else:
-            assert "chsh --tol must be below 1" in err
+        assert f"argument --tol: must be in [0, 1), got {tol}\n" in err
 
     @pytest.mark.parametrize("command", ["chsh", "covariance"])
     @pytest.mark.parametrize(
         "token", ["inf", "-inf", "nan", "1e400", "inf:0:1", "0:-inf:1", "0:0:nan", "0:1e400:1"]
     )
     def test_non_finite_direction_rejected_before_any_work(self, capsys, no_work, command, token):
-        angles = f"{token},90,45,135" if command == "chsh" else f"0/{token}"
-        code, stdout, err = run_cli(capsys, command, f"--angles={angles}")
+        if command == "chsh":
+            argv = ("chsh", f"--angles={token},90,45,135")
+        else:  # with the lambda source the parser requires
+            argv = ("covariance", "--seed", "1", f"--angles=0/{token}")
+        code, stdout, err = run_cli(capsys, *argv)
         assert code == 2 and stdout == ""
         assert err == f"error: direction {token!r} must be finite\n"
 
@@ -231,7 +239,7 @@ class TestCovariance:
             capsys, "covariance", "--seed", "1", "--lambda-file", str(path), "--trials", "10"
         )
         assert code == 2
-        assert "exactly one" in err
+        assert "argument --lambda-file: not allowed with argument --seed" in err
         code, _, err = run_cli(capsys, "covariance", "--trials", "10")
         assert code == 2
 
@@ -258,7 +266,7 @@ class TestCovariance:
     def test_bad_tolerance_rejected_before_any_trial(self, capsys, no_work, tol):
         code, _, err = run_cli(capsys, "covariance", "--seed", "1", "--tol", tol)
         assert code == 2
-        assert "--tol must be nonnegative and finite" in err
+        assert f"argument --tol: must be in [0, inf), got {tol}\n" in err
 
     def test_chronology_flag(self, capsys):
         code, report, _ = run_json(
@@ -304,13 +312,13 @@ class TestNogo:
     def test_alphabet_size_below_one_rejected_before_any_oracle(self, capsys, no_oracles, size):
         code, _, err = run_cli(capsys, "nogo", "--alphabet-size", size)
         assert code == 2
-        assert "--alphabet-size must be in 1..8" in err
+        assert f"argument --alphabet-size: must be in [1, 8], got {size}\n" in err
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES)
     def test_bad_tolerance_rejected_before_any_oracle(self, capsys, no_work, tol):
         code, _, err = run_cli(capsys, "nogo", "--alphabet-size", "1", "--tol", tol)
         assert code == 2
-        assert "--tol must be nonnegative and finite" in err
+        assert f"argument --tol: must be in [0, inf), got {tol}\n" in err
 
     def test_verdict_disagreement_exits_4(self, capsys, monkeypatch):
         """A forced wrong facet verdict must trip the internal-inconsistency path."""
@@ -356,14 +364,6 @@ class TestFlash:
         # reports differ only in the history path they mention
         assert stdout1.replace(str(out1), "X") == stdout2.replace(str(out2), "X")
 
-    def test_rate_zero_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "flash", "--rate", "0", "--seed", "1")
-        assert code == 2
-
-    def test_runs_validation(self, capsys):
-        code, _, _ = run_cli(capsys, "flash", "--runs", "0", "--seed", "1")
-        assert code == 2
-
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rate_rejected(self, capsys, value):
         code, _, _ = run_cli(capsys, "flash", "--rate", value, "--seed", "1")
@@ -373,14 +373,14 @@ class TestFlash:
     def test_bad_tolerance_rejected_before_any_run(self, capsys, no_work, tol):
         code, _, err = run_cli(capsys, "flash", "--seed", "1", "--runs", "2", "--tol", tol)
         assert code == 2
-        assert "--tol must be nonnegative and finite" in err
+        assert f"argument --tol: must be in [0, inf), got {tol}\n" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_sigma_rejected_before_any_kernel(self, capsys, no_work, value):
         code, _, err = run_cli(capsys, "flash", "--seed", "1", "--runs", "2", "--sigma", value)
         assert code == 2
-        assert "--sigma must be positive and finite" in err
+        assert f"argument --sigma: must be in (0, inf), got {value}\n" in err
 
     def test_failed_ordering_check_exits_1(self, capsys):
         code, report, _ = run_json(capsys, "flash", "--seed", "1", "--runs", "2", "--tol", "0")
@@ -455,7 +455,7 @@ class TestFlash:
     def test_too_few_sites_rejected_naming_sites(self, capsys, no_runs):
         code, _, err = run_cli(capsys, "flash", "--sites", "1", "--seed", "1", "--runs", "5")
         assert code == 2
-        assert "--sites must be in 2..32" in err
+        assert "argument --sites: must be in [2, 32], got 1\n" in err
 
     @pytest.fixture
     def no_words(self, monkeypatch, no_runs):
@@ -510,12 +510,30 @@ class TestFlash:
     (("covariance", "--seed", "1", "--angles", ",/0"), "empty setting list"),
     (("covariance", "--seed", "1", "--angles", "0,90"),
      "settings must be 'a1,a2,.../b1,b2,...' (one '/')"),
-    (("covariance", "--seed", "1", "--trials", "0"), "--trials must be at least 1"),
+    (("covariance", "--seed", "1", "--trials", "0"),
+     "argument --trials: must be in [1, inf), got 0"),
 ])
 def test_malformed_parameter_rejected_before_any_work(capsys, no_work, argv, message):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
-    assert err == f"error: {message}\n"
+    # argparse rejects a flag out of its range; the commands reject the rest
+    assert err == (usage_error(argv[0], message) if message.startswith("argument ")
+                   else f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["covariance", "flash"])
+@pytest.mark.parametrize("source,message", [
+    (("--seed", "-1"), "argument --seed: must be in [0, 18446744073709551616), got -1"),
+    (("--seed", str(2**64)),
+     f"argument --seed: must be in [0, 18446744073709551616), got {2**64}"),
+    (("--seed", "1", "--lambda-file", "lambda.bin"),
+     "argument --lambda-file: not allowed with argument --seed"),
+    ((), "one of the arguments --lambda-file --seed is required"),
+], ids=["seed-negative", "seed-2**64", "both", "neither"])
+def test_bad_lambda_source_rejected_before_any_work(capsys, no_work, command, source, message):
+    code, stdout, err = run_cli(capsys, command, *source)
+    assert code == 2 and stdout == ""
+    assert err == usage_error(command, message)
 
 
 # every finite float, subnormals included, and the float limits of either sign
@@ -582,13 +600,6 @@ class TestGenLambda:
         assert code == 0
         assert from_file["results"]["covariance"] == from_seed["results"]["covariance"]
 
-    def test_count_required_positive(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            capsys, "gen-lambda", "--seed", "1", "--count", "0",
-            "--out", str(tmp_path / "x.bin"),
-        )
-        assert code == 2
-
 
 # one cheap run of each subcommand, to which the tests add --out; gen-lambda writes 2 chunks
 OUT_ARGVS = {
@@ -602,9 +613,48 @@ OUT_ARGVS = {
 
 def flag_dests(command: str) -> set:
     """The dest of every flag the parser gives `command`."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest for action in sub.choices[command]._actions if action.dest != "help"}
+    return {action.dest for action in subparsers()[command]._actions if action.dest != "help"}
+
+
+# (command, flag) of every flag the parser converts, which must be a `cli.Bounded` number
+TYPED_FLAGS = [(command, action.option_strings[0]) for command, sub in subparsers().items()
+               for action in sub._actions if action.type is not None]
+
+
+def past_each_end(bound) -> list[str]:
+    """The tokens just outside each finite end of `bound`; for a float also nan and +-inf."""
+    tokens = []
+    for end, value, away in ((bound.ends[0], bound.lo, -1), (bound.ends[1], bound.hi, 1)):
+        if math.isinf(value):
+            continue
+        if end in "()":  # an open end is itself outside
+            tokens.append(value)
+        elif bound.kind is int:
+            tokens.append(value + away)
+        else:
+            tokens.append(math.nextafter(value, away * math.inf))
+    if bound.kind is int:
+        return [str(token) for token in tokens]
+    return [repr(float(token)) for token in tokens] + ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("command,flag", TYPED_FLAGS, ids=["".join(c) for c in TYPED_FLAGS])
+def test_every_bound_rejects_values_past_it_before_any_work(capsys, tmp_path, no_work, command,
+                                                            flag):
+    action = next(a for a in subparsers()[command]._actions if flag in a.option_strings)
+    bound = action.type
+    assert isinstance(bound, cli.Bounded) and bound.kind in (int, float)
+    interval = f"{bound.ends[0]}{bound.lo}, {bound.hi}{bound.ends[1]}"
+    argv = (*OUT_ARGVS[command], "--out", str(tmp_path / "out"))
+    # a bad --state is reported only after the flags are parsed
+    states = [(), ("--state", "bogus")] if "state" in flag_dests(command) else [()]
+    for token in past_each_end(bound):
+        for state in states:
+            code, stdout, err = run_cli(capsys, *argv, *state, f"{flag}={token}")
+            assert code == 2 and stdout == ""
+            message = f"argument {flag}: must be in {interval}, got {token}"
+            assert err == usage_error(command, message)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestConfig:

@@ -119,8 +119,12 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
 
 @pytest.mark.parametrize(
     "argv,expected_code",
-    [(("--help",), 0), (("flash", "--help"), 0), (("chsh", "--tol"), 2), (("nope",), 2)],
-    ids=["help", "subcommand-help", "missing-value", "unknown-subcommand"],
+    [(("--help",), 0), (("flash", "--help"), 0), (("chsh", "--tol"), 2), (("nope",), 2),
+     (("flash", "--rate", "0", "--seed", "1"), 2),
+     (("covariance", "--trials", "0", "--seed", "1"), 2), (("chsh", "--tol", "2"), 2),
+     (("flash", "--seed", "-1", "--runs", "2"), 2)],
+    ids=["help", "subcommand-help", "missing-value", "unknown-subcommand", "flash-rate-0",
+         "covariance-trials-0", "chsh-tol-2", "flash-seed-negative"],
 )
 def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, expected_code):
     proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
