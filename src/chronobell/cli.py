@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import math
-import operator
 import os
 import sys
 import tempfile
@@ -207,8 +207,10 @@ class Bounded:
 
     @property
     def hi(self):
-        named = isinstance(self._hi, str)  # "module.NAME": the lazy package imports it now
-        return operator.attrgetter(self._hi)(sys.modules[__package__]) if named else self._hi
+        if isinstance(self._hi, str):  # "module.NAME", its module imported only now
+            module, name = self._hi.split(".")
+            return getattr(importlib.import_module(f".{module}", __package__), name)
+        return self._hi
 
     def __call__(self, token: str):
         value, lo, hi, (left, right) = self.kind(token), self.lo, self.hi, self.ends
@@ -233,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-lambda", help="write a lambda file to disk")
     p.add_argument("--seed", type=Bounded(int, 0, 2**64), required=True)
-    p.add_argument("--count", type=Bounded(int, 1), required=True, help="number of 64-bit words")
+    p.add_argument("--count", type=Bounded(int, 1, 2**64), required=True,
+                   help="number of 64-bit words")
     p.add_argument("--out", required=True, help="output path")
     p.set_defaults(func=_lambda_command("cmd_gen_lambda"))
 
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nogo)
 
     p = sub.add_parser("flash", help="spontaneous-localization hit process")
-    p.add_argument("--sites", type=Bounded(int, 2, "flash.MAX_EXACT_SITES", "[]"), default=16)
+    p.add_argument("--sites", type=Bounded(int, 2, "values.MAX_EXACT_SITES", "[]"), default=16)
     p.add_argument("--sigma", type=Bounded(float, 0, ends="()"), default=2.0)
     p.add_argument("--rate", type=Bounded(float, 0, ends="()"), default=1.0)
     p.add_argument("--duration", type=Bounded(float, 0, ends="()"), default=4.0)

@@ -32,15 +32,15 @@ def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting
     return parse_direction_list(part_a, Party.A), parse_direction_list(part_b, Party.B)
 
 
-def _resolve_lambda(args, n_blocks: int, block: int, prefix=None, rows=None):
+def _resolve_lambda(args, n_blocks: int, block: int, prefix=None, rows=None, window=None):
     """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed;
-    with `prefix`, of each block's first `prefix` words, and with `rows`, of that many
-    blocks each (`lambdafile.word_blocks`)."""
+    with `prefix`, of each block's first `prefix` words, with `rows`, of that many
+    blocks each, and with `window`, made as they are read (`lambdafile.word_blocks`)."""
     from .lambdafile import word_blocks
 
     source = {"lambda_file": args.lambda_file} if args.seed is None else {"seed": args.seed}
     source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed,
-                                          prefix=prefix, rows=rows)
+                                          prefix=prefix, rows=rows, window=window)
     return source, chunks
 
 
@@ -106,7 +106,8 @@ def cmd_flash(args, out) -> int:
         raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
                          f"the cap of {flash_mod.MAX_CHUNK_WORDS}")
 
-    source, chunks = _resolve_lambda(args, args.runs, block, rows=flash_mod.CHUNK_RUNS)
+    source, chunks = _resolve_lambda(args, args.runs, block, rows=flash_mod.CHUNK_RUNS,
+                                     window=flash_mod.hit_window(expected_hits))
     digest = hashlib.sha256()
     hit_counts, done = np.empty(args.runs, dtype=np.intp), 0
     first_flash_counts = np.zeros(args.sites, dtype=np.int64)

@@ -40,10 +40,8 @@ import numpy as np
 
 from .errors import ImpossibleFlashError, InvalidStateError, StreamExhaustedError
 from .lambdafile import LambdaStream, check_real, words_to_reals
-from .quantum import _SKIP_BRANCH, _ZERO_BRANCH, ATOL, _frozen, _phase
-from .values import Frozen
+from .values import _SKIP_BRANCH, _ZERO_BRANCH, ATOL, MAX_EXACT_SITES, Frozen, _frozen, _phase
 
-MAX_EXACT_SITES = 32  # largest grid ordering_invariance_exact accepts
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
 MAX_CHUNK_WORDS = 1 << 27  # lambda words of one chunk of runs at most: 1 GiB
 CHUNK_RUNS = 256  # runs per chunk of lambda words, whatever their block
@@ -54,7 +52,8 @@ FORMAT_SLICE = 1024  # history lines FlashEnsemble.history_bytes formats at a ti
 def _normalize(re: np.ndarray, im: np.ndarray, weight: float) -> np.ndarray:
     """(re + i im) / sqrt(weight), phase fixed as `quantum.collapse` fixes it, as complex."""
     re, im = re * (1.0 / math.sqrt(weight)), im * (1.0 / math.sqrt(weight))
-    c, s = _phase(re.flat, im.flat)
+    lead = int(((re != 0.0) | (im != 0.0)).argmax())  # the entries before it are exact zeros
+    c, s = _phase(re.flat[lead:], im.flat[lead:])
     re, im = re * c + im * s, im * c - re * s
     unit = np.empty(re.shape, dtype=complex)
     unit.real, unit.imag = re, im
@@ -445,6 +444,14 @@ def flash_block(mean_hits: float) -> int:
         else:
             lo = mid
     return max(MIN_FLASH_BLOCK, 3 * hi + 1)
+
+
+def hit_window(mean_hits: float) -> tuple[int, int]:
+    """(stride, width) of the first window of waiting-time words that a seeded chunk
+    makes for its runs (`pcg64.Chunk`): every third word, as many as the overshooting
+    draw and three standard deviations above `mean_hits` hits need, so that most
+    chunks make one window."""
+    return 3, math.ceil(mean_hits + 3.0 * math.sqrt(mean_hits)) + 1
 
 
 class OrderingReport(Frozen):

@@ -28,14 +28,16 @@ from a file or a seed (`word_blocks`) or from memory (`LambdaStream.blocks`).
 No chunk source keeps a chunk once it is yielded, so a consumer that drops
 chunk k before asking for chunk k+1 never holds two.
 
-A consumer that reads only the first words of each block (a covariance trial
-reads 2 of 64) asks `word_blocks` for that prefix and gets (rows, prefix)
-chunks. From a file they are views of the chunk read. From a seed they are the
-only words generated: `pcg64` jumps ahead to each, without ``numpy.random``.
-Dense reads (`generate_lambda_file`, ``gen-lambda``, ``flash``) keep
-``PCG64.random_raw``, which makes consecutive words faster than jumps do; a
-flash run reads a prefix of its block that depends on the run, so ``flash``
-reads its chunks whole, and drops each before it steps the chunk's runs.
+A consumer that reads only some words of each block asks `word_blocks` for
+them. A covariance trial reads 2 of 64, so it asks for that prefix and gets
+(rows, prefix) chunks; from a file they are views of the chunk read. A flash
+run reads a part of its block that depends on the run, so ``flash`` asks for a
+`window`: from a file it gets the chunks whole, and drops each before it steps
+the chunk's runs. From a seed, either way, only the words read are generated:
+`pcg64` jumps ahead to each, without ``numpy.random``, and a flash chunk is a
+`pcg64.Chunk` that makes a word when the run reads it. Dense reads
+(`generate_lambda_file`, ``gen-lambda``) keep ``PCG64.random_raw``, which makes
+consecutive words faster than jumps do.
 """
 
 from __future__ import annotations
@@ -164,15 +166,17 @@ def generate_lambda_file(seed: int, count: int) -> LambdaFile:
     return LambdaFile(words.reshape(-1), seed_note=int(seed))
 
 
-def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None, rows=None):
+def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None, rows=None,
+                window=None):
     """(words available, chunks of the first `n_blocks` blocks of `block` words).
 
     The words come from the stored file at `path` if it is given, else from
     `seed`. Each chunk is a (rows, block) array of `rows` rows, by default
     `chunk_rows(block)`; the last may be shorter. With `prefix`, each chunk
-    holds only the first `prefix` words of its rows: (rows, prefix). Bad
-    input raises before this returns; a file that shrinks raises when the
-    missing chunk is read.
+    holds only the first `prefix` words of its rows: (rows, prefix). With a
+    `window` (stride, width) and a seed, each chunk is a `pcg64.Chunk` under
+    that window, which makes only the words indexed. Bad input raises before
+    this returns; a file that shrinks raises when the missing chunk is read.
     """
     needed = n_blocks * block
     if prefix is not None and not 1 <= prefix <= block:
@@ -184,11 +188,13 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None,
             raise ValueError("seed must fit in 64 bits")
         if needed < 1:
             raise EmptyFileError("count must be at least 1")
-        if prefix < block:  # generate only the words read
-            from .pcg64 import prefix_chunks
+        if prefix < block or window is not None:  # generate only the words read
+            from . import pcg64
 
             rows = chunk_rows(block) if rows is None else rows
-            return needed, prefix_chunks(seed, n_blocks, block, prefix, rows)
+            if prefix < block:
+                return needed, pcg64.prefix_chunks(seed, n_blocks, block, prefix, rows)
+            return needed, pcg64.chunks(seed, n_blocks, block, rows, window)
         bits = np.random.PCG64(seed)  # random_raw is sequential: chunks equal one call
         return needed, _chunks(lambda lo, n: bits.random_raw(n), needed, block, rows)
     with Path(path).open("rb") as fh:

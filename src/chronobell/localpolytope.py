@@ -23,9 +23,9 @@ import math
 
 from .errors import OracleDisagreementError, SearchSpaceError
 from .quantum import LOCAL_BOUND, OUTCOMES, BlochSetting, Chronology, TwoQubitState
-from .quantum import _cell_sum, _frozen, _nested, correlation, exact_table, signaling_defect
+from .quantum import _cell_sum, _nested, correlation, exact_table, signaling_defect
 from .simplex import solve_feasibility
-from .values import Frozen
+from .values import Frozen, _frozen
 
 N_SETTINGS = 2
 N_OUTCOMES = 2

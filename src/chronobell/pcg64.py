@@ -1,4 +1,4 @@
-"""numpy's ``PCG64(seed)`` words at chosen offsets, by jump-ahead, without ``numpy.random``.
+"""numpy's ``PCG64(seed)`` words at chosen places, by jump-ahead, without ``numpy.random``.
 
 One PCG64 step is the affine map s -> M*s + inc (mod 2**128), so n steps are
 s -> A_n*s + C_n (F. B. Brown, "Random number generation with arbitrary
@@ -7,12 +7,19 @@ XSL-RR 128/64 output of the state after k + 1 steps (M. E. O'Neill, "PCG: a
 family of simple fast space-efficient statistically good algorithms for random
 number generation", HMC-CS-2014-0905 (2014)).
 
-`prefix_chunks` builds the (A_n, C_n) of every word a chunk reads once, in
-Python ints, and then maps each chunk's start state through them at once, on
-uint64 hi/lo arrays. numpy has no 128-bit type, so the high word of the low
-64x64 product goes through 32-bit limbs (H. S. Warren, "Hacker's Delight",
-section 8-2, mulhu). Only array arithmetic wraps here: numpy warns when uint64
-scalars overflow.
+`chunks` cuts the stream into rows of `block` words, and the rows into `Chunk`s
+that make a word only when it is read: word j of a row is the output of
+A_{j+1}*s + C_{j+1}, s the row's start state. The first chunk's row states and
+every column's (A, C) are orbits of one map, built by doubling; each later
+chunk's row states are the previous chunk's, mapped once. A covariance chunk is
+the first columns of every row (`prefix_chunks`); a flash chunk makes windows
+of every third word for the runs still active, then the words of each hit. A
+jump costs several times the step to the next word, so ``gen-lambda``, which
+writes every word, keeps ``random_raw``. The arithmetic is on uint64 lo/hi
+arrays: numpy has no 128-bit type, so the high word of the low 64x64 product
+goes through 32-bit limbs (H. S. Warren, "Hacker's Delight", section 8-2,
+mulhu). Only array arithmetic wraps here: numpy warns when uint64 scalars
+overflow.
 
 Seeding is numpy's ``SeedSequence(seed)`` -> ``PCG64`` path in Python ints: the
 hashmix pool, ``generate_state(4)`` and ``pcg_setseq_128_srandom_r``. The tests
@@ -61,42 +68,111 @@ def seed_state(seed: int) -> tuple[int, int]:
     return ((inc + init_state) * MULTIPLIER + inc) & MASK128, inc
 
 
-def prefix_chunks(seed: int, n_blocks: int, block: int, prefix: int, rows: int):
-    """Words [0, prefix) of blocks 0..n_blocks-1 of `block` words of ``PCG64(seed)``,
-    as (rows, prefix) uint64 chunks; the last may be shorter."""
+def chunks(seed: int, n_blocks: int, block: int, rows: int, window=None):
+    """Blocks 0..n_blocks-1 of `block` words of ``PCG64(seed)`` as `Chunk`s of `rows` rows,
+    the last maybe fewer; each makes its words when they are read, under `window`."""
     state, inc = seed_state(seed)
-    steps = [(1, 0)]  # (A_n, C_n) for n = 0..block
-    for _ in range(block):
-        a, c = steps[-1]
-        steps.append((a * MULTIPLIER & MASK128, (c * MULTIPLIER + inc) & MASK128))
-    step_a, step_c = steps[block]
-    table_a, table_c = [], []  # row r's word j is n = block*r + j + 1 steps into the chunk
-    a, c = 1, 0
-    for _ in range(min(rows, n_blocks)):
-        for word_a, word_c in steps[1 : prefix + 1]:
-            table_a.append(word_a * a & MASK128)
-            table_c.append((word_a * c + word_c) & MASK128)
-        a, c = step_a * a & MASK128, (step_a * c + step_c) & MASK128
-    chunk_a, chunk_c = a, c
-    a_lo, c_lo, a_hi, c_hi = (np.array([x >> shift & MASK64 for x in values], dtype=np.uint64)
-                              for shift in (0, 64) for values in (table_a, table_c))
-    table = (a_lo, a_lo & _LOW32, a_lo >> _32, a_hi, c_lo, c_hi)
+    # column j's (A, C): j + 1 steps, from a row's start state to the state of its word j
+    jumps = np.concatenate([_orbit(MULTIPLIER, block, MULTIPLIER, 0),
+                            _orbit(inc, block, MULTIPLIER, inc)])
+    starts = _orbit(state, min(rows, n_blocks), *_power(MULTIPLIER, inc, block))
+    chunk_a, chunk_c = map(_words, _power(MULTIPLIER, inc, rows * block))
     for lo in range(0, n_blocks, rows):
-        n = min(rows, n_blocks - lo) * prefix
-        yield _outputs(*(t[:n] for t in table), state).reshape(-1, prefix)
-        state = (chunk_a * state + chunk_c) & MASK128
+        yield Chunk(jumps, starts[:, : n_blocks - lo], window)
+        starts = np.array(_affine(chunk_a, starts, chunk_c))
 
 
-def _outputs(a_lo, a0, a1, a_hi, c_lo, c_hi, state: int) -> np.ndarray:
-    """XSL-RR outputs of the states A*state + C (mod 2**128), one per table entry;
-    a0 and a1 are the 32-bit limbs of A's low word."""
-    s_lo, s_hi = np.uint64(state & MASK64), np.uint64(state >> 64)
-    s0, s1 = np.uint64(state & MASK32), np.uint64(state >> 32 & MASK32)
+def prefix_chunks(seed: int, n_blocks: int, block: int, prefix: int, rows: int):
+    """Words [0, prefix) of the rows of each of `chunks`, as (rows, prefix) uint64 arrays,
+    each the transpose of the (prefix, rows) words one broadcast over its rows makes."""
+    for chunk in chunks(seed, n_blocks, block, rows):
+        jumps = chunk._jumps[:, :prefix, None]
+        yield _output(*_affine(jumps[:2], chunk._starts, jumps[2:])).T
+
+
+class Chunk:
+    """Rows of `block` words of the stream, indexed as a (rows, block) uint64 array is
+    by integer arrays of rows and columns; a word is made when it is read.
+
+    With a `window` of (stride, width), a read of one column j for some rows makes
+    columns j, j + stride, ... for those rows at once, `width` of them the first time
+    and twice as many each time after, and later reads among them are served from it.
+    """
+
+    def __init__(self, jumps: np.ndarray, starts: np.ndarray, window=None) -> None:
+        self._jumps, self._starts = jumps, starts
+        self.shape = (starts.shape[1], jumps.shape[1])
+        self._window, self._made = window, None
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def words(self, rows, columns) -> np.ndarray:
+        """The words at (rows, columns), integer arrays that broadcast."""
+        jumps = np.take(self._jumps, columns, axis=1)  # the fast gather along an axis
+        return _output(*_affine(jumps[:2], np.take(self._starts, rows, axis=1), jumps[2:]))
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, column = key
+        if self._window is None or not isinstance(column, int):
+            return self.words(rows, column)
+        stride, width = self._window
+        if self._made is not None:
+            first, width, slot, words = self._made
+            k, off = divmod(column - first, stride)
+            if not off and 0 <= k < len(words):
+                try:
+                    return words[k, slot[rows]]
+                except IndexError:  # a row the window lacks
+                    pass
+            width *= 2
+        columns = np.arange(column, min(column + stride * width, self.shape[1]), stride)
+        slot = np.full(len(self), len(rows))  # one past the window's rows, for a row it lacks
+        slot[rows] = np.arange(len(rows))
+        self._made = column, width, slot, self.words(rows, columns[:, None])
+        return self._made[3][0].copy()
+
+
+def _words(x: int) -> np.ndarray:
+    """The 128-bit `x` as a (2, 1) array: its low and its high uint64 word."""
+    return np.array([[x & MASK64], [x >> 64]], np.uint64)
+
+
+def _power(a: int, c: int, n: int) -> tuple[int, int]:
+    """(A, C) of n steps of s -> a*s + c (mod 2**128), by squaring."""
+    big_a, big_c = 1, 0
+    while n:
+        if n & 1:
+            big_a, big_c = a * big_a & MASK128, (a * big_c + c) & MASK128
+        a, c = a * a & MASK128, (a * c + c) & MASK128
+        n >>= 1
+    return big_a, big_c
+
+
+def _orbit(x: int, n: int, a: int, c: int) -> np.ndarray:
+    """x_0 = x, ..., x_{n-1} with x_{k+1} = a*x_k + c (mod 2**128), as a (2, n) lo/hi array;
+    each round maps the k entries so far k steps on, doubling them."""
+    orbit = _words(x)
+    while orbit.shape[1] < n:
+        big_a, big_c = _power(a, c, orbit.shape[1])
+        orbit = np.concatenate([orbit, _affine(_words(big_a), orbit, _words(big_c))], axis=1)
+    return orbit[:, :n]
+
+
+def _affine(a, s, c) -> tuple:
+    """a*s + c (mod 2**128) per entry, each a (lo, hi) pair of uint64 arrays that broadcast."""
+    (a_lo, a_hi), (s_lo, s_hi), (c_lo, c_hi) = a, s, c
+    a0, a1, s0, s1 = a_lo & _LOW32, a_lo >> _32, s_lo & _LOW32, s_lo >> _32
     t = a1 * s0 + (a0 * s0 >> _32)
     w = (t & _LOW32) + a0 * s1
     hi = a1 * s1 + (t >> _32) + (w >> _32)  # the high word of a_lo * s_lo
     hi += a_hi * s_lo + a_lo * s_hi + c_hi
     lo = a_lo * s_lo + c_lo
     hi += lo < c_lo  # the carry out of the low word
+    return lo, hi
+
+
+def _output(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """XSL-RR output of each state (lo, hi)."""
     x, rot = hi ^ lo, hi >> _58
     return (x >> rot) | (x << ((_64 - rot) & _63))

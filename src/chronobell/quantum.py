@@ -32,12 +32,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import ImpossibleOutcomeError, InvalidStateError
-from .values import Frozen
-
-ATOL = 1e-12
-_ZERO_BRANCH = 1e-24  # collapse and flash.apply_hit refuse a branch this light
-_SKIP_BRANCH = 1e-20  # exact laws skip a branch this light; the mass lost is below any tolerance
-_PHASE_CUTOFF = 1e-12
+from .values import _SKIP_BRANCH, _ZERO_BRANCH, ATOL, Frozen, _frozen, _phase
 
 OUTCOMES = (1, -1)
 
@@ -62,15 +57,6 @@ def outcome_index(outcome: int) -> int:
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
     return OUTCOMES.index(outcome)
-
-
-def _frozen(values, dtype=float):
-    """A read-only ndarray of `values`; the first call loads numpy."""
-    import numpy as np
-
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 def _nested(values, shape: tuple[int, ...], what: str) -> tuple:
@@ -213,15 +199,6 @@ def _squared_norm(re, im) -> float:
 def born_marginal(state: TwoQubitState, setting: BlochSetting, outcome: int) -> float:
     """Probability of `outcome` when the setting's party measures `state`."""
     return min(_squared_norm(*_project(state, setting, outcome)), 1.0)
-
-
-def _phase(re, im) -> tuple[float, float]:
-    """conj(lead) / |lead| as (c, s), lead the first entry of magnitude over _PHASE_CUTOFF;
-    a unit vector of n entries, as every caller's, has one of magnitude >= 1/sqrt(n)."""
-    for r, i in zip(re, im):
-        size = abs(complex(r, i))
-        if size > _PHASE_CUTOFF:
-            return r * (1.0 / size), i * (1.0 / size)
 
 
 def _normalize(re: list, im: list, weight: float) -> list[complex]:

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING
 
 from .errors import NotReducibleError
 from .localpolytope import N_SETTINGS, _VERTICES, BehaviorVector, _vertex_matrix
-from .quantum import Chronology, _frozen
-from .values import Frozen
+from .quantum import Chronology
+from .values import Frozen, _frozen
 
 if TYPE_CHECKING:
     import numpy as np

@@ -1,5 +1,31 @@
-"""`Frozen`, the base of the package's value types. It imports nothing: a short
-process pays neither for loading `inspect` nor for generating code per class."""
+"""`Frozen`, the base of the package's value types, and the numerical rules that
+`quantum`, `flash`, `localpolytope` and `strategies` share. It imports nothing: a
+short process pays neither for loading `inspect` nor for generating code per class,
+and `flash` and the parser read these without compiling `quantum`."""
+
+ATOL = 1e-12
+_ZERO_BRANCH = 1e-24  # collapse and flash.apply_hit refuse a branch this light
+_SKIP_BRANCH = 1e-20  # exact laws skip a branch this light; the mass lost is below any tolerance
+_PHASE_CUTOFF = 1e-12
+MAX_EXACT_SITES = 32  # largest grid flash.ordering_invariance_exact accepts
+
+
+def _frozen(values, dtype=float):
+    """A read-only ndarray of `values`; the first call loads numpy."""
+    import numpy as np
+
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def _phase(re, im) -> tuple[float, float]:
+    """conj(lead) / |lead| as (c, s), lead the first entry of magnitude over _PHASE_CUTOFF;
+    a unit vector of n entries, as every caller's, has one of magnitude >= 1/sqrt(n)."""
+    for r, i in zip(re, im):
+        size = abs(complex(r, i))
+        if size > _PHASE_CUTOFF:
+            return r * (1.0 / size), i * (1.0 / size)
 
 
 class Frozen:

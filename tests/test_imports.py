@@ -60,11 +60,12 @@ EXACT = ["errors", "localpolytope", "quantum", "reporting", "simplex", "values"]
 # per case: the argv, the chronobell modules it loads besides `cli`, and whether it loads
 # hashlib, numpy and numpy.random. Only the lambda-driven subcommands load `cli_lambda`,
 # and none loads `strategies`. numpy.random, which itself imports hashlib, makes the dense
-# seeded words of gen-lambda and flash; covariance reads 2 words of each block, which
-# `pcg64` makes from a --seed without it. `chsh` and `nogo` are plain float arithmetic,
-# whatever their state, alphabet size or --out. No subcommand loads dataclasses; numpy
-# loads inspect
+# seeded words of gen-lambda; covariance and flash read a few words of each block, which
+# `pcg64` makes from a --seed without it. flash hashes its history, and loads no
+# `quantum`. `chsh` and `nogo` are plain float arithmetic, whatever their state, alphabet
+# size or --out. No subcommand loads dataclasses; numpy loads inspect
 COVARIANCE = ["chronology", "cli_lambda", "errors", "lambdafile", "quantum", "reporting", "values"]
+FLASH = ["cli_lambda", "errors", "flash", "lambdafile", "reporting", "values"]
 LOADED = {
     "gen-lambda": (("gen-lambda", "--seed", "1", "--count", "8", "--out", "out.bin"),
                    ["cli_lambda", "errors", "lambdafile", "reporting", "values"], True, True, True),
@@ -78,9 +79,10 @@ LOADED = {
                    COVARIANCE, False, True, False),
     "covariance-seed": (("covariance", "--trials", "10", "--seed", "1"),
                         sorted([*COVARIANCE, "pcg64"]), False, True, False),
-    "flash": (("flash", "--runs", "2", "--seed", "1"),
-              ["cli_lambda", "errors", "flash", "lambdafile", "quantum", "reporting", "values"],
-              True, True, True),
+    "flash": (("flash", "--runs", "2", "--seed", "1"), sorted([*FLASH, "pcg64"]),
+              True, True, False),
+    "flash-lambda-file": (("flash", "--runs", "2", "--lambda-file", "lambda.bin"), FLASH,
+                          True, True, False),
 }
 
 
@@ -122,9 +124,9 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, case):
     [(("--help",), 0), (("flash", "--help"), 0), (("chsh", "--tol"), 2), (("nope",), 2),
      (("flash", "--rate", "0", "--seed", "1"), 2),
      (("covariance", "--trials", "0", "--seed", "1"), 2), (("chsh", "--tol", "2"), 2),
-     (("flash", "--seed", "-1", "--runs", "2"), 2)],
+     (("flash", "--seed", "-1", "--runs", "2"), 2), (("flash", "--sites", "33", "--seed", "1"), 2)],
     ids=["help", "subcommand-help", "missing-value", "unknown-subcommand", "flash-rate-0",
-         "covariance-trials-0", "chsh-tol-2", "flash-seed-negative"],
+         "covariance-trials-0", "chsh-tol-2", "flash-seed-negative", "flash-sites-33"],
 )
 def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, expected_code):
     proc = _python(tmp_path, "-c", RUN_MAIN, *argv)
@@ -132,7 +134,9 @@ def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, expected_code):
         proc.stderr.splitlines()[-1]
     )
     assert code == expected_code
-    assert [m for m in loaded if m not in ("__main__", "cli")] == ["errors", "reporting"]
+    # the bound of --sites lives in `values`, which imports nothing
+    expected = ["errors", "reporting", "values"] if "--sites" in argv else ["errors", "reporting"]
+    assert [m for m in loaded if m not in ("__main__", "cli")] == expected
     assert numpy_loaded is dataclasses_loaded is inspect_loaded is False
 
 

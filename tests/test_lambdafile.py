@@ -476,6 +476,85 @@ class TestChunkShapeAndLifetime:
             chunk = next(chunks)
 
 
+class _Checked:
+    """A chunk each of whose reads is compared with the same read of the array `dense`."""
+
+    def __init__(self, chunk, dense):
+        self.chunk, self.dense, self.shape = chunk, dense, chunk.shape
+
+    def __len__(self):
+        return len(self.chunk)
+
+    def __getitem__(self, key):
+        got = self.chunk[key]
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, self.dense[key])
+        return got
+
+
+class TestSeededFlashChunks:
+    """`word_blocks(..., window=...)` from a seed: `pcg64.Chunk`s, which make the words
+    `flash._draw_hits` reads, and only those, equal to ``PCG64(seed).random_raw``."""
+
+    @pytest.mark.filterwarnings("error")  # numpy warns when uint64 scalars overflow
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        block=st.integers(4, 60),
+        runs=st.integers(1, 30),
+        rows=st.integers(1, 8),
+        rate=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+        width=st.integers(1, 6),
+    )
+    @example(seed=0, block=256, runs=300, rows=256, rate=1.0, width=13).via("edge")
+    @example(seed=2**64 - 1, block=31, runs=30, rows=4, rate=1.0, width=2).via("edge")
+    @example(seed=7, block=4, runs=9, rows=4, rate=3.0, width=1).via("overrun")
+    def test_every_word_read_equals_random_raw(self, seed, block, runs, rows, rate, width):
+        dense = np.random.PCG64(seed).random_raw(runs * block).reshape(runs, block)
+        available, chunks = word_blocks(runs, block, seed=seed, rows=rows, window=(3, width))
+        assert available == runs * block
+        lo = 0
+        for chunk in chunks:
+            expected = dense[lo : lo + rows]
+            assert chunk.shape == expected.shape and len(chunk) == len(expected)
+            try:
+                cb.flash._draw_hits(2, rate, 4.0, _Checked(chunk, expected), "root", lo)
+            except cb.StreamExhaustedError as exc:  # a run needs word `block`, as from a file
+                with pytest.raises(cb.StreamExhaustedError, match=re.escape(str(exc))):
+                    cb.flash._draw_hits(2, rate, 4.0, expected, "root", lo)
+                return
+            lo += len(chunk)
+        assert lo == runs
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 40), stride=st.integers(1, 4),
+           width=st.integers(1, 5), data=st.data())
+    def test_any_reads_equal_random_raw(self, seed, block, stride, width, data):
+        dense = np.random.PCG64(seed).random_raw(5 * block).reshape(5, block)
+        (chunk,) = word_blocks(5, block, seed=seed, rows=8, window=(stride, width))[1]
+        for _ in range(6):
+            rows = np.array(data.draw(st.lists(st.integers(0, 4), min_size=1, unique=True)))
+            if data.draw(st.booleans()):
+                column = data.draw(st.integers(0, block - 1))
+            else:
+                column = np.array(data.draw(st.lists(st.integers(0, block - 1),
+                                                     min_size=rows.size, max_size=rows.size)))
+            np.testing.assert_array_equal(chunk[rows, column], dense[rows, column])
+        with pytest.raises(IndexError):
+            chunk[np.arange(5), np.full(5, block)]
+
+    def test_a_dropped_chunk_is_freed_before_the_next_is_made(self):
+        _, chunks = word_blocks(10, 8, seed=6, rows=2, window=(3, 2))
+        chunk = next(chunks)
+        for _ in range(4):
+            chunk[np.arange(2), 0]  # makes a window
+            ref = weakref.ref(chunk)
+            del chunk
+            assert ref() is None
+            chunk = next(chunks)
+
+
 class TestStreamBlocks:
     @settings(max_examples=200, deadline=None)
     @given(
