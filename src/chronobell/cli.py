@@ -15,8 +15,8 @@ Each subcommand imports the modules it runs inside the function that runs
 it, so `chsh` never loads `flash` or `lambdafile`, and `gen-lambda` never
 loads `quantum`. The three lambda-driven subcommands live in `cli_lambda`,
 which `chsh` and `nogo` never load. Building the parser loads none of them,
-nor numpy, so `--help` and usage errors stay cheap. The value types' base,
-`values.Frozen`, imports nothing.
+nor numpy, so `--help` and usage errors stay cheap. The parser's maxima come from
+`values`, which imports nothing.
 
 Run as a program (`python -m chronobell`, `python -m chronobell.cli` or the
 `chronobell` script), the process ends through `run`, without interpreter
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import math
 import os
 import sys
@@ -42,6 +41,7 @@ from .errors import (
     StreamExhaustedError,
 )
 from .reporting import canonical_json
+from .values import MAX_EXACT_SITES, MAX_SEARCH_ALPHABET
 
 if TYPE_CHECKING:
     from .quantum import BlochSetting, Party, TwoQubitState
@@ -203,14 +203,7 @@ class Bounded:
     "()". `__name__` is `kind`'s, so a token that is no number keeps argparse's wording."""
 
     def __init__(self, kind: type, lo, hi=math.inf, ends: str = "[)"):
-        self.__name__, self.kind, self.lo, self._hi, self.ends = kind.__name__, kind, lo, hi, ends
-
-    @property
-    def hi(self):
-        if isinstance(self._hi, str):  # "module.NAME", its module imported only now
-            module, name = self._hi.split(".")
-            return getattr(importlib.import_module(f".{module}", __package__), name)
-        return self._hi
+        self.__name__, self.kind, self.lo, self.hi, self.ends = kind.__name__, kind, lo, hi, ends
 
     def __call__(self, token: str):
         value, lo, hi, (left, right) = self.kind(token), self.lo, self.hi, self.ends
@@ -265,14 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nogo", help="exhaustive ordering-consistent strategy search")
     p.add_argument("--state", default="singlet")
     p.add_argument("--angles", default="0,90,45,135", help="target settings a,a2,b,b2")
-    p.add_argument("--alphabet-size", type=Bounded(int, 1, "localpolytope.MAX_SEARCH_ALPHABET",
-                                                   "[]"), default=4)
+    p.add_argument("--alphabet-size", type=Bounded(int, 1, MAX_SEARCH_ALPHABET, "[]"), default=4)
     p.add_argument("--tol", type=Bounded(float, 0), default=1e-6)
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(func=cmd_nogo)
 
     p = sub.add_parser("flash", help="spontaneous-localization hit process")
-    p.add_argument("--sites", type=Bounded(int, 2, "values.MAX_EXACT_SITES", "[]"), default=16)
+    p.add_argument("--sites", type=Bounded(int, 2, MAX_EXACT_SITES, "[]"), default=16)
     p.add_argument("--sigma", type=Bounded(float, 0, ends="()"), default=2.0)
     p.add_argument("--rate", type=Bounded(float, 0, ends="()"), default=1.0)
     p.add_argument("--duration", type=Bounded(float, 0, ends="()"), default=4.0)

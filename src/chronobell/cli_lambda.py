@@ -32,26 +32,25 @@ def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting
     return parse_direction_list(part_a, Party.A), parse_direction_list(part_b, Party.B)
 
 
-def _resolve_lambda(args, n_blocks: int, block: int, prefix=None, rows=None, window=None):
-    """(lambda_source report, chunks of `n_blocks` blocks) from --lambda-file or --seed;
-    with `prefix`, of each block's first `prefix` words, with `rows`, of that many
-    blocks each, and with `window`, made as they are read (`lambdafile.word_blocks`)."""
+def _resolve_lambda(args, n_blocks: int, block: int, rows=None):
+    """(lambda_source report, chunks of `n_blocks` blocks, with `rows`, of that many
+    blocks each) from --lambda-file or --seed (`lambdafile.word_blocks`)."""
     from .lambdafile import word_blocks
 
     source = {"lambda_file": args.lambda_file} if args.seed is None else {"seed": args.seed}
     source["words"], chunks = word_blocks(n_blocks, block, path=args.lambda_file, seed=args.seed,
-                                          prefix=prefix, rows=rows, window=window)
+                                          rows=rows)
     return source, chunks
 
 
 def cmd_gen_lambda(args, out) -> int:
     import hashlib
 
-    from .lambdafile import file_header, word_blocks
+    from .lambdafile import dense_words, file_header
 
-    _, chunks = word_blocks(args.count, 1, seed=args.seed)
     digest = hashlib.sha256()
-    for buf in itertools.chain([file_header(args.count, args.seed)], chunks):
+    for buf in itertools.chain([file_header(args.count, args.seed)],
+                               dense_words(args.seed, args.count)):
         out.write(buf)
         digest.update(buf)
     _emit(args, {"path": str(Path(args.out)), "sha256": digest.hexdigest()},
@@ -60,7 +59,7 @@ def cmd_gen_lambda(args, out) -> int:
 
 
 def cmd_covariance(args, out) -> int:
-    from .chronology import TRIAL_WORDS, Chronology, CovarianceReport, covariance_pass
+    from .chronology import Chronology, CovarianceReport, covariance_pass
     from .chronology import distribution_covariance_check
     from .lambdafile import DEFAULT_BLOCK
 
@@ -71,7 +70,7 @@ def cmd_covariance(args, out) -> int:
     n_pairs = len(settings_a) * len(settings_b)
     # the table goes next to the report: both are replaced, or neither
     with _replacing(Path(f"{args.out}.csv")) if args.out else contextlib.nullcontext() as csv:
-        source, chunks = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK, TRIAL_WORDS)
+        source, chunks = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK)
         exact = distribution_covariance_check(state, settings_a, settings_b, args.tol)
         tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
         table = tables[chronology]
@@ -106,10 +105,12 @@ def cmd_flash(args, out) -> int:
         raise ValueError(f"--rate and --duration make chunks of {chunk} lambda words, over "
                          f"the cap of {flash_mod.MAX_CHUNK_WORDS}")
 
-    source, chunks = _resolve_lambda(args, args.runs, block, rows=flash_mod.CHUNK_RUNS,
-                                     window=flash_mod.hit_window(expected_hits))
-    digest = hashlib.sha256()
-    hit_counts, done = np.empty(args.runs, dtype=np.intp), 0
+    try:  # before any word is made; numpy's "array is too big" is a ValueError
+        hit_counts = np.empty(args.runs, dtype=np.intp)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"--runs: no room for the hit counts of {args.runs} runs: {exc}") from None
+    source, chunks = _resolve_lambda(args, args.runs, block, rows=flash_mod.CHUNK_RUNS)
+    digest, done = hashlib.sha256(), 0
     first_flash_counts = np.zeros(args.sites, dtype=np.int64)
     for batch in flash_mod.flash_batches(psi0, kernel, args.rate, args.duration, chunks):
         history = batch.history_bytes()

@@ -22,13 +22,14 @@ lambda words and gives each run the flashes of `run_flash_process` on its
 substream. That reference run is built from the single-hit rules:
 `sample_hit_center`, then `apply_hit`. Hit times and particles depend on no
 hit, so a chunk's are drawn first, and its raw words dropped before the hit
-centers are stepped. The batch keeps no amplitude grid per run. Because hits
-act diagonally on separate tensor factors and nothing evolves between hits,
-a run's density is exactly the initial one times a real weight vector per
-particle (the product of that particle's squared kernel rows). Waiting times
-are computed word by word with `math.log1p`, as in the scalar run:
-`np.log1p` is off by one ulp on some inputs, and the history file prints
-times with `repr`.
+centers are stepped. A chunk is indexed only for the words its runs read, a
+window of waiting times at a time, so a seeded chunk makes little else. The
+batch keeps no amplitude grid per run. Because hits act diagonally on
+separate tensor factors and nothing evolves between hits, a run's density is
+exactly the initial one times a real weight vector per particle (the product
+of that particle's squared kernel rows). Waiting times are computed word by
+word with `math.log1p`, as in the scalar run: `np.log1p` is off by one ulp on
+some inputs, and the history file prints times with `repr`.
 """
 
 from __future__ import annotations
@@ -350,11 +351,17 @@ def _draw_hits(n_particles, rate, duration, words, label, first_run):
     `words`, the first three flat in (run, time) order; step k of `steps` is the runs
     with more than k hits, in run order, and the flat index of each one's hit k.
 
-    Every run that overruns its block first needs word `block`, and the runs
-    reach it together, so the lowest such run is the first overrunning one.
+    The waiting-time words are read in windows, one index each, for the runs still
+    active: the first as wide as the overshooting draw and three standard deviations
+    above the mean hit count need, each later one twice as wide, so a seeded
+    `pcg64.Chunk` makes few words that no run reads. Every run that overruns its
+    block first needs word `block`, and the runs reach it together, so the lowest
+    such run is the first overrunning one.
     """
     runs, block = words.shape
     total_rate = rate * n_particles
+    mean = total_rate * duration
+    width = math.ceil(min(mean + 3.0 * math.sqrt(mean), block)) + 1  # waiting times per window
 
     def overrun(active: np.ndarray) -> StreamExhaustedError:
         name = f"{label}[{first_run + active[0]}]"
@@ -364,19 +371,23 @@ def _draw_hits(n_particles, rate, duration, words, label, first_run):
     hit_counts = np.zeros(runs, dtype=np.intp)
     steps = []  # (runs hit, their times) at each hit index, in run order
     active = np.arange(runs)
-    offset = 0
+    offset = row = 0
+    window = ()  # the next waiting-time words of some runs, hit-major
     while active.size:
         if offset >= block:
             raise overrun(active)
-        u_time = words_to_reals(words[active, offset]).tolist()
+        if row == len(window):  # the runs still active; the next window is twice as wide
+            columns = np.arange(offset, min(offset + 3 * width, block), 3)[:, None]
+            window, at, row, width = words[active, columns], np.arange(active.size), 0, 2 * width
+        u_time = words_to_reals(window[row, at]).tolist()
         clock = clock + [-math.log1p(-u) / total_rate for u in u_time]
         inside = clock <= duration
-        active, clock = active[inside], clock[inside]
+        active, clock, at = active[inside], clock[inside], at[inside]
         if active.size and offset + 2 >= block:
             raise overrun(active)
         steps.append((active, clock))
         hit_counts[active] = len(steps)
-        offset += 3
+        offset, row = offset + 3, row + 1
 
     starts = np.cumsum(hit_counts) - hit_counts
     time = np.empty(int(hit_counts.sum()))
@@ -444,14 +455,6 @@ def flash_block(mean_hits: float) -> int:
         else:
             lo = mid
     return max(MIN_FLASH_BLOCK, 3 * hi + 1)
-
-
-def hit_window(mean_hits: float) -> tuple[int, int]:
-    """(stride, width) of the first window of waiting-time words that a seeded chunk
-    makes for its runs (`pcg64.Chunk`): every third word, as many as the overshooting
-    draw and three standard deviations above `mean_hits` hits need, so that most
-    chunks make one window."""
-    return 3, math.ceil(mean_hits + 3.0 * math.sqrt(mean_hits)) + 1
 
 
 class OrderingReport(Frozen):

@@ -28,16 +28,13 @@ from a file or a seed (`word_blocks`) or from memory (`LambdaStream.blocks`).
 No chunk source keeps a chunk once it is yielded, so a consumer that drops
 chunk k before asking for chunk k+1 never holds two.
 
-A consumer that reads only some words of each block asks `word_blocks` for
-them. A covariance trial reads 2 of 64, so it asks for that prefix and gets
-(rows, prefix) chunks; from a file they are views of the chunk read. A flash
-run reads a part of its block that depends on the run, so ``flash`` asks for a
-`window`: from a file it gets the chunks whole, and drops each before it steps
-the chunk's runs. From a seed, either way, only the words read are generated:
-`pcg64` jumps ahead to each, without ``numpy.random``, and a flash chunk is a
-`pcg64.Chunk` that makes a word when the run reads it. Dense reads
-(`generate_lambda_file`, ``gen-lambda``) keep ``PCG64.random_raw``, which makes
-consecutive words faster than jumps do.
+A consumer indexes each chunk for the words it reads: a covariance trial reads
+2 of its 64 (``words[:, :2]``), a flash run a part of its block that depends on
+the run. From a file each chunk is read whole. From a seed it is a
+`pcg64.Chunk`, indexed the same way, which makes only the words indexed: `pcg64`
+jumps ahead to each, without ``numpy.random``. Readers of every word
+(`generate_lambda_file`, ``gen-lambda``) take `dense_words`, whose
+``PCG64.random_raw`` makes consecutive words faster than jumps do.
 """
 
 from __future__ import annotations
@@ -162,41 +159,42 @@ def generate_lambda_file(seed: int, count: int) -> LambdaFile:
     Same (seed, count) always yields byte-identical files; the generator's
     statistical quality is enforced by the uniformity tests, not by decree.
     """
-    _, (words,) = word_blocks(1, int(count), seed=seed)  # one block is one chunk
-    return LambdaFile(words.reshape(-1), seed_note=int(seed))
+    (words,) = dense_words(seed, int(count), int(count))  # one chunk
+    return LambdaFile(words, seed_note=int(seed))
 
 
-def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None, rows=None,
-                window=None):
+def dense_words(seed: int, count: int, step: int = CHUNK_WORDS):
+    """Words [0, count) of ``PCG64(seed)`` as little-endian arrays of `step` words, the
+    last maybe fewer, made in order by ``random_raw``. Bad input raises before this returns."""
+    bits = np.random.PCG64(_checked_seed(seed, count))
+    return (bits.random_raw(min(step, count - lo)).astype("<u8", copy=False)
+            for lo in range(0, count, step))
+
+
+def _checked_seed(seed, count: int) -> int:
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    if count < 1:
+        raise EmptyFileError("count must be at least 1")
+    return seed
+
+
+def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, rows=None):
     """(words available, chunks of the first `n_blocks` blocks of `block` words).
 
     The words come from the stored file at `path` if it is given, else from
-    `seed`. Each chunk is a (rows, block) array of `rows` rows, by default
-    `chunk_rows(block)`; the last may be shorter. With `prefix`, each chunk
-    holds only the first `prefix` words of its rows: (rows, prefix). With a
-    `window` (stride, width) and a seed, each chunk is a `pcg64.Chunk` under
-    that window, which makes only the words indexed. Bad input raises before
-    this returns; a file that shrinks raises when the missing chunk is read.
+    `seed`. Each chunk holds `rows` blocks, by default `chunk_rows(block)`; the
+    last may hold fewer. From a file it is a (rows, block) array; from a seed,
+    a `pcg64.Chunk` that makes the words it is indexed by. Bad input raises
+    before this returns; a file that shrinks raises when the missing chunk is read.
     """
     needed = n_blocks * block
-    if prefix is not None and not 1 <= prefix <= block:
-        raise ValueError(f"a prefix of {prefix} words does not fit blocks of {block}")
-    prefix = block if prefix is None else prefix
+    rows = chunk_rows(block) if rows is None else rows
     if path is None:
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        if needed < 1:
-            raise EmptyFileError("count must be at least 1")
-        if prefix < block or window is not None:  # generate only the words read
-            from . import pcg64
+        from . import pcg64
 
-            rows = chunk_rows(block) if rows is None else rows
-            if prefix < block:
-                return needed, pcg64.prefix_chunks(seed, n_blocks, block, prefix, rows)
-            return needed, pcg64.chunks(seed, n_blocks, block, rows, window)
-        bits = np.random.PCG64(seed)  # random_raw is sequential: chunks equal one call
-        return needed, _chunks(lambda lo, n: bits.random_raw(n), needed, block, rows)
+        return needed, pcg64.chunks(_checked_seed(seed, needed), n_blocks, block, rows)
     with Path(path).open("rb") as fh:
         available, _ = _parse_header(fh.read(_HEADER.size))
         _check_payload(os.fstat(fh.fileno()).st_size - _HEADER.size, available)
@@ -211,7 +209,7 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, prefix=None,
             raise LambdaFormatError(f"lambda words ran out after {lo + words.size} of {needed}")
         return words
 
-    return available, _chunks(read, needed, block, rows, prefix)
+    return available, _chunks(read, needed, block, rows)
 
 
 def chunk_rows(block: int) -> int:
@@ -219,14 +217,13 @@ def chunk_rows(block: int) -> int:
     return max(CHUNK_ROWS, CHUNK_WORDS // block)
 
 
-def _chunks(read, needed: int, block: int, rows=None, prefix=None):
-    """Words [0, needed) as chunks of `rows` blocks (by default `chunk_rows(block)`), or
-    views of their first `prefix` columns, words [lo, lo + n) from `read(lo, n)`. No
-    local names a chunk while it is out, so the consumer's reference is its last."""
+def _chunks(read, needed: int, block: int, rows=None):
+    """Words [0, needed) as (rows, block) chunks (by default `chunk_rows(block)` rows),
+    words [lo, lo + n) from `read(lo, n)`. No local names a chunk while it is out, so
+    the consumer's reference is its last."""
     step = (chunk_rows(block) if rows is None else rows) * block
     for lo in range(0, needed, step):
-        yield (read(lo, min(step, needed - lo)).astype("<u8", copy=False)
-               .reshape(-1, block)[:, :prefix])
+        yield read(lo, min(step, needed - lo)).astype("<u8", copy=False).reshape(-1, block)
 
 
 class LambdaStream:

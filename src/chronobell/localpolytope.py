@@ -25,11 +25,10 @@ from .errors import OracleDisagreementError, SearchSpaceError
 from .quantum import LOCAL_BOUND, OUTCOMES, BlochSetting, Chronology, TwoQubitState
 from .quantum import _cell_sum, _nested, correlation, exact_table, signaling_defect
 from .simplex import solve_feasibility
-from .values import Frozen, _frozen
+from .values import MAX_SEARCH_ALPHABET, Frozen, _frozen
 
 N_SETTINGS = 2
 N_OUTCOMES = 2
-MAX_SEARCH_ALPHABET = 8
 BOUNDARY_ROUNDING = 1e-12  # |S| - 2 this close to tol is rounding: the oracles may differ
 
 _ENTRY_FLOOR = -1e-12

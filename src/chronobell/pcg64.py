@@ -11,15 +11,15 @@ number generation", HMC-CS-2014-0905 (2014)).
 that make a word only when it is read: word j of a row is the output of
 A_{j+1}*s + C_{j+1}, s the row's start state. The first chunk's row states and
 every column's (A, C) are orbits of one map, built by doubling; each later
-chunk's row states are the previous chunk's, mapped once. A covariance chunk is
-the first columns of every row (`prefix_chunks`); a flash chunk makes windows
-of every third word for the runs still active, then the words of each hit. A
-jump costs several times the step to the next word, so ``gen-lambda``, which
-writes every word, keeps ``random_raw``. The arithmetic is on uint64 lo/hi
-arrays: numpy has no 128-bit type, so the high word of the low 64x64 product
-goes through 32-bit limbs (H. S. Warren, "Hacker's Delight", section 8-2,
-mulhu). Only array arithmetic wraps here: numpy warns when uint64 scalars
-overflow.
+chunk's row states are the previous chunk's, mapped once. A chunk is indexed as
+the array of its words is, and each reader's key says what it reads: covariance
+the first columns of every row, flash windows of waiting-time words, then the
+words of each hit. A jump costs several times the step to the next word, so
+readers of every word (``gen-lambda``) keep ``random_raw``. The arithmetic is on
+uint64 lo/hi arrays: numpy has no 128-bit type, so the high word of the low
+64x64 product goes through 32-bit limbs (H. S. Warren, "Hacker's Delight",
+section 8-2, mulhu). Only array arithmetic wraps here: numpy warns when uint64
+scalars overflow.
 
 Seeding is numpy's ``SeedSequence(seed)`` -> ``PCG64`` path in Python ints: the
 hashmix pool, ``generate_state(4)`` and ``pcg_setseq_128_srandom_r``. The tests
@@ -68,9 +68,9 @@ def seed_state(seed: int) -> tuple[int, int]:
     return ((inc + init_state) * MULTIPLIER + inc) & MASK128, inc
 
 
-def chunks(seed: int, n_blocks: int, block: int, rows: int, window=None):
+def chunks(seed: int, n_blocks: int, block: int, rows: int):
     """Blocks 0..n_blocks-1 of `block` words of ``PCG64(seed)`` as `Chunk`s of `rows` rows,
-    the last maybe fewer; each makes its words when they are read, under `window`."""
+    the last maybe fewer."""
     state, inc = seed_state(seed)
     # column j's (A, C): j + 1 steps, from a row's start state to the state of its word j
     jumps = np.concatenate([_orbit(MULTIPLIER, block, MULTIPLIER, 0),
@@ -78,59 +78,29 @@ def chunks(seed: int, n_blocks: int, block: int, rows: int, window=None):
     starts = _orbit(state, min(rows, n_blocks), *_power(MULTIPLIER, inc, block))
     chunk_a, chunk_c = map(_words, _power(MULTIPLIER, inc, rows * block))
     for lo in range(0, n_blocks, rows):
-        yield Chunk(jumps, starts[:, : n_blocks - lo], window)
+        yield Chunk(jumps, starts[:, : n_blocks - lo])
         starts = np.array(_affine(chunk_a, starts, chunk_c))
 
 
-def prefix_chunks(seed: int, n_blocks: int, block: int, prefix: int, rows: int):
-    """Words [0, prefix) of the rows of each of `chunks`, as (rows, prefix) uint64 arrays,
-    each the transpose of the (prefix, rows) words one broadcast over its rows makes."""
-    for chunk in chunks(seed, n_blocks, block, rows):
-        jumps = chunk._jumps[:, :prefix, None]
-        yield _output(*_affine(jumps[:2], chunk._starts, jumps[2:])).T
-
-
 class Chunk:
-    """Rows of `block` words of the stream, indexed as a (rows, block) uint64 array is
-    by integer arrays of rows and columns; a word is made when it is read.
+    """Rows of `block` words of the stream, indexed as the (rows, block) uint64 array of
+    them is, by integer arrays of rows and columns that broadcast or by two slices; it
+    makes exactly the words indexed, each when it is read."""
 
-    With a `window` of (stride, width), a read of one column j for some rows makes
-    columns j, j + stride, ... for those rows at once, `width` of them the first time
-    and twice as many each time after, and later reads among them are served from it.
-    """
-
-    def __init__(self, jumps: np.ndarray, starts: np.ndarray, window=None) -> None:
+    def __init__(self, jumps: np.ndarray, starts: np.ndarray) -> None:
         self._jumps, self._starts = jumps, starts
         self.shape = (starts.shape[1], jumps.shape[1])
-        self._window, self._made = window, None
 
     def __len__(self) -> int:
         return self.shape[0]
 
-    def words(self, rows, columns) -> np.ndarray:
-        """The words at (rows, columns), integer arrays that broadcast."""
+    def __getitem__(self, key) -> np.ndarray:
+        rows, columns = key
+        if isinstance(rows, slice):  # column by column along the rows, then transposed
+            jumps = self._jumps[:, columns, None]
+            return _output(*_affine(jumps[:2], self._starts[:, rows], jumps[2:])).T
         jumps = np.take(self._jumps, columns, axis=1)  # the fast gather along an axis
         return _output(*_affine(jumps[:2], np.take(self._starts, rows, axis=1), jumps[2:]))
-
-    def __getitem__(self, key) -> np.ndarray:
-        rows, column = key
-        if self._window is None or not isinstance(column, int):
-            return self.words(rows, column)
-        stride, width = self._window
-        if self._made is not None:
-            first, width, slot, words = self._made
-            k, off = divmod(column - first, stride)
-            if not off and 0 <= k < len(words):
-                try:
-                    return words[k, slot[rows]]
-                except IndexError:  # a row the window lacks
-                    pass
-            width *= 2
-        columns = np.arange(column, min(column + stride * width, self.shape[1]), stride)
-        slot = np.full(len(self), len(rows))  # one past the window's rows, for a row it lacks
-        slot[rows] = np.arange(len(rows))
-        self._made = column, width, slot, self.words(rows, columns[:, None])
-        return self._made[3][0].copy()
 
 
 def _words(x: int) -> np.ndarray:

@@ -1,13 +1,15 @@
 """`Frozen`, the base of the package's value types, and the numerical rules that
-`quantum`, `flash`, `localpolytope` and `strategies` share. It imports nothing: a
-short process pays neither for loading `inspect` nor for generating code per class,
-and `flash` and the parser read these without compiling `quantum`."""
+`quantum`, `flash`, `localpolytope` and `strategies` share, with the two maxima the
+parser checks. It imports nothing: a short process pays neither for loading `inspect`
+nor for generating code per class, and `flash` and the parser read these without
+compiling `quantum`."""
 
 ATOL = 1e-12
 _ZERO_BRANCH = 1e-24  # collapse and flash.apply_hit refuse a branch this light
 _SKIP_BRANCH = 1e-20  # exact laws skip a branch this light; the mass lost is below any tolerance
 _PHASE_CUTOFF = 1e-12
 MAX_EXACT_SITES = 32  # largest grid flash.ordering_invariance_exact accepts
+MAX_SEARCH_ALPHABET = 8  # largest alphabet localpolytope.exhaustive_nogo_search accepts
 
 
 def _frozen(values, dtype=float):

@@ -66,6 +66,7 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr(cli_lambda, "_resolve_lambda", work)
     monkeypatch.setattr(lambdafile, "word_blocks", work)
+    monkeypatch.setattr(lambdafile, "dense_words", work)
     for name in ("quantum_behavior", "chsh_facet_check", "local_membership_lp"):
         monkeypatch.setattr(localpolytope, name, work)
     for name in ("distribution_covariance_check", "covariance_pass"):
@@ -479,6 +480,23 @@ class TestFlash:
         assert code == 2 and stdout == ""
         assert f"make chunks of {600000 * 256} lambda words" in err
 
+    @pytest.mark.parametrize("runs", [10**12, 2**62])
+    def test_runs_too_many_to_count_rejected_before_any_word(self, capsys, monkeypatch, no_words,
+                                                             runs):
+        # 10**12 hit counts are 8 TB, which this test never asks for: the allocation fails
+        # as on a host without that memory. For 2**62, numpy refuses the size itself.
+        empty = np.empty
+
+        def no_memory(shape, *args, **kwargs):
+            if shape == 10**12:
+                raise MemoryError("Unable to allocate 7.28 TiB")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        code, stdout, err = run_cli(capsys, "flash", "--seed", "1", "--runs", str(runs))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: --runs: no room for the hit counts of {runs} runs: ")
+
     @pytest.mark.parametrize("value,mean", [("1e-300", "0.0"), ("1e300", "inf")])
     def test_hit_count_out_of_range_rejected_naming_the_flags(self, capsys, no_words, value, mean):
         # each flag is finite and positive, but the mean hit count underflows or overflows
@@ -674,22 +692,25 @@ class TestConfig:
 
 
 def fail_after_one_chunk(monkeypatch):
-    """The lambda chunk source raises after its first chunk, and the LP oracle raises."""
-    word_blocks = lambdafile.word_blocks
+    """The lambda chunk sources raise after their first chunk, and the LP oracle raises."""
+    word_blocks, dense_words = lambdafile.word_blocks, lambdafile.dense_words
+
+    def first_chunk_then_fail(chunks):
+        yield next(chunks)
+        raise StreamExhaustedError("the chunk source failed")
 
     def failing_word_blocks(*args, **kwargs):
         words, chunks = word_blocks(*args, **kwargs)
+        return words, first_chunk_then_fail(chunks)
 
-        def first_chunk_then_fail():
-            yield next(chunks)
-            raise StreamExhaustedError("the chunk source failed")
-
-        return words, first_chunk_then_fail()
+    def failing_dense_words(*args, **kwargs):
+        return first_chunk_then_fail(dense_words(*args, **kwargs))
 
     def failing_oracle(*args, **kwargs):
         raise OracleDisagreementError("the membership LP failed")
 
     monkeypatch.setattr(lambdafile, "word_blocks", failing_word_blocks)
+    monkeypatch.setattr(lambdafile, "dense_words", failing_dense_words)
     monkeypatch.setattr(localpolytope, "local_membership_lp", failing_oracle)
 
 

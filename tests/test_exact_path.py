@@ -176,3 +176,9 @@ def test_exact_modules_do_not_import_the_sampling_stack(module):
     imported = relative_imports(SOURCE / module)
     assert imported, "expected the module to import something relatively"
     assert not imported & {"chronology", "lambdafile"}
+
+
+def test_only_lambdafile_imports_the_seeded_word_generator():
+    # the jump-ahead algorithm stays behind `lambdafile.word_blocks`
+    importers = {path.stem for path in SOURCE.glob("*.py") if "pcg64" in relative_imports(path)}
+    assert importers == {"lambdafile"}

@@ -313,7 +313,7 @@ class TestWordBlocks:
             assert (stored["words"], generated["words"]) == (needed + spare, needed)
             step = max(rows, chunk // block)
             for chunks in (loaded.stream().blocks(n_blocks, block), from_file, from_seed):
-                chunks = list(chunks)
+                chunks = [c[:, :] for c in chunks]  # a seeded chunk's words, made by indexing it
                 for c in chunks:
                     assert c.dtype == np.uint64 and c.shape[1] == block
                 assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
@@ -373,7 +373,8 @@ EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
 
 
 class TestPrefixReads:
-    """`word_blocks(..., prefix=p)`: the first p words of each block, from a file or a seed."""
+    """Covariance's key ``words[:, :p]``, the first p words of each block, read from the
+    chunks of a file or of a seed (`pcg64.Chunk`s) as from the stored words."""
 
     @pytest.mark.filterwarnings("error")  # numpy warns when uint64 scalars overflow
     @settings(max_examples=80, deadline=None)
@@ -396,9 +397,9 @@ class TestPrefixReads:
         with mock.patch.multiple(lambdafile, CHUNK_WORDS=chunk, CHUNK_ROWS=rows):
             step = max(rows, chunk // block)
             for source in ({"path": path}, {"seed": seed}):
-                available, chunks = word_blocks(n_blocks, block, prefix=prefix, **source)
+                available, chunks = word_blocks(n_blocks, block, **source)
                 assert available == n_blocks * block
-                chunks = list(chunks)
+                chunks = [c[:, :prefix] for c in chunks]
                 for c in chunks:
                     assert c.dtype == np.uint64 and c.shape[1] == prefix
                 assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
@@ -421,20 +422,9 @@ class TestPrefixReads:
     def test_default_chunks_equal_random_raw(self, seed, n_blocks, block, prefix):
         # 5000 and 600 blocks cross the default chunk edges at 2048 and 512 rows
         expected = np.random.PCG64(seed).random_raw(n_blocks * block).reshape(n_blocks, block)
-        _, chunks = word_blocks(n_blocks, block, seed=seed, prefix=prefix)
-        np.testing.assert_array_equal(np.concatenate(list(chunks)), expected[:, :prefix])
-
-    def test_file_prefix_is_a_view_of_the_chunk_read(self, tmp_path):
-        path = cb.generate_lambda_file(seed=1, count=40).save(tmp_path / "lam.bin")
-        (chunk,) = word_blocks(10, 4, path=path, prefix=2)[1]
-        assert chunk.shape == (10, 2) and chunk.base is not None and chunk.base.size == 40
-
-    @pytest.mark.parametrize("prefix", [0, -1, 5])
-    def test_prefix_outside_the_block_rejected(self, tmp_path, prefix):
-        path = cb.generate_lambda_file(seed=1, count=40).save(tmp_path / "lam.bin")
-        for source in ({"path": path}, {"seed": 1}):
-            with pytest.raises(ValueError, match=f"a prefix of {prefix} words does not fit blocks of 4"):
-                word_blocks(10, 4, prefix=prefix, **source)
+        _, chunks = word_blocks(n_blocks, block, seed=seed)
+        got = [chunk[:, :prefix] for chunk in chunks]
+        np.testing.assert_array_equal(np.concatenate(got), expected[:, :prefix])
 
 
 class TestChunkShapeAndLifetime:
@@ -446,32 +436,29 @@ class TestChunkShapeAndLifetime:
         return {
             "file": word_blocks(10, 8, path=path, rows=rows)[1],
             "seed": word_blocks(10, 8, seed=lf.seed_note, rows=rows)[1],
-            "prefix-file": word_blocks(10, 8, path=path, prefix=3, rows=rows)[1],
-            "prefix-seed": word_blocks(10, 8, seed=lf.seed_note, prefix=3, rows=rows)[1],
             "stream": lf.stream().blocks(10, 8, rows),
         }
 
     @pytest.mark.parametrize("rows", [1, 3, 10, 11])
     def test_rows_set_the_chunk_height(self, tmp_path, rows):
         lf = cb.generate_lambda_file(seed=6, count=10 * 8)
-        expected = lf.words.reshape(10, 8)
         heights = [min(rows, 10 - lo) for lo in range(0, 10, rows)]
         for name, chunks in self._sources(lf, lf.save(tmp_path / "lam.bin"), rows).items():
             chunks = list(chunks)
             assert [len(c) for c in chunks] == heights, name
-            np.testing.assert_array_equal(
-                np.concatenate(chunks), expected[:, :3] if "prefix" in name else expected
-            )
+            np.testing.assert_array_equal(np.concatenate([c[:, :] for c in chunks]),
+                                          lf.words.reshape(10, 8))
 
-    @pytest.mark.parametrize("name", ["file", "seed", "prefix-file", "prefix-seed", "stream"])
+    @pytest.mark.parametrize("name", ["file", "seed", "stream"])
     def test_a_dropped_chunk_is_freed_before_the_next_is_read(self, tmp_path, name):
         lf = cb.generate_lambda_file(seed=6, count=10 * 8)
         chunks = self._sources(lf, lf.save(tmp_path / "lam.bin"), 2)[name]
         chunk = next(chunks)
         for _ in range(4):
             # the buffer a chunk views, unless that is the stream's file, which stays
-            ref = weakref.ref(chunk if chunk.base is None or chunk.base is lf.words else chunk.base)
-            del chunk
+            base = getattr(chunk, "base", None)
+            ref = weakref.ref(chunk if base is None or base is lf.words else base)
+            del chunk, base
             assert ref() is None
             chunk = next(chunks)
 
@@ -480,7 +467,7 @@ class _Checked:
     """A chunk each of whose reads is compared with the same read of the array `dense`."""
 
     def __init__(self, chunk, dense):
-        self.chunk, self.dense, self.shape = chunk, dense, chunk.shape
+        self.chunk, self.dense, self.shape, self.reads = chunk, dense, chunk.shape, []
 
     def __len__(self):
         return len(self.chunk)
@@ -489,66 +476,110 @@ class _Checked:
         got = self.chunk[key]
         assert got.dtype == np.uint64
         np.testing.assert_array_equal(got, self.dense[key])
+        self.reads.append(key)
         return got
 
 
+def _flash_reads(words, rate, label="root", first_run=0):
+    """`flash._draw_hits` on `words`, 2 particles for a duration of 1, or the error it raises."""
+    try:
+        return cb.flash._draw_hits(2, rate, 1.0, words, label, first_run)
+    except cb.StreamExhaustedError as exc:
+        return exc
+
+
 class TestSeededFlashChunks:
-    """`word_blocks(..., window=...)` from a seed: `pcg64.Chunk`s, which make the words
-    `flash._draw_hits` reads, and only those, equal to ``PCG64(seed).random_raw``."""
+    """The chunk contract: a seeded `pcg64.Chunk` reads as ``PCG64(seed).random_raw``
+    reshaped to (rows, block) does, under every key `flash._draw_hits` uses and under
+    any broadcast integer-array or two-slice key, and makes its words only when read."""
 
     @pytest.mark.filterwarnings("error")  # numpy warns when uint64 scalars overflow
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
         block=st.integers(4, 60),
-        runs=st.integers(1, 30),
-        rows=st.integers(1, 8),
-        rate=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
-        width=st.integers(1, 6),
+        runs=st.integers(1, 64),
+        rows=st.integers(1, 32),
+        rate=st.sampled_from([0.15, 0.5, 1.0, 6.0]),
     )
-    @example(seed=0, block=256, runs=300, rows=256, rate=1.0, width=13).via("edge")
-    @example(seed=2**64 - 1, block=31, runs=30, rows=4, rate=1.0, width=2).via("edge")
-    @example(seed=7, block=4, runs=9, rows=4, rate=3.0, width=1).via("overrun")
-    def test_every_word_read_equals_random_raw(self, seed, block, runs, rows, rate, width):
+    @example(seed=0, block=256, runs=300, rows=256, rate=2.0).via("edge")
+    @example(seed=2**64 - 1, block=31, runs=30, rows=4, rate=2.0).via("edge")
+    @example(seed=3, block=256, runs=64, rows=64, rate=0.15).via("refill")
+    @example(seed=7, block=4, runs=9, rows=4, rate=6.0).via("overrun")
+    def test_every_word_read_equals_random_raw(self, seed, block, runs, rows, rate):
         dense = np.random.PCG64(seed).random_raw(runs * block).reshape(runs, block)
-        available, chunks = word_blocks(runs, block, seed=seed, rows=rows, window=(3, width))
+        available, chunks = word_blocks(runs, block, seed=seed, rows=rows)
         assert available == runs * block
         lo = 0
         for chunk in chunks:
             expected = dense[lo : lo + rows]
             assert chunk.shape == expected.shape and len(chunk) == len(expected)
-            try:
-                cb.flash._draw_hits(2, rate, 4.0, _Checked(chunk, expected), "root", lo)
-            except cb.StreamExhaustedError as exc:  # a run needs word `block`, as from a file
-                with pytest.raises(cb.StreamExhaustedError, match=re.escape(str(exc))):
-                    cb.flash._draw_hits(2, rate, 4.0, expected, "root", lo)
+            got = _flash_reads(_Checked(chunk, expected), rate, first_run=lo)
+            want = _flash_reads(expected, rate, first_run=lo)
+            if isinstance(want, cb.StreamExhaustedError):  # a run needs word `block`
+                assert type(got) is type(want) and str(got) == str(want)
                 return
+            for g, w in zip(got[:4], want[:4]):
+                np.testing.assert_array_equal(g, w)
             lo += len(chunk)
         assert lo == runs
 
+    def test_windows_refill_for_the_runs_still_active(self):
+        (chunk,) = word_blocks(64, 256, seed=3, rows=64)[1]
+        words = _Checked(chunk, np.random.PCG64(3).random_raw(64 * 256).reshape(64, 256))
+        _flash_reads(words, 0.15)
+        windows = [(rows.size, len(columns)) for rows, columns in words.reads
+                   if np.ndim(columns) == 2]
+        # 64 runs, then the few still active; 3 waiting times each, then twice as many
+        assert len(windows) == 2 and windows[1][0] < windows[0][0] == 64
+        assert windows[1][1] == 2 * windows[0][1] == 6
+
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 40), stride=st.integers(1, 4),
-           width=st.integers(1, 5), data=st.data())
-    def test_any_reads_equal_random_raw(self, seed, block, stride, width, data):
+    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 40), data=st.data())
+    def test_any_reads_equal_random_raw(self, seed, block, data):
         dense = np.random.PCG64(seed).random_raw(5 * block).reshape(5, block)
-        (chunk,) = word_blocks(5, block, seed=seed, rows=8, window=(stride, width))[1]
+        (chunk,) = word_blocks(5, block, seed=seed, rows=8)[1]
+        index = st.lists(st.integers(0, 4), min_size=1, max_size=4)
         for _ in range(6):
-            rows = np.array(data.draw(st.lists(st.integers(0, 4), min_size=1, unique=True)))
-            if data.draw(st.booleans()):
-                column = data.draw(st.integers(0, block - 1))
+            if data.draw(st.booleans()):  # arrays that broadcast, a row or a column each
+                rows = np.array(data.draw(index))[:, None]
+                columns = np.array(data.draw(st.lists(st.integers(0, block - 1), min_size=1)))
+                key = (rows, columns) if data.draw(st.booleans()) else (rows[:, 0], columns[:1])
             else:
-                column = np.array(data.draw(st.lists(st.integers(0, block - 1),
-                                                     min_size=rows.size, max_size=rows.size)))
-            np.testing.assert_array_equal(chunk[rows, column], dense[rows, column])
-        with pytest.raises(IndexError):
-            chunk[np.arange(5), np.full(5, block)]
+                ends = st.none() | st.integers(-6, 42)
+                key = tuple(slice(data.draw(ends), data.draw(ends)) for _ in range(2))
+            np.testing.assert_array_equal(chunk[key], dense[key])
+        for key in ((np.arange(5), np.full(5, block)), (np.array([5]), np.array([0]))):
+            with pytest.raises(IndexError):
+                dense[key]
+            with pytest.raises(IndexError):
+                chunk[key]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(4, 40), runs=st.integers(1, 200),
+           rate=st.sampled_from([0.05, 0.15, 0.3, 3.0]))
+    @example(seed=3, block=256, runs=64, rate=0.15).via("refill")
+    def test_draw_hits_is_the_same_on_a_chunk_and_on_its_words(self, seed, block, runs, rate):
+        (chunk,) = word_blocks(runs, block, seed=seed, rows=runs)[1]
+        got, want = _flash_reads(chunk, rate, "r", 5), _flash_reads(chunk[:, :], rate, "r", 5)
+        if isinstance(want, cb.StreamExhaustedError):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        time, particle, u_center, hit_counts, steps = got
+        for g, w in zip((time, particle, u_center, hit_counts), want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert len(steps) == len(want[4])
+        for (live, hit), (live_w, hit_w) in zip(steps, want[4]):
+            np.testing.assert_array_equal(live, live_w)
+            np.testing.assert_array_equal(hit, hit_w)
 
     def test_a_dropped_chunk_is_freed_before_the_next_is_made(self):
-        _, chunks = word_blocks(10, 8, seed=6, rows=2, window=(3, 2))
+        _, chunks = word_blocks(10, 8, seed=6, rows=2)
         chunk = next(chunks)
         for _ in range(4):
-            chunk[np.arange(2), 0]  # makes a window
+            chunk[np.arange(2), np.arange(3)[:, None]]  # makes words
             ref = weakref.ref(chunk)
             del chunk
             assert ref() is None
