@@ -32,19 +32,17 @@ _EXPORTS = {
         OracleDisagreementError SearchSpaceError StreamExhaustedError""",
     "flash": """FlashEnsemble FlashHistory FlashRecord GridWavefunction HitKernel
         OrderingReport apply_hit flash_distribution make_entangled_pair make_hit_kernel
-        make_localized make_uniform ordering_invariance_exact run_flash_process
-        run_flash_processes sample_flash_pair sample_hit_center""",
+        ordering_invariance_exact run_flash_process run_flash_processes sample_flash_pair
+        sample_hit_center""",
     "lambdafile": "DEFAULT_BLOCK LambdaFile LambdaStream generate_lambda_file",
     "localpolytope": """BehaviorVector FacetCheck MembershipResult SearchResult
         chsh_facet_check exhaustive_nogo_search local_membership_lp quantum_behavior""",
     "quantum": """LOCAL_BOUND OUTCOMES TSIRELSON_BOUND BlochSetting Chronology
         CorrelationTable JointDistribution Party TwoQubitState born_marginal chsh_value
-        collapse exact_table joint_distribution make_product_state make_singlet
-        random_pure_state random_setting""",
+        collapse exact_table joint_distribution make_product_state make_singlet""",
     "simplex": "",
     "strategies": """ConstraintReport ConstraintViolation LocalModel StrategyQuadruple
-        behavior_of check_covariance_constraints enumerate_deterministic_strategies
-        reduce_to_local""",
+        behavior_of check_covariance_constraints reduce_to_local""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

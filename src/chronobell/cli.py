@@ -73,7 +73,7 @@ def parse_state(spec: str) -> TwoQubitState:
     except ValueError as exc:
         raise ValueError(f"cannot parse amplitudes {spec!r}: {exc}") from None
     norm = math.hypot(*(x for z in amps for x in (z.real, z.imag)))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # refuses a NaN norm too
         raise ValueError(f"amplitudes must be normalized (within 1e-6), got norm {norm!r}")
     return TwoQubitState([z / norm for z in amps])
 
@@ -86,7 +86,10 @@ def parse_setting(token: str, party: Party) -> BlochSetting:
     parts = token.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"direction triple must be x:y:z, got {token!r}")
-    v = [float(p) for p in parts]
+    try:
+        v = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"cannot parse direction {token!r}") from None
     if not all(map(math.isfinite, v)):
         raise ValueError(f"direction {token!r} must be finite")
     if len(v) == 1:

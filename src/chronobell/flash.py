@@ -136,16 +136,6 @@ class GridWavefunction(Frozen):
         return self.amplitudes.real**2 + self.amplitudes.imag**2
 
 
-def make_localized(n_sites: int, site: int) -> GridWavefunction:
-    amps = np.zeros(n_sites, dtype=complex)
-    amps[site] = 1.0
-    return GridWavefunction(amps)
-
-
-def make_uniform(n_sites: int) -> GridWavefunction:
-    return GridWavefunction(np.full(n_sites, 1.0 / math.sqrt(n_sites), dtype=complex))
-
-
 def make_entangled_pair(n_sites: int, site_j: int, site_k: int) -> GridWavefunction:
     """(|j,k> - |k,j>)/sqrt(2): the grid analog of the two-qubit singlet."""
     if site_j == site_k:

@@ -88,18 +88,6 @@ class LambdaFile(Frozen):
     def count(self) -> int:
         return int(self.words.size)
 
-    @classmethod
-    def from_reals(cls, values) -> "LambdaFile":
-        """Build a file whose derived reals approximate `values` to ~2**-53.
-
-        Test convenience: lets a scenario pin specific lambda draws.
-        """
-        values = np.asarray(values, dtype=float)
-        if np.any(values < 0.0) or np.any(values >= 1.0):
-            raise ValueError("values must lie in [0, 1)")
-        words = np.floor(values * 2.0**64).astype(np.uint64)
-        return cls(words)
-
     def to_bytes(self) -> bytes:
         payload = self.words.astype("<u8", copy=False).tobytes()
         return file_header(self.count, self.seed_note) + payload

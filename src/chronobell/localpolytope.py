@@ -62,12 +62,6 @@ class BehaviorVector(Frozen):
         if defect > _NS_TOL:
             raise ValueError(f"behavior violates no-signaling by {defect!r}")
 
-    @classmethod
-    def from_flat(cls, flat) -> "BehaviorVector":
-        import numpy as np
-
-        return cls(np.asarray(flat, dtype=float).reshape(2, 2, 2, 2))
-
     probs = functools.cached_property(lambda self: _frozen(self.values))
 
     @property
@@ -80,9 +74,6 @@ class BehaviorVector(Frozen):
     def correlators(self) -> tuple:
         """E[a][b] = sum over outcomes of alpha * beta * P."""
         return tuple(tuple(correlation(t) for t in row) for row in self.values)
-
-    def max_abs_diff(self, other: "BehaviorVector") -> float:
-        return float(abs(self.probs - other.probs).max())
 
 
 def chsh_sign_patterns() -> tuple:

@@ -154,25 +154,6 @@ def make_product_state(qubit_a=(1.0, 0.0), qubit_b=(1.0, 0.0)) -> TwoQubitState:
     return TwoQubitState([x * y for x in a for y in b])
 
 
-def random_pure_state(rng) -> TwoQubitState:
-    """Haar-ish random pure state (Gaussian amplitudes, normalized) from a numpy Generator."""
-    import numpy as np
-
-    amps = rng.standard_normal(4) + 1.0j * rng.standard_normal(4)
-    return TwoQubitState(amps / np.linalg.norm(amps))
-
-
-def random_setting(rng, party: Party | str) -> BlochSetting:
-    """Uniformly random measurement direction on the sphere, from a numpy Generator."""
-    import numpy as np
-
-    while True:
-        v = rng.standard_normal(3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            return BlochSetting(v / norm, Party(party))
-
-
 def _project(state: TwoQubitState, setting: BlochSetting, outcome: int) -> tuple:
     """(re, im) of (I + outcome * n.sigma)/2 applied on the setting's party of `state`."""
     outcome_index(outcome)
@@ -241,11 +222,6 @@ class JointDistribution(Frozen, eq=True):
     def correlator(self) -> float:
         """E = sum over outcomes of alpha * beta * P(alpha, beta)."""
         return correlation(self.values)
-
-    def marginal(self, party: Party | str):
-        """(P(+), P(-)) for one party, the other summed out, as an array."""
-        axis = 1 if Party(party) is Party.A else 0
-        return self.probs.sum(axis=axis)
 
 
 def joint_distribution(
@@ -331,11 +307,6 @@ class CorrelationTable(Frozen):
     def no_signaling_defect(self) -> float:
         """Largest variation of one party's marginal across the other's settings."""
         return signaling_defect(self.values)
-
-    def max_abs_diff(self, other: "CorrelationTable") -> float:
-        if self.shape != other.shape:
-            raise ValueError("tables cover different setting grids")
-        return float(abs(self.cells - other.cells).max())
 
     def total_variation(self, other: "CorrelationTable"):
         """Per setting pair: half the L1 distance between outcome tables, as an array."""

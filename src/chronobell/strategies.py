@@ -13,7 +13,7 @@ import itertools
 from typing import TYPE_CHECKING
 
 from .errors import NotReducibleError
-from .localpolytope import N_SETTINGS, _VERTICES, BehaviorVector, _vertex_matrix
+from .localpolytope import N_SETTINGS, _VERTICES, BehaviorVector
 from .quantum import Chronology
 from .values import Frozen, _frozen
 
@@ -99,18 +99,6 @@ class StrategyQuadruple(Frozen):
         second_ab = [model.responses_b] * N_SETTINGS  # the same table for each A setting
         second_ba = [model.responses_a] * N_SETTINGS
         return cls(model.responses_a, second_ab, model.responses_b, second_ba, model.weights)
-
-    @classmethod
-    def random(cls, rng, alphabet_size: int) -> "StrategyQuadruple":
-        pair = (N_SETTINGS, alphabet_size)
-        trio = (N_SETTINGS, N_SETTINGS, alphabet_size)
-        return cls(
-            rng.choice([1, -1], size=pair),
-            rng.choice([1, -1], size=trio),
-            rng.choice([1, -1], size=pair),
-            rng.choice([1, -1], size=trio),
-            [1.0 / alphabet_size] * alphabet_size,
-        )
 
 
 class ConstraintViolation(Frozen, eq=True):
@@ -199,8 +187,3 @@ def _quadruple(picks) -> StrategyQuadruple:
     """The uniform consistent quadruple whose lambda value i answers as vertex `picks[i]`."""
     rows = list(zip(*(_VERTICES[v] for v in picks)))  # f(a0), f(a1), g(b0), g(b1)
     return StrategyQuadruple.from_local(LocalModel.uniform(rows[:2], rows[2:]))
-
-
-def enumerate_deterministic_strategies() -> list[BehaviorVector]:
-    """The 16 deterministic behaviors: every (f: a->outcome) x (g: b->outcome)."""
-    return [BehaviorVector.from_flat(column) for column in zip(*_vertex_matrix())]

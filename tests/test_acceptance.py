@@ -16,6 +16,9 @@ import pytest
 
 import chronobell as cb
 from chronobell import cli
+from support import (
+    behavior_from_flat, enumerate_deterministic_strategies, random_pure_state, random_setting,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -70,7 +73,7 @@ def test_02_local_bound(capsys):
     """max |CHSH| is exactly 2 over the 16 vertices and every search run."""
     vertex_max = max(
         cb.chsh_facet_check(v).max_facet_value
-        for v in cb.enumerate_deterministic_strategies()
+        for v in enumerate_deterministic_strategies()
     )
     target = singlet_target()
     search_maxima = {}
@@ -138,9 +141,9 @@ def test_04_distribution_covariance(rng):
     start = time.perf_counter()
     worst_quantum = 0.0
     for _ in range(100):
-        state = cb.random_pure_state(rng)
+        state = random_pure_state(rng)
         report = cb.distribution_covariance_check(
-            state, [cb.random_setting(rng, "A")], [cb.random_setting(rng, "B")]
+            state, [random_setting(rng, "A")], [random_setting(rng, "B")]
         )
         worst_quantum = max(worst_quantum, report.max_distribution_diff)
 
@@ -192,7 +195,7 @@ def test_05_realization_non_covariance():
 def test_06_oracle_agreement(rng):
     """LP membership and CHSH facets agree on 1000 no-signaling behaviors."""
     vertex_flats = np.column_stack(
-        [v.flat for v in cb.enumerate_deterministic_strategies()]
+        [v.flat for v in enumerate_deterministic_strategies()]
     )
     optimal = singlet_target()
     disagreements = 0
@@ -201,25 +204,25 @@ def test_06_oracle_agreement(rng):
         kind = k % 4
         if kind == 0:
             weights = rng.dirichlet(np.full(16, 0.4))
-            behavior = cb.BehaviorVector.from_flat(vertex_flats @ weights)
+            behavior = behavior_from_flat(vertex_flats @ weights)
         elif kind == 1:
             behavior = cb.quantum_behavior(
-                cb.random_pure_state(rng),
-                cb.random_setting(rng, "A"),
-                cb.random_setting(rng, "A"),
-                cb.random_setting(rng, "B"),
-                cb.random_setting(rng, "B"),
+                random_pure_state(rng),
+                random_setting(rng, "A"),
+                random_setting(rng, "A"),
+                random_setting(rng, "B"),
+                random_setting(rng, "B"),
             )
         elif kind == 2:
             quantum = cb.quantum_behavior(
-                cb.random_pure_state(rng),
-                cb.random_setting(rng, "A"),
-                cb.random_setting(rng, "A"),
-                cb.random_setting(rng, "B"),
-                cb.random_setting(rng, "B"),
+                random_pure_state(rng),
+                random_setting(rng, "A"),
+                random_setting(rng, "A"),
+                random_setting(rng, "B"),
+                random_setting(rng, "B"),
             )
             visibility = rng.random()
-            behavior = cb.BehaviorVector.from_flat(
+            behavior = behavior_from_flat(
                 visibility * quantum.flat + (1 - visibility) * 0.25
             )
         else:
@@ -227,7 +230,7 @@ def test_06_oracle_agreement(rng):
             # visibility drawn around the locality threshold 1/sqrt(2) so the
             # two verdicts are probed right at the polytope boundary
             visibility = 1 / SQRT2 + rng.uniform(-0.1, 0.1)
-            behavior = cb.BehaviorVector.from_flat(
+            behavior = behavior_from_flat(
                 visibility * optimal.flat + (1 - visibility) * 0.25
             )
         lp_local = cb.local_membership_lp(behavior, tol=1e-9).local
@@ -249,7 +252,7 @@ def test_07_simulation_faithfulness(rng):
     bound = 4.0 / math.sqrt(trials)
     settings_a = [A(0), A(90)]
     settings_b = [B(45), B(135)]
-    states = [cb.make_singlet(), cb.random_pure_state(rng), cb.random_pure_state(rng)]
+    states = [cb.make_singlet(), random_pure_state(rng), random_pure_state(rng)]
     lf = cb.generate_lambda_file(seed=707, count=4 * trials * 64)
 
     worst = 0.0

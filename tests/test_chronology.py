@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 
 import chronobell as cb
 from chronobell.chronology import covariance_pass
+from support import lambda_file_from_reals, random_pure_state, random_setting, table_max_abs_diff
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,7 +94,7 @@ def oracle_divergence(amps, dir_a, dir_b):
 
 
 def pinned_stream(*values):
-    return cb.LambdaFile.from_reals(list(values)).stream()
+    return lambda_file_from_reals(list(values)).stream()
 
 
 class TestSampleFirst:
@@ -187,7 +188,7 @@ class TestEstimateTable:
         lf = cb.generate_lambda_file(seed=43, count=10_000 * 64)
         t_ab = cb.estimate_table(singlet, [a], [b], "AB", 10_000, lf.stream())
         t_ba = cb.estimate_table(singlet, [a], [b], "BA", 10_000, lf.stream())
-        assert t_ab.max_abs_diff(t_ba) < 0.03
+        assert table_max_abs_diff(t_ab, t_ba) < 0.03
 
     def test_matches_run_trial_loop(self, singlet, rng):
         """The vectorized estimator and the one-trial sampler are the same rule."""
@@ -236,8 +237,8 @@ class TestEstimateTable:
 
 class TestDistributionCovariance:
     def test_singlet_random_pairs(self, singlet, rng):
-        settings_a = [cb.random_setting(rng, "A") for _ in range(10)]
-        settings_b = [cb.random_setting(rng, "B") for _ in range(10)]
+        settings_a = [random_setting(rng, "A") for _ in range(10)]
+        settings_b = [random_setting(rng, "B") for _ in range(10)]
         report = cb.distribution_covariance_check(singlet, settings_a, settings_b)
         assert report.distribution_pass
         assert report.max_distribution_diff <= 1e-12
@@ -246,9 +247,9 @@ class TestDistributionCovariance:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_states(self, seed):
         rng = np.random.default_rng(seed)
-        state = cb.random_pure_state(rng)
-        settings_a = [cb.random_setting(rng, "A") for _ in range(2)]
-        settings_b = [cb.random_setting(rng, "B") for _ in range(2)]
+        state = random_pure_state(rng)
+        settings_a = [random_setting(rng, "A") for _ in range(2)]
+        settings_b = [random_setting(rng, "B") for _ in range(2)]
         report = cb.distribution_covariance_check(state, settings_a, settings_b)
         assert report.max_distribution_diff <= 1e-12
 
@@ -373,9 +374,9 @@ class TestCovariancePass:
         elif kind == "singlet":  # thresholds of exactly 0 and 1
             state, settings_a, b = cb.make_singlet(), [A(0)] * len(words), B(0)
         else:
-            state = cb.random_pure_state(rng)
-            settings_a = [cb.random_setting(rng, "A") for _ in words]
-            b = cb.random_setting(rng, "B")
+            state = random_pure_state(rng)
+            settings_a = [random_setting(rng, "A") for _ in words]
+            b = random_setting(rng, "B")
         chunks = [words[:cut], words[cut:]]  # rows counted on across chunks
         tables, divergence = covariance_pass(state, settings_a, [b], 1, iter(chunks))
         for r, a in enumerate(settings_a):
@@ -411,9 +412,9 @@ class TestCovariancePass:
         on_edge = rng.random(words.shape) < 0.2
         words[on_edge] = rng.choice(edges, size=int(on_edge.sum()))
         if kind == "random":
-            state = cb.random_pure_state(rng)
-            settings_a = [cb.random_setting(rng, "A") for _ in range(n_a)]
-            settings_b = [cb.random_setting(rng, "B") for _ in range(n_b)]
+            state = random_pure_state(rng)
+            settings_a = [random_setting(rng, "A") for _ in range(n_a)]
+            settings_b = [random_setting(rng, "B") for _ in range(n_b)]
         else:  # thresholds of exactly 0, 1/2 and 1, and nan branches for the product state
             state = cb.make_product_state() if kind == "product" else cb.make_singlet()
             settings_a = [A(deg) for deg in rng.choice([0.0, 90.0], n_a)]

@@ -530,6 +530,14 @@ class TestFlash:
      "settings must be 'a1,a2,.../b1,b2,...' (one '/')"),
     (("covariance", "--seed", "1", "--trials", "0"),
      "argument --trials: must be in [1, inf), got 0"),
+    # a NaN norm fails the normalization check; an unreadable direction is quoted whole
+    (("chsh", "--state", "nan,0,0,0"), "amplitudes must be normalized (within 1e-6), got norm nan"),
+    (("nogo", "--state", "1,0,0,nanj"),
+     "amplitudes must be normalized (within 1e-6), got norm nan"),
+    (("covariance", "--seed", "1", "--state", "nan,0,0,0"),
+     "amplitudes must be normalized (within 1e-6), got norm nan"),
+    (("chsh", "--angles", "::,90,45,135"), "cannot parse direction '::'"),
+    (("covariance", "--seed", "1", "--angles", "1:x:0/0"), "cannot parse direction '1:x:0'"),
 ])
 def test_malformed_parameter_rejected_before_any_work(capsys, no_work, argv, message):
     code, stdout, err = run_cli(capsys, *argv)

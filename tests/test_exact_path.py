@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import chronobell as cb
 from chronobell import chronology, quantum
+from support import random_pure_state, random_setting
 
 SOURCE = Path(cb.__file__).parent
 
@@ -82,7 +83,7 @@ def oracle_defect(probs):
 def scenarios(draw):
     """A random or product state and four settings; grid angles hit the skipped branches."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    state = cb.make_product_state() if draw(st.booleans()) else cb.random_pure_state(rng)
+    state = cb.make_product_state() if draw(st.booleans()) else random_pure_state(rng)
     angles = st.one_of(st.sampled_from([0.0, 90.0, 180.0]), st.floats(-360.0, 360.0))
     settings = tuple(cb.BlochSetting.from_angle(draw(angles), party) for party in "AABB")
     return state, settings
@@ -136,8 +137,8 @@ class TestChronologyType:
         assert cb.Chronology is chronology.Chronology is quantum.Chronology
 
     def test_enum_and_string_give_identical_results(self, rng):
-        state = cb.random_pure_state(rng)
-        a0, a1, b0, b1 = (cb.random_setting(rng, party) for party in "AABB")
+        state = random_pure_state(rng)
+        a0, a1, b0, b1 = (random_setting(rng, party) for party in "AABB")
         for member in cb.Chronology:
             by_enum = cb.joint_distribution(state, a0, b0, member)
             by_str = cb.joint_distribution(state, a0, b0, member.value)

@@ -22,6 +22,7 @@ from numpy.testing import assert_allclose
 
 import chronobell as cb
 from chronobell.flash import MIN_FLASH_BLOCK, OVERRUN_PROBABILITY, _normalize, flash_block
+from support import lambda_file_from_reals, make_localized, make_uniform
 
 
 def fix_global_phase(amps):
@@ -129,13 +130,13 @@ class TestHitKernel:
 class TestFlashDistribution:
     def test_localized_state_narrow_kernel(self):
         kernel = cb.make_hit_kernel(16, width=0.05)
-        psi = cb.make_localized(16, 6)
+        psi = make_localized(16, 6)
         dist = cb.flash_distribution(psi, kernel)
         assert dist[6] > 0.999
 
     def test_uniform_state_uniform_distribution(self):
         kernel = cb.make_hit_kernel(16, width=2.0)
-        dist = cb.flash_distribution(cb.make_uniform(16), kernel)
+        dist = cb.flash_distribution(make_uniform(16), kernel)
         assert_allclose(dist, 1.0 / 16.0, atol=1e-12)
 
     def test_sums_to_one_on_random_states(self, rng):
@@ -173,19 +174,19 @@ class TestFlashDistribution:
     def test_bad_particle_index(self):
         kernel = cb.make_hit_kernel(8, width=1.5)
         with pytest.raises(ValueError):
-            cb.flash_distribution(cb.make_uniform(8), kernel, 1)
+            cb.flash_distribution(make_uniform(8), kernel, 1)
 
 
 class TestApplyHit:
     def test_narrow_kernel_fixed_point(self):
         kernel = cb.make_hit_kernel(16, width=1e-3)
-        psi = cb.make_localized(16, 6)
+        psi = make_localized(16, 6)
         post = cb.apply_hit(psi, kernel, 0, 6)
         assert_allclose(post.amplitudes, psi.amplitudes, atol=1e-9)
 
     def test_uniform_state_localizes(self):
         kernel = cb.make_hit_kernel(16, width=2.0)
-        psi = cb.make_uniform(16)
+        psi = make_uniform(16)
         post = cb.apply_hit(psi, kernel, 0, 5)
         before = np.abs(psi.amplitudes[5]) ** 2
         after = np.abs(post.amplitudes[5]) ** 2
@@ -201,7 +202,7 @@ class TestApplyHit:
 
     def test_impossible_center_rejected(self):
         kernel = cb.make_hit_kernel(16, width=1e-3)
-        psi = cb.make_localized(16, 0)
+        psi = make_localized(16, 0)
         with pytest.raises(cb.ImpossibleFlashError):
             cb.apply_hit(psi, kernel, 0, 8)
 
@@ -263,7 +264,7 @@ class TestRunFlashProcess:
     def test_poisson_hit_count(self):
         runs = 2000
         kernel = cb.make_hit_kernel(16, width=2.0)
-        psi = cb.make_uniform(16)
+        psi = make_uniform(16)
         lf = self._stream(60, runs)
         root = lf.stream()
         counts = np.array([
@@ -295,8 +296,8 @@ class TestRunFlashProcess:
 
     def test_empty_history_consumes_one_word(self):
         kernel = cb.make_hit_kernel(16, width=2.0)
-        psi = cb.make_uniform(16)
-        stream = cb.LambdaFile.from_reals([0.99, 0.5, 0.5]).stream()
+        psi = make_uniform(16)
+        stream = lambda_file_from_reals([0.99, 0.5, 0.5]).stream()
         history = cb.run_flash_process(psi, kernel, 1.0, 4.0, stream)
         assert len(history) == 0
         assert stream.position == 1
@@ -323,8 +324,8 @@ class TestRunFlashProcess:
 
     def test_parameter_errors(self):
         kernel = cb.make_hit_kernel(16, width=2.0)
-        psi = cb.make_uniform(16)
-        stream = cb.LambdaFile.from_reals([0.5]).stream()
+        psi = make_uniform(16)
+        stream = lambda_file_from_reals([0.5]).stream()
         with pytest.raises(ValueError):
             cb.run_flash_process(psi, kernel, 0.0, 4.0, stream)
         with pytest.raises(ValueError):
@@ -389,7 +390,7 @@ class TestRunFlashProcesses:
 
     def test_exhaustion_names_the_first_overrunning_run(self):
         # 13 words hold 4 hits; at 4 expected hits runs 0..2 fit, run 3 does not
-        psi = cb.make_uniform(16)
+        psi = make_uniform(16)
         kernel = cb.make_hit_kernel(16, 2.0)
         stream = cb.generate_lambda_file(seed=4, count=40 * 13).stream()
         args = (psi, kernel, 1.0, 4.0, stream, 40, 13)
@@ -443,7 +444,7 @@ class TestRunFlashProcesses:
         assert [len(batch.hit_counts) for batch in batches] == [256] * 3
 
     def test_capacity_checked_up_front(self):
-        psi = cb.make_uniform(8)
+        psi = make_uniform(8)
         kernel = cb.make_hit_kernel(8, 2.0)
         stream = cb.generate_lambda_file(seed=1, count=5 * 64 + 10).stream()
         with pytest.raises(cb.CapacityError) as scalar:
@@ -466,7 +467,7 @@ class TestRunFlashProcesses:
                 assert ensemble.history_bytes() == history
 
     def test_parameter_errors(self):
-        psi = cb.make_uniform(8)
+        psi = make_uniform(8)
         kernel = cb.make_hit_kernel(8, 2.0)
         stream = cb.generate_lambda_file(seed=1, count=64).stream()
         for rate, duration, runs, block in [(0.0, 4.0, 1, 64), (1.0, 0.0, 1, 64),
@@ -540,7 +541,7 @@ class TestOrderingInvariance:
     def test_single_particle_rejected(self):
         kernel = cb.make_hit_kernel(16, width=2.0)
         with pytest.raises(ValueError):
-            cb.ordering_invariance_exact(cb.make_uniform(16), kernel)
+            cb.ordering_invariance_exact(make_uniform(16), kernel)
 
     def test_narrow_kernel_tiny_probabilities(self):
         """Centers with ~1e-48 probability must be skipped, not crash the check."""
@@ -595,7 +596,7 @@ class TestRealizedPairDivergence:
     def test_pair_sampler_validation(self):
         kernel = cb.make_hit_kernel(16, width=2.0)
         with pytest.raises(ValueError):
-            cb.sample_flash_pair(cb.make_uniform(16), kernel, 0, 0.5, 0.5)
+            cb.sample_flash_pair(make_uniform(16), kernel, 0, 0.5, 0.5)
 
 
 class TestGridWavefunction:

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,13 +27,13 @@ ALL = [
     "SearchResult", "SearchSpaceError", "StrategyQuadruple", "StreamExhaustedError",
     "TSIRELSON_BOUND", "TrialResult", "TwoQubitState", "apply_hit", "behavior_of",
     "born_marginal", "check_covariance_constraints", "chronology", "chsh_facet_check",
-    "chsh_value", "collapse", "distribution_covariance_check",
-    "enumerate_deterministic_strategies", "errors", "estimate_table", "exact_table",
+    "chsh_value", "collapse", "distribution_covariance_check", "errors", "estimate_table",
+    "exact_table",
     "exhaustive_nogo_search", "flash", "flash_distribution", "generate_lambda_file",
     "joint_distribution", "lambdafile", "local_membership_lp", "localpolytope",
-    "make_entangled_pair", "make_hit_kernel", "make_localized", "make_product_state",
-    "make_singlet", "make_uniform", "ordering_invariance_exact", "quantum", "quantum_behavior",
-    "random_pure_state", "random_setting", "realization_divergence", "reduce_to_local",
+    "make_entangled_pair", "make_hit_kernel", "make_product_state",
+    "make_singlet", "ordering_invariance_exact", "quantum", "quantum_behavior",
+    "realization_divergence", "reduce_to_local",
     "run_flash_process", "run_flash_processes", "run_trial", "sample_first",
     "sample_flash_pair", "sample_hit_center", "sample_second", "simplex",
 ]
@@ -158,6 +159,22 @@ def test_cli_run_as_a_module_compiles_cli_once(tmp_path, argv):
 def test_all_is_unchanged_and_listed_by_dir():
     assert cb.__all__ == ALL
     assert set(ALL) <= set(dir(cb))
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # a name only tests call belongs in tests/support.py, not in the package's namespace
+    package, root = SRC / "chronobell", SRC.parent
+    users = [*sorted(set(package.glob("*.py")) - {package / "__init__.py"}),
+             *sorted((root / "demos").glob("*.py")),
+             root / "benchmark" / "run.py", root / "benchmark" / "workloads.py"]
+    lines = [line for path in users for line in path.read_text().splitlines()]
+
+    def called(name):
+        definition = re.compile(rf"\s*(def|class)\s+{name}\b")
+        return any(re.search(rf"\b{name}\b", line) and not definition.match(line)
+                   for line in lines)
+
+    assert [name for name in cb.__all__ if name not in cb._EXPORTS and not called(name)] == []
 
 
 def test_every_name_is_its_defining_modules_object():

@@ -22,6 +22,10 @@ from numpy.testing import assert_allclose
 import chronobell as cb
 from chronobell import localpolytope, strategies
 from chronobell.localpolytope import BOUNDARY_ROUNDING, chsh_sign_patterns
+from support import (
+    behavior_from_flat, behavior_max_abs_diff, enumerate_deterministic_strategies,
+    random_pure_state, random_quadruple, random_setting,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,13 +62,13 @@ def pr_box_mixture(seed, excess):
     for a, b in itertools.product(range(2), repeat=2):
         agree = 1 - a * b
         pr_box[a, b, 0, 1 - agree] = pr_box[a, b, 1, agree] = 0.5
-    vertices = np.column_stack([v.flat for v in cb.enumerate_deterministic_strategies()])
+    vertices = np.column_stack([v.flat for v in enumerate_deterministic_strategies()])
     local = vertices @ rng.dirichlet(np.full(16, 0.5))
     signs = np.array([[1, 1], [1, -1]])
-    s_local = float(np.sum(signs * cb.BehaviorVector.from_flat(local).correlators()))
+    s_local = float(np.sum(signs * behavior_from_flat(local).correlators()))
     # S of the mix is linear in v; the other seven facets stay below 2
     v = (2.0 + excess - s_local) / (4.0 - s_local)
-    return cb.BehaviorVector.from_flat(v * pr_box.reshape(16) + (1 - v) * local)
+    return behavior_from_flat(v * pr_box.reshape(16) + (1 - v) * local)
 
 
 def oracle_behavior_of_quadruple(q, chronology):
@@ -181,7 +185,7 @@ class TestCovarianceConstraints:
 
     def test_matches_bruteforce_on_random_quadruples(self, rng):
         for _ in range(25):
-            q = cb.StrategyQuadruple.random(rng, 2)
+            q = random_quadruple(rng, 2)
             expected = []
             for a, b, lam in itertools.product(range(2), range(2), range(2)):
                 if q.first_ab[a, lam] != q.second_ba[b, a, lam]:
@@ -213,7 +217,7 @@ class TestReduction:
 
     def test_unconstrained_rejected(self, rng):
         while True:
-            q = cb.StrategyQuadruple.random(rng, 2)
+            q = random_quadruple(rng, 2)
             if not cb.check_covariance_constraints(q).holds:
                 break
         with pytest.raises(cb.NotReducibleError):
@@ -255,7 +259,7 @@ class TestBehaviorOf:
                     assert abs(freq - behavior.probs[a, b, i, j]) < 0.01
 
     def test_quadruple_requires_chronology(self, rng):
-        q = cb.StrategyQuadruple.random(rng, 2)
+        q = random_quadruple(rng, 2)
         with pytest.raises(ValueError):
             cb.behavior_of(q)
 
@@ -294,11 +298,11 @@ class TestBehaviorVector:
         with pytest.raises(ValueError):
             cb.BehaviorVector(flat.reshape(2, 2, 2, 2))
         with pytest.raises(ValueError):
-            cb.BehaviorVector.from_flat(flat)
+            behavior_from_flat(flat)
 
     def test_flat_roundtrip(self):
         behavior = singlet_target()
-        again = cb.BehaviorVector.from_flat(behavior.flat)
+        again = behavior_from_flat(behavior.flat)
         assert np.array_equal(again.probs, behavior.probs)
 
 
@@ -312,7 +316,7 @@ class TestQuantumBehavior:
             cb.make_product_state(), A(0), A(0), B(0), B(0)
         )
         vertex = cb.behavior_of(cb.LocalModel.uniform([[1], [1]], [[1], [1]]))
-        assert behavior.max_abs_diff(vertex) <= 1e-12
+        assert behavior_max_abs_diff(behavior, vertex) <= 1e-12
 
     def test_anticorrelated_block(self):
         behavior = cb.quantum_behavior(cb.make_singlet(), A(0), A(90), B(0), B(90))
@@ -324,20 +328,25 @@ class TestQuantumBehavior:
 
 class TestDeterministicStrategies:
     def test_sixteen_vertices(self):
-        assert len(cb.enumerate_deterministic_strategies()) == 16
+        assert len(enumerate_deterministic_strategies()) == 16
 
     def test_zero_one_valued_and_no_signaling(self):
-        for vertex in cb.enumerate_deterministic_strategies():
+        for vertex in enumerate_deterministic_strategies():
             assert np.all((vertex.probs == 0.0) | (vertex.probs == 1.0))
             assert vertex.no_signaling_defect() == 0.0
 
     def test_distinct(self):
-        seen = {tuple(v.flat) for v in cb.enumerate_deterministic_strategies()}
+        seen = {tuple(v.flat) for v in enumerate_deterministic_strategies()}
         assert len(seen) == 16
+
+    def test_vertex_table_columns_are_the_behaviors_by_definition(self):
+        # the oracle builds [f(a) = alpha] * [g(b) = beta] without the package's table
+        columns = list(zip(*localpolytope._vertex_matrix()))
+        assert columns == [tuple(v.flat) for v in enumerate_deterministic_strategies()]
 
     def test_vertex_table_matches_the_quadruple_behaviors(self):
         # the table rows against behavior_of's matmul over a one-letter quadruple
-        for v, vertex in enumerate(cb.enumerate_deterministic_strategies()):
+        for v, vertex in enumerate(enumerate_deterministic_strategies()):
             via_quadruple = cb.behavior_of(strategies._quadruple([v]), "AB")
             assert vertex.values == via_quadruple.values
 
@@ -345,7 +354,7 @@ class TestDeterministicStrategies:
         """Every vertex respects |CHSH| <= 2 and at least 8 achieve equality."""
         values = [
             cb.chsh_facet_check(v).max_facet_value
-            for v in cb.enumerate_deterministic_strategies()
+            for v in enumerate_deterministic_strategies()
         ]
         assert max(values) == 2.0
         assert sum(1 for v in values if v == 2.0) >= 8
@@ -353,7 +362,7 @@ class TestDeterministicStrategies:
 
 class TestFacetCheck:
     def test_vertices_exactly_two(self):
-        for vertex in cb.enumerate_deterministic_strategies():
+        for vertex in enumerate_deterministic_strategies():
             assert cb.chsh_facet_check(vertex).max_facet_value == 2.0
 
     def test_singlet_two_sqrt_two(self):
@@ -387,7 +396,7 @@ class TestMembershipLp:
             assert result.local
             assert result.reconstruction_error <= 1e-9
             vertex_flats = np.column_stack(
-                [v.flat for v in cb.enumerate_deterministic_strategies()]
+                [v.flat for v in enumerate_deterministic_strategies()]
             )
             assert_allclose(vertex_flats @ result.weights, behavior.flat, atol=1e-9)
 
@@ -405,7 +414,7 @@ class TestMembershipLp:
         assert result.local
 
     def test_boundary_vertex_feasible(self):
-        for vertex in cb.enumerate_deterministic_strategies():
+        for vertex in enumerate_deterministic_strategies():
             assert cb.local_membership_lp(vertex).local
 
     @pytest.mark.parametrize("tol", [1.0, 2.0, 4.99, 5.0, 100.0, math.inf, math.nan])
@@ -419,24 +428,24 @@ class TestOracleAgreement:
     def test_lp_and_facets_agree_on_random_behaviors(self, rng):
         """Quick version of the acceptance criterion (200 draws here)."""
         singlet = cb.make_singlet()
-        vertices = cb.enumerate_deterministic_strategies()
+        vertices = enumerate_deterministic_strategies()
         disagreements = 0
         for k in range(200):
             if k % 2 == 0:
                 weights = rng.dirichlet(np.full(16, 0.3))
                 flat = np.column_stack([v.flat for v in vertices]) @ weights
-                behavior = cb.BehaviorVector.from_flat(flat)
+                behavior = behavior_from_flat(flat)
             else:
                 quantum = cb.quantum_behavior(
-                    cb.random_pure_state(rng),
-                    cb.random_setting(rng, "A"),
-                    cb.random_setting(rng, "A"),
-                    cb.random_setting(rng, "B"),
-                    cb.random_setting(rng, "B"),
+                    random_pure_state(rng),
+                    random_setting(rng, "A"),
+                    random_setting(rng, "A"),
+                    random_setting(rng, "B"),
+                    random_setting(rng, "B"),
                 )
                 visibility = rng.random()
                 flat = visibility * quantum.flat + (1 - visibility) * 0.25
-                behavior = cb.BehaviorVector.from_flat(flat)
+                behavior = behavior_from_flat(flat)
             lp_verdict = cb.local_membership_lp(behavior).local
             facet_verdict = cb.chsh_facet_check(behavior).local
             disagreements += lp_verdict != facet_verdict
@@ -489,11 +498,11 @@ class TestOracleAgreement:
         rng = np.random.default_rng(seed)
         if quantum:
             behavior = cb.quantum_behavior(
-                cb.random_pure_state(rng), *(cb.random_setting(rng, party) for party in "AABB")
+                random_pure_state(rng), *(random_setting(rng, party) for party in "AABB")
             )
         else:
-            vertices = np.column_stack([v.flat for v in cb.enumerate_deterministic_strategies()])
-            behavior = cb.BehaviorVector.from_flat(vertices @ rng.dirichlet(np.full(16, 0.3)))
+            vertices = np.column_stack([v.flat for v in enumerate_deterministic_strategies()])
+            behavior = behavior_from_flat(vertices @ rng.dirichlet(np.full(16, 0.3)))
         verdict = localpolytope.certify_locality(behavior, tol)  # raises on a disagreement
         if "boundary" not in verdict:
             assert verdict["lp_local"] == verdict["facet_local"]
@@ -503,11 +512,11 @@ class TestOracleAgreement:
 
 class TestExhaustiveSearch:
     def test_vertex_target_found_exactly(self):
-        vertex = cb.enumerate_deterministic_strategies()[5]
+        vertex = enumerate_deterministic_strategies()[5]
         result = cb.exhaustive_nogo_search(1, vertex, tol=0.0)
         assert result.found
         assert result.best_distance == 0.0
-        assert cb.behavior_of(result.best, "AB").max_abs_diff(vertex) == 0.0
+        assert behavior_max_abs_diff(cb.behavior_of(result.best, "AB"), vertex) == 0.0
 
     def test_singlet_not_reachable(self):
         result = cb.exhaustive_nogo_search(2, singlet_target(), tol=1e-6)
@@ -533,14 +542,14 @@ class TestExhaustiveSearch:
     def test_matches_table_pair_oracle(self, alphabet_size, seed, vertex, mix, tol):
         rng = np.random.default_rng(seed)
         quantum = cb.quantum_behavior(
-            cb.random_pure_state(rng),
-            cb.random_setting(rng, "A"),
-            cb.random_setting(rng, "A"),
-            cb.random_setting(rng, "B"),
-            cb.random_setting(rng, "B"),
+            random_pure_state(rng),
+            random_setting(rng, "A"),
+            random_setting(rng, "A"),
+            random_setting(rng, "B"),
+            random_setting(rng, "B"),
         )
-        corner = cb.enumerate_deterministic_strategies()[vertex]
-        target = cb.BehaviorVector.from_flat(mix * quantum.flat + (1 - mix) * corner.flat)
+        corner = enumerate_deterministic_strategies()[vertex]
+        target = behavior_from_flat(mix * quantum.flat + (1 - mix) * corner.flat)
 
         result = cb.exhaustive_nogo_search(alphabet_size, target, tol)
         best_distance, max_chsh = oracle_table_pair_search(alphabet_size, target)
@@ -549,7 +558,7 @@ class TestExhaustiveSearch:
         assert result.found == (best_distance <= tol)
         assert result.n_candidates == 16**alphabet_size
         assert cb.check_covariance_constraints(result.best).holds
-        reached = cb.behavior_of(result.best, "AB").max_abs_diff(target)
+        reached = behavior_max_abs_diff(cb.behavior_of(result.best, "AB"), target)
         assert abs(reached - result.best_distance) <= 1e-15
 
     def test_best_distance_monotone_in_alphabet(self):
@@ -607,16 +616,16 @@ class TestBranchAndBoundSearch:
         construction: k copies of u and L - k of v sit as far from the mix as
         L - k copies of u and k of v.
         """
-        vertices = cb.enumerate_deterministic_strategies()
+        vertices = enumerate_deterministic_strategies()
         if kind == "quantum":
             rng = np.random.default_rng(seed)
             target = cb.quantum_behavior(
-                cb.random_pure_state(rng),
-                *(cb.random_setting(rng, party) for party in "AABB"),
+                random_pure_state(rng),
+                *(random_setting(rng, party) for party in "AABB"),
             )
         else:
             other = vertices[v if kind == "vertex_pair" else u]
-            target = cb.BehaviorVector.from_flat(0.5 * vertices[u].flat + 0.5 * other.flat)
+            target = behavior_from_flat(0.5 * vertices[u].flat + 0.5 * other.flat)
             tol = 0.0
         patterns = self.SKEWED_PATTERNS if skewed else localpolytope._CHSH_PATTERNS
         with mock.patch.object(localpolytope, "_CHSH_PATTERNS", patterns):
@@ -626,7 +635,7 @@ class TestBranchAndBoundSearch:
     def test_matches_whole_array_search_at_large_alphabets(self, alphabet_size, seed):
         rng = np.random.default_rng(seed)
         target = cb.quantum_behavior(
-            cb.random_pure_state(rng), *(cb.random_setting(rng, party) for party in "AABB")
+            random_pure_state(rng), *(random_setting(rng, party) for party in "AABB")
         )
         assert_same_search(alphabet_size, target, 1e-6)
 

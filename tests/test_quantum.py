@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 
 import chronobell as cb
 from chronobell import flash, localpolytope, quantum
+from support import marginal, random_pure_state, random_setting, table_max_abs_diff
 
 SQRT2 = math.sqrt(2.0)
 
@@ -187,8 +188,8 @@ class TestBornMarginal:
 
     def test_total_probability(self, rng):
         for _ in range(50):
-            state = cb.random_pure_state(rng)
-            setting = cb.random_setting(rng, "B")
+            state = random_pure_state(rng)
+            setting = random_setting(rng, "B")
             total = cb.born_marginal(state, setting, 1) + cb.born_marginal(state, setting, -1)
             assert abs(total - 1.0) <= 1e-12
 
@@ -214,8 +215,8 @@ class TestCollapse:
 
     def test_norm_preserved(self, rng):
         for _ in range(50):
-            state = cb.random_pure_state(rng)
-            setting = cb.random_setting(rng, "A")
+            state = random_pure_state(rng)
+            setting = random_setting(rng, "A")
             outcome = 1 if rng.random() < 0.5 else -1
             if cb.born_marginal(state, setting, outcome) < 1e-6:
                 continue
@@ -224,8 +225,8 @@ class TestCollapse:
 
     def test_phase_convention(self, rng):
         for _ in range(20):
-            state = cb.random_pure_state(rng)
-            setting = cb.random_setting(rng, "B")
+            state = random_pure_state(rng)
+            setting = random_setting(rng, "B")
             post = cb.collapse(state, setting, 1)
             lead = post.amplitudes[np.argmax(np.abs(post.amplitudes) > 1e-12)]
             assert lead.imag == pytest.approx(0.0, abs=1e-12)
@@ -239,9 +240,9 @@ class TestJointDistribution:
 
     def test_matches_commuting_oracle(self, rng):
         for _ in range(30):
-            state = cb.random_pure_state(rng)
-            a = cb.random_setting(rng, "A")
-            b = cb.random_setting(rng, "B")
+            state = random_pure_state(rng)
+            a = random_setting(rng, "A")
+            b = random_setting(rng, "B")
             expected = oracle_joint(state.amplitudes, a.vector, b.vector)
             for ordering in ("AB", "BA"):
                 jd = cb.joint_distribution(state, a, b, ordering)
@@ -250,9 +251,9 @@ class TestJointDistribution:
     def test_ordering_invariance_100_draws(self, rng):
         worst = 0.0
         for _ in range(100):
-            state = cb.random_pure_state(rng)
-            a = cb.random_setting(rng, "A")
-            b = cb.random_setting(rng, "B")
+            state = random_pure_state(rng)
+            a = random_setting(rng, "A")
+            b = random_setting(rng, "B")
             ab = cb.joint_distribution(state, a, b, "AB").probs
             ba = cb.joint_distribution(state, a, b, "BA").probs
             worst = max(worst, float(np.max(np.abs(ab - ba))))
@@ -280,16 +281,16 @@ class TestJointDistribution:
 
     def test_no_signaling_exact_tables(self, rng):
         for _ in range(10):
-            state = cb.random_pure_state(rng)
-            settings_a = [cb.random_setting(rng, "A") for _ in range(2)]
-            settings_b = [cb.random_setting(rng, "B") for _ in range(2)]
+            state = random_pure_state(rng)
+            settings_a = [random_setting(rng, "A") for _ in range(2)]
+            settings_b = [random_setting(rng, "B") for _ in range(2)]
             table = cb.exact_table(state, settings_a, settings_b)
             assert table.no_signaling_defect() <= 1e-12
 
     def test_marginals(self, singlet):
         jd = cb.joint_distribution(singlet, A(0), B(45))
-        assert_allclose(jd.marginal("A"), [0.5, 0.5], atol=1e-12)
-        assert_allclose(jd.marginal("B"), [0.5, 0.5], atol=1e-12)
+        assert_allclose(marginal(jd, "A"), [0.5, 0.5], atol=1e-12)
+        assert_allclose(marginal(jd, "B"), [0.5, 0.5], atol=1e-12)
 
 
 class TestChsh:
@@ -311,15 +312,15 @@ class TestChsh:
 
     def test_tsirelson_bound_random(self, singlet, rng):
         for _ in range(1000):
-            a, a2 = (cb.random_setting(rng, "A") for _ in range(2))
-            b, b2 = (cb.random_setting(rng, "B") for _ in range(2))
+            a, a2 = (random_setting(rng, "A") for _ in range(2))
+            b, b2 = (random_setting(rng, "B") for _ in range(2))
             assert abs(cb.chsh_value(singlet, a, a2, b, b2)) <= 2.0 * SQRT2 + 1e-9
 
     def test_product_state_local(self, rng):
         state = cb.make_product_state()
         for _ in range(50):
-            a, a2 = (cb.random_setting(rng, "A") for _ in range(2))
-            b, b2 = (cb.random_setting(rng, "B") for _ in range(2))
+            a, a2 = (random_setting(rng, "A") for _ in range(2))
+            b, b2 = (random_setting(rng, "B") for _ in range(2))
             assert abs(cb.chsh_value(state, a, a2, b, b2)) <= 2.0 + 1e-9
 
     def test_repeated_settings_identity(self, singlet):
@@ -347,14 +348,14 @@ class TestCorrelationTable:
 
     def test_diff_metrics(self, singlet):
         table = cb.exact_table(singlet, [A(0)], [B(0)])
-        assert table.max_abs_diff(table) == 0.0
+        assert table_max_abs_diff(table, table) == 0.0
         assert table.total_variation(table)[0, 0] == 0.0
 
     def test_shape_mismatch_rejected(self, singlet):
         one = cb.exact_table(singlet, [A(0)], [B(0)])
         two = cb.exact_table(singlet, [A(0), A(90)], [B(0)])
         with pytest.raises(ValueError):
-            one.max_abs_diff(two)
+            table_max_abs_diff(one, two)
 
 
 # finite floats of every scale, exact zeros of both signs among them

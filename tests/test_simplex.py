@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import chronobell as cb
 from chronobell import cli, localpolytope
 from chronobell.simplex import _column_sums, _pairwise_sum, solve_feasibility
+from support import behavior_from_flat, random_pure_state, random_setting
 
 
 def scipy_feasible(A, b):
@@ -196,10 +197,10 @@ def membership_lps(draw):
     if kind == "random":
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         quantum = cb.quantum_behavior(
-            cb.random_pure_state(rng), *(cb.random_setting(rng, party) for party in "AABB")
+            random_pure_state(rng), *(random_setting(rng, party) for party in "AABB")
         )
         visibility = draw(st.floats(0.0, 1.0))
-        behavior = cb.BehaviorVector.from_flat(visibility * quantum.flat + (1 - visibility) * 0.25)
+        behavior = behavior_from_flat(visibility * quantum.flat + (1 - visibility) * 0.25)
         tol = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
     else:
         tol = 1e-9 if kind == "boundary-1e-9" else 1e-6
