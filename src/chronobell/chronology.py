@@ -37,6 +37,7 @@ from .quantum import (
 from .values import Frozen
 
 TRIAL_WORDS = 2  # lambda words a trial reads: the first of its block, then the second
+CHUNK_TRIALS = 2048  # trials per chunk of lambda words: 1 MiB of 64-word blocks
 
 
 class TrialResult(Frozen, eq=True):
@@ -126,6 +127,15 @@ def _outcome_codes(thresholds, lams: np.ndarray, chronology: Chronology) -> np.n
     return 2 * first_minus + second_minus
 
 
+def _setting_lists(settings_a, settings_b) -> tuple[tuple, tuple]:
+    """Both setting lists as tuples; an empty one raises, naming its party."""
+    lists = tuple(settings_a), tuple(settings_b)
+    for party, settings in zip("AB", lists):
+        if not settings:
+            raise ValueError(f"the {party} setting list is empty")
+    return lists
+
+
 def covariance_pass(
     state: TwoQubitState, settings_a, settings_b, trials: int, chunks
 ) -> tuple[dict[Chronology, CorrelationTable], np.ndarray]:
@@ -141,7 +151,7 @@ def covariance_pass(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
+    settings_a, settings_b = _setting_lists(settings_a, settings_b)
     pairs = [(a, b) for a in settings_a for b in settings_b]
     thresholds = [(_conditional_thresholds(state, a, b), _conditional_thresholds(state, b, a))
                   for a, b in pairs]
@@ -183,8 +193,8 @@ def estimate_table(
     independent of execution order.
     """
     chronology = Chronology(chronology)
-    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
-    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, DEFAULT_BLOCK)
+    settings_a, settings_b = _setting_lists(settings_a, settings_b)
+    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, DEFAULT_BLOCK, CHUNK_TRIALS)
     return covariance_pass(state, settings_a, settings_b, trials, chunks)[0][chronology]
 
 
@@ -245,7 +255,7 @@ def distribution_covariance_check(
     state: TwoQubitState, settings_a, settings_b, tol: float = 1e-12
 ) -> CovarianceReport:
     """Exact joint distributions under both chronologies, compared entrywise."""
-    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
+    settings_a, settings_b = _setting_lists(settings_a, settings_b)
     ab, ba = (exact_table(state, settings_a, settings_b, c).cells for c in Chronology)
     diffs = np.max(np.abs(ab - ba), axis=(2, 3))
     return CovarianceReport(settings_a, settings_b, diffs, None, 0, tol)
@@ -264,7 +274,7 @@ def realization_divergence(
     `estimate_table`, so any difference is purely the time order, never the
     randomness. The report has no distribution part to read its tolerance.
     """
-    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
-    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, DEFAULT_BLOCK)
+    settings_a, settings_b = _setting_lists(settings_a, settings_b)
+    chunks = stream.blocks(len(settings_a) * len(settings_b) * trials, DEFAULT_BLOCK, CHUNK_TRIALS)
     _, fractions = covariance_pass(state, settings_a, settings_b, trials, chunks)
     return CovarianceReport(settings_a, settings_b, None, fractions, trials, 1e-12)

@@ -32,9 +32,9 @@ def parse_setting_grid(text: str) -> tuple[list[BlochSetting], list[BlochSetting
     return parse_direction_list(part_a, Party.A), parse_direction_list(part_b, Party.B)
 
 
-def _resolve_lambda(args, n_blocks: int, block: int, rows=None):
-    """(lambda_source report, chunks of `n_blocks` blocks, with `rows`, of that many
-    blocks each) from --lambda-file or --seed (`lambdafile.word_blocks`)."""
+def _resolve_lambda(args, n_blocks: int, block: int, rows: int):
+    """(lambda_source report, `Blocks` of `n_blocks` blocks, `rows` a chunk) from
+    --lambda-file or --seed (`lambdafile.word_blocks`)."""
     from .lambdafile import word_blocks
 
     source = {"lambda_file": args.lambda_file} if args.seed is None else {"seed": args.seed}
@@ -59,7 +59,7 @@ def cmd_gen_lambda(args, out) -> int:
 
 
 def cmd_covariance(args, out) -> int:
-    from .chronology import Chronology, CovarianceReport, covariance_pass
+    from .chronology import CHUNK_TRIALS, Chronology, CovarianceReport, covariance_pass
     from .chronology import distribution_covariance_check
     from .lambdafile import DEFAULT_BLOCK
 
@@ -70,7 +70,7 @@ def cmd_covariance(args, out) -> int:
     n_pairs = len(settings_a) * len(settings_b)
     # the table goes next to the report: both are replaced, or neither
     with _replacing(Path(f"{args.out}.csv")) if args.out else contextlib.nullcontext() as csv:
-        source, chunks = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK)
+        source, chunks = _resolve_lambda(args, n_pairs * args.trials, DEFAULT_BLOCK, CHUNK_TRIALS)
         exact = distribution_covariance_check(state, settings_a, settings_b, args.tol)
         tables, divergence = covariance_pass(state, settings_a, settings_b, args.trials, chunks)
         table = tables[chronology]

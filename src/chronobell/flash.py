@@ -329,11 +329,10 @@ def flash_batches(psi0, kernel, rate, duration, chunks, label="root"):
     _check_process(psi0, kernel, rate, duration)
     first_run = 0
     for words in chunks:
-        runs = len(words)
         hits = _draw_hits(psi0.n_particles, rate, duration, words, label, first_run)
         del words  # the chunk's raw words go before its centers are stepped
         yield _draw_centers(psi0, kernel, first_run, *hits)
-        first_run += runs
+        first_run += hits[3].size  # the chunk's runs, one hit count each
 
 
 def _draw_hits(n_particles, rate, duration, words, label, first_run):

@@ -22,11 +22,10 @@ Splitting is fixed-block: substream ``i`` of a stream owns words
 ``[i*block, (i+1)*block)`` of that stream's range, making per-substream values
 independent of the order in which substreams are consumed. Because the layout
 fixes where every word is, the vectorized consumers read consecutive
-substreams only as chunks, (rows, block) arrays of `CHUNK_WORDS` words or
-`CHUNK_ROWS` rows, whichever is more, or of the rows the consumer asks for,
-from a file or a seed (`word_blocks`) or from memory (`LambdaStream.blocks`).
-No chunk source keeps a chunk once it is yielded, so a consumer that drops
-chunk k before asking for chunk k+1 never holds two.
+substreams only as chunks of the `rows` blocks they ask for, from a file or a
+seed (`word_blocks`) or from memory (`LambdaStream.blocks`). Each source is a
+`Blocks`, which finds chunk k by index arithmetic and keeps no chunk once it is
+read, so a consumer that drops chunk k before asking for chunk k+1 never holds two.
 
 A consumer indexes each chunk for the words it reads: a covariance trial reads
 2 of its 64 (``words[:, :2]``), a flash run a part of its block that depends on
@@ -56,8 +55,7 @@ from .values import Frozen
 MAGIC = b"LMDA"
 FORMAT_VERSION = 1
 DEFAULT_BLOCK = 64
-CHUNK_WORDS = 1 << 17  # words per chunk (1 MiB) for blocks of up to 256 words
-CHUNK_ROWS = 512  # blocks per chunk at least, for blocks of more than 256 words
+CHUNK_WORDS = 1 << 17  # words (1 MiB) per array of `dense_words`
 
 _HEADER = struct.Struct("<4sBQQ")
 
@@ -168,21 +166,20 @@ def _checked_seed(seed, count: int) -> int:
     return seed
 
 
-def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, rows=None):
-    """(words available, chunks of the first `n_blocks` blocks of `block` words).
+def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, rows: int):
+    """(words available, `Blocks` of the first `n_blocks` blocks of `block` words, `rows` a chunk).
 
     The words come from the stored file at `path` if it is given, else from
-    `seed`. Each chunk holds `rows` blocks, by default `chunk_rows(block)`; the
-    last may hold fewer. From a file it is a (rows, block) array; from a seed,
-    a `pcg64.Chunk` that makes the words it is indexed by. Bad input raises
+    `seed`. From a file a chunk is a (rows, block) array, read at its offset; from
+    a seed, a `pcg64.Chunk` that makes the words it is indexed by. Bad input raises
     before this returns; a file that shrinks raises when the missing chunk is read.
     """
     needed = n_blocks * block
-    rows = chunk_rows(block) if rows is None else rows
     if path is None:
         from . import pcg64
 
-        return needed, pcg64.chunks(_checked_seed(seed, needed), n_blocks, block, rows)
+        read = pcg64.reader(_checked_seed(seed, needed), block, min(rows, n_blocks))
+        return needed, Blocks(read, n_blocks, rows)
     with Path(path).open("rb") as fh:
         available, _ = _parse_header(fh.read(_HEADER.size))
         _check_payload(os.fstat(fh.fileno()).st_size - _HEADER.size, available)
@@ -191,27 +188,32 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, rows=None):
     if available < needed:
         raise CapacityError(f"lambda file {path} holds {available} words, this run needs {needed}")
 
-    def read(lo: int, n: int) -> np.ndarray:
-        words = np.fromfile(path, dtype="<u8", count=n, offset=_HEADER.size + 8 * lo)
-        if words.size != n:
-            raise LambdaFormatError(f"lambda words ran out after {lo + words.size} of {needed}")
-        return words
+    def read(first: int, n: int) -> np.ndarray:
+        words = np.fromfile(path, "<u8", n * block, offset=_HEADER.size + 8 * first * block)
+        if words.size != n * block:
+            raise LambdaFormatError(f"lambda words ran out after {first * block + words.size} "
+                                    f"of {needed}")
+        return words.reshape(n, block)
 
-    return available, _chunks(read, needed, block, rows)
-
-
-def chunk_rows(block: int) -> int:
-    """Rows of `block` words in every chunk but the last, unless the consumer asks for others."""
-    return max(CHUNK_ROWS, CHUNK_WORDS // block)
+    return available, Blocks(read, n_blocks, rows)
 
 
-def _chunks(read, needed: int, block: int, rows=None):
-    """Words [0, needed) as (rows, block) chunks (by default `chunk_rows(block)` rows),
-    words [lo, lo + n) from `read(lo, n)`. No local names a chunk while it is out, so
-    the consumer's reference is its last."""
-    step = (chunk_rows(block) if rows is None else rows) * block
-    for lo in range(0, needed, step):
-        yield read(lo, min(step, needed - lo)).astype("<u8", copy=False).reshape(-1, block)
+class Blocks:
+    """Blocks 0..n_blocks-1 of a word source in chunks: chunk k is ``read(k * rows, n)``, its
+    n <= rows blocks from block k * rows on. Iteration goes through ``[k]``; no chunk is kept."""
+
+    def __init__(self, read, n_blocks: int, rows: int) -> None:
+        if rows < 1 or n_blocks < 0:
+            raise ValueError(f"chunks need rows >= 1 and n_blocks >= 0, got {rows} and {n_blocks}")
+        self._read, self._n_blocks, self._rows = read, n_blocks, rows
+
+    def __len__(self) -> int:
+        return -(-self._n_blocks // self._rows)
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < len(self):
+            raise IndexError(f"chunk {k} is not in [0, {len(self)})")
+        return self._read(k * self._rows, min(self._rows, self._n_blocks - k * self._rows))
 
 
 class LambdaStream:
@@ -252,9 +254,8 @@ class LambdaStream:
         self._cursor += n
         return words_to_reals(self.file.words[lo:lo + n])
 
-    def blocks(self, n_blocks: int, block: int, rows=None):
-        """Substreams 0..n_blocks-1 of `split(i, block)` as read-only views of `rows`
-        blocks each (by default `chunk_rows(block)`).
+    def blocks(self, n_blocks: int, block: int, rows: int) -> Blocks:
+        """Substreams 0..n_blocks-1 of `split(i, block)` as `Blocks` of `rows`-high read-only views.
 
         Like `split`, ignores the cursor; raises for the first block past the end up front.
         """
@@ -263,7 +264,8 @@ class LambdaStream:
         if n_blocks * block > self.length:
             self.split(self.length // block, block)  # raises CapacityError
         words = self.file.words[self.start :]
-        return _chunks(lambda lo, n: words[lo : lo + n], n_blocks * block, block, rows)
+        return Blocks(lambda first, n: words[first * block : (first + n) * block].reshape(n, block),
+                      n_blocks, rows)
 
     def split(self, trial_index: int, block: int = DEFAULT_BLOCK) -> "LambdaStream":
         """Substream owning words [i*block, (i+1)*block) of this stream's range.

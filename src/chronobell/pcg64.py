@@ -7,19 +7,19 @@ XSL-RR 128/64 output of the state after k + 1 steps (M. E. O'Neill, "PCG: a
 family of simple fast space-efficient statistically good algorithms for random
 number generation", HMC-CS-2014-0905 (2014)).
 
-`chunks` cuts the stream into rows of `block` words, and the rows into `Chunk`s
-that make a word only when it is read: word j of a row is the output of
-A_{j+1}*s + C_{j+1}, s the row's start state. The first chunk's row states and
-every column's (A, C) are orbits of one map, built by doubling; each later
-chunk's row states are the previous chunk's, mapped once. A chunk is indexed as
-the array of its words is, and each reader's key says what it reads: covariance
-the first columns of every row, flash windows of waiting-time words, then the
-words of each hit. A jump costs several times the step to the next word, so
-readers of every word (``gen-lambda``) keep ``random_raw``. The arithmetic is on
-uint64 lo/hi arrays: numpy has no 128-bit type, so the high word of the low
-64x64 product goes through 32-bit limbs (H. S. Warren, "Hacker's Delight",
-section 8-2, mulhu). Only array arithmetic wraps here: numpy warns when uint64
-scalars overflow.
+`reader` reads any n rows of `block` words, from row `first` on, as a `Chunk`
+that makes a word only when it is read: word j of a row is the output of
+A_{j+1}*s + C_{j+1}, s the row's start state. Every column's (A, C) and the
+start states of rows 0..n-1 are orbits of one map, built by doubling; one jump
+of first*block steps maps those to rows first.., so no chunk needs another.
+A chunk is indexed as the array of its words is, and each consumer's key says
+what it reads: covariance the first columns of every row, flash windows of
+waiting-time words, then the words of each hit. A jump costs several times the
+step to the next word, so readers of every word (``gen-lambda``) keep
+``random_raw``. The arithmetic is on uint64 lo/hi arrays: numpy has no 128-bit
+type, so the high word of the low 64x64 product goes through 32-bit limbs
+(H. S. Warren, "Hacker's Delight", section 8-2, mulhu). Only array arithmetic
+wraps here: numpy warns when uint64 scalars overflow.
 
 Seeding is numpy's ``SeedSequence(seed)`` -> ``PCG64`` path in Python ints: the
 hashmix pool, ``generate_state(4)`` and ``pcg_setseq_128_srandom_r``. The tests
@@ -68,18 +68,19 @@ def seed_state(seed: int) -> tuple[int, int]:
     return ((inc + init_state) * MULTIPLIER + inc) & MASK128, inc
 
 
-def chunks(seed: int, n_blocks: int, block: int, rows: int):
-    """Blocks 0..n_blocks-1 of `block` words of ``PCG64(seed)`` as `Chunk`s of `rows` rows,
-    the last maybe fewer."""
+def reader(seed: int, block: int, rows: int):
+    """read(first, n): blocks first..first+n-1 (n <= `rows`) of ``PCG64(seed)``, as a `Chunk`."""
     state, inc = seed_state(seed)
     # column j's (A, C): j + 1 steps, from a row's start state to the state of its word j
     jumps = np.concatenate([_orbit(MULTIPLIER, block, MULTIPLIER, 0),
                             _orbit(inc, block, MULTIPLIER, inc)])
-    starts = _orbit(state, min(rows, n_blocks), *_power(MULTIPLIER, inc, block))
-    chunk_a, chunk_c = map(_words, _power(MULTIPLIER, inc, rows * block))
-    for lo in range(0, n_blocks, rows):
-        yield Chunk(jumps, starts[:, : n_blocks - lo])
-        starts = np.array(_affine(chunk_a, starts, chunk_c))
+    starts = _orbit(state, rows, *_power(MULTIPLIER, inc, block))  # of blocks 0..rows-1
+
+    def read(first: int, n: int) -> Chunk:
+        a, c = map(_words, _power(MULTIPLIER, inc, first * block))
+        return Chunk(jumps, np.array(_affine(a, starts[:, :n], c)))
+
+    return read
 
 
 class Chunk:
@@ -90,9 +91,6 @@ class Chunk:
     def __init__(self, jumps: np.ndarray, starts: np.ndarray) -> None:
         self._jumps, self._starts = jumps, starts
         self.shape = (starts.shape[1], jumps.shape[1])
-
-    def __len__(self) -> int:
-        return self.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
         rows, columns = key

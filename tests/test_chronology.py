@@ -443,3 +443,23 @@ class TestCovariancePass:
             )
             assert tables[chronology].trials == trials
         np.testing.assert_array_equal(divergence, differing / trials)
+
+
+class TestEmptySettingList:
+    """Every entry point with setting lists refuses an empty one, naming its party."""
+
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_rejected_before_any_report(self, singlet, zz_settings, party):
+        a, b = zz_settings
+        settings = ([], [b]) if party == "A" else ([a], [])
+        stream = cb.generate_lambda_file(seed=1, count=64).stream()
+        message = f"the {party} setting list is empty"
+        calls = [
+            lambda: cb.distribution_covariance_check(singlet, *settings),
+            lambda: cb.realization_divergence(singlet, *settings, 1, stream),
+            lambda: cb.estimate_table(singlet, *settings, "AB", 1, stream),
+            lambda: covariance_pass(singlet, *settings, 1, iter([])),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()

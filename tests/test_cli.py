@@ -158,6 +158,7 @@ class TestChsh:
             ("--state", "0,0.9772869898252907,-0.2119201253260814,0", "--angles", "0,90,45,135"),
             ("--tol", "1e-6", "--state", "0,0.9772869487069313,-0.21192031494666996,0"),
         ],
+        ids=["argv0", "argv1"],
     )
     def test_states_just_inside_the_tolerance_are_local(self, capsys, argv):
         # |S| - 2 is tol / 2 here, so the LP residual, 5/2 of |S| - 2, exceeds tol
@@ -519,26 +520,35 @@ class TestFlash:
         assert "1024 words" in err
 
 
-@pytest.mark.parametrize("argv,message", [
-    (("chsh", "--state", "1,0,0,x"),
-     "cannot parse amplitudes '1,0,0,x': complex() arg is a malformed string"),
-    (("chsh", "--state", "0,2,0,0"), "amplitudes must be normalized (within 1e-6), got norm 2.0"),
-    (("chsh", "--angles", "1:2,90,45,135"), "direction triple must be x:y:z, got '1:2'"),
-    (("nogo", "--angles", "0,90,0:0:0,135"), "direction '0:0:0' has zero length"),
-    (("covariance", "--seed", "1", "--angles", ",/0"), "empty setting list"),
-    (("covariance", "--seed", "1", "--angles", "0,90"),
-     "settings must be 'a1,a2,.../b1,b2,...' (one '/')"),
-    (("covariance", "--seed", "1", "--trials", "0"),
-     "argument --trials: must be in [1, inf), got 0"),
+# (argv, message) of each case by name; a case's id is its name and its message, so a new
+# case may go anywhere (the first twelve keep the names their places once gave them)
+MALFORMED = {
+    "argv0": (("chsh", "--state", "1,0,0,x"),
+              "cannot parse amplitudes '1,0,0,x': complex() arg is a malformed string"),
+    "argv1": (("chsh", "--state", "0,2,0,0"),
+              "amplitudes must be normalized (within 1e-6), got norm 2.0"),
+    "argv2": (("chsh", "--angles", "1:2,90,45,135"), "direction triple must be x:y:z, got '1:2'"),
+    "argv3": (("nogo", "--angles", "0,90,0:0:0,135"), "direction '0:0:0' has zero length"),
+    "argv4": (("covariance", "--seed", "1", "--angles", ",/0"), "empty setting list"),
+    "argv5": (("covariance", "--seed", "1", "--angles", "0,90"),
+              "settings must be 'a1,a2,.../b1,b2,...' (one '/')"),
+    "argv6": (("covariance", "--seed", "1", "--trials", "0"),
+              "argument --trials: must be in [1, inf), got 0"),
     # a NaN norm fails the normalization check; an unreadable direction is quoted whole
-    (("chsh", "--state", "nan,0,0,0"), "amplitudes must be normalized (within 1e-6), got norm nan"),
-    (("nogo", "--state", "1,0,0,nanj"),
-     "amplitudes must be normalized (within 1e-6), got norm nan"),
-    (("covariance", "--seed", "1", "--state", "nan,0,0,0"),
-     "amplitudes must be normalized (within 1e-6), got norm nan"),
-    (("chsh", "--angles", "::,90,45,135"), "cannot parse direction '::'"),
-    (("covariance", "--seed", "1", "--angles", "1:x:0/0"), "cannot parse direction '1:x:0'"),
-])
+    "argv7": (("chsh", "--state", "nan,0,0,0"),
+              "amplitudes must be normalized (within 1e-6), got norm nan"),
+    "argv8": (("nogo", "--state", "1,0,0,nanj"),
+              "amplitudes must be normalized (within 1e-6), got norm nan"),
+    "argv9": (("covariance", "--seed", "1", "--state", "nan,0,0,0"),
+              "amplitudes must be normalized (within 1e-6), got norm nan"),
+    "argv10": (("chsh", "--angles", "::,90,45,135"), "cannot parse direction '::'"),
+    "argv11": (("covariance", "--seed", "1", "--angles", "1:x:0/0"),
+               "cannot parse direction '1:x:0'"),
+}
+
+
+@pytest.mark.parametrize("argv,message", list(MALFORMED.values()),
+                         ids=[f"{name}-{message}" for name, (_, message) in MALFORMED.items()])
 def test_malformed_parameter_rejected_before_any_work(capsys, no_work, argv, message):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
@@ -597,7 +607,7 @@ def test_direction_triple_is_a_unit_setting_along_it_or_rejected_naming_it(
 @pytest.mark.parametrize("argv", [
     ("chsh", "--angles", "{},90,45,135"),
     ("covariance", "--seed", "3", "--trials", "50", "--angles", "{},0/45"),
-])
+], ids=["argv0", "argv1"])
 def test_overflowing_triple_means_the_direction_scaled_into_range(capsys, argv):
     reports = [run_json(capsys, *(a.format(token) for a in argv))
                for token in ("1.7e308:1.7e308:0", "1:1:0")]
@@ -704,7 +714,7 @@ def fail_after_one_chunk(monkeypatch):
     word_blocks, dense_words = lambdafile.word_blocks, lambdafile.dense_words
 
     def first_chunk_then_fail(chunks):
-        yield next(chunks)
+        yield next(iter(chunks))
         raise StreamExhaustedError("the chunk source failed")
 
     def failing_word_blocks(*args, **kwargs):
@@ -1083,6 +1093,7 @@ class TestReportStability:
             ("covariance", "--trials", "300", "--seed", "13"),
             ("flash", "--runs", "50", "--seed", "13"),
         ],
+        ids=["argv0", "argv1", "argv2", "argv3", "argv4"],
     )
     def test_rerun_byte_identical(self, capsys, argv):
         _, first, _ = run_cli(capsys, *argv)

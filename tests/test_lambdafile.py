@@ -3,8 +3,8 @@
 import argparse
 import re
 import struct
+import time
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import chronobell as cb
 from chronobell import cli_lambda, lambdafile, pcg64
-from chronobell.lambdafile import FORMAT_VERSION, MAGIC, word_blocks, words_to_reals
+from chronobell.chronology import CHUNK_TRIALS
+from chronobell.lambdafile import FORMAT_VERSION, MAGIC, Blocks, word_blocks, words_to_reals
 from support import lambda_file_from_reals
 
 # first words of the stored generator at seed 1, frozen so that any change to
@@ -289,13 +290,12 @@ class TestWordBlocks:
     @given(
         n_blocks=st.integers(1, 40),
         block=st.integers(1, 24),
-        chunk=st.integers(1, 64),
         rows=st.integers(1, 8),
         spare=st.integers(1, 50),
         seed=st.integers(0, 2**64 - 1),
     )
     def test_chunks_replay_the_stored_and_generated_words(
-        self, tmp_path_factory, n_blocks, block, chunk, rows, spare, seed
+        self, tmp_path_factory, n_blocks, block, rows, spare, seed
     ):
         needed = n_blocks * block
         path = cb.generate_lambda_file(seed, needed + spare).save(
@@ -306,27 +306,18 @@ class TestWordBlocks:
         np.testing.assert_array_equal(
             cb.generate_lambda_file(seed, needed).words.reshape(n_blocks, block), expected
         )
-        # several chunks per run, sized by words or by rows
-        with mock.patch.multiple(lambdafile, CHUNK_WORDS=chunk, CHUNK_ROWS=rows):
-            resolve = cli_lambda._resolve_lambda
-            stored, from_file = resolve(_lambda_args(path=path), n_blocks, block)
-            generated, from_seed = resolve(_lambda_args(seed=seed), n_blocks, block)
-            assert (stored["words"], generated["words"]) == (needed + spare, needed)
-            step = max(rows, chunk // block)
-            for chunks in (loaded.stream().blocks(n_blocks, block), from_file, from_seed):
-                chunks = [c[:, :] for c in chunks]  # a seeded chunk's words, made by indexing it
-                for c in chunks:
-                    assert c.dtype == np.uint64 and c.shape[1] == block
-                assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
-                assert 0 < len(chunks[-1]) <= step
-                np.testing.assert_array_equal(np.concatenate(chunks), expected)
-
-    @pytest.mark.parametrize(
-        "n_blocks, block, rows", [(70000, 2, [65536, 4464]), (1000, 1024, [512, 488])]
-    )
-    def test_chunks_hold_chunk_words_or_chunk_rows(self, n_blocks, block, rows):
-        _, chunks = word_blocks(n_blocks, block, seed=1)
-        assert [len(c) for c in chunks] == rows
+        # several chunks per run
+        resolve = cli_lambda._resolve_lambda
+        stored, from_file = resolve(_lambda_args(path=path), n_blocks, block, rows)
+        generated, from_seed = resolve(_lambda_args(seed=seed), n_blocks, block, rows)
+        assert (stored["words"], generated["words"]) == (needed + spare, needed)
+        for chunks in (loaded.stream().blocks(n_blocks, block, rows), from_file, from_seed):
+            chunks = [c[:, :] for c in chunks]  # a seeded chunk's words, made by indexing it
+            for c in chunks:
+                assert c.dtype == np.uint64 and c.shape[1] == block
+            assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+            assert 0 < len(chunks[-1]) <= rows
+            np.testing.assert_array_equal(np.concatenate(chunks), expected)
 
     @pytest.mark.parametrize(
         "how", ["truncated", "header-only-part", "bad-magic", "bad-version", "over-long"]
@@ -337,37 +328,36 @@ class TestWordBlocks:
         with pytest.raises(cb.LambdaFormatError) as from_load:
             cb.LambdaFile.load(path)
         with pytest.raises(cb.LambdaFormatError) as from_blocks:
-            word_blocks(2, 2, path=path)
+            word_blocks(2, 2, path=path, rows=1)
         assert str(from_blocks.value) == str(from_load.value)
 
     def test_empty_payload_rejected_like_load(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(struct.pack("<4sBQQ", MAGIC, FORMAT_VERSION, 0, 5))
         with pytest.raises(cb.EmptyFileError, match="at least one word"):
-            word_blocks(1, 1, path=path)
+            word_blocks(1, 1, path=path, rows=1)
 
     def test_undersized_file_names_both_counts(self, tmp_path):
         path = cb.generate_lambda_file(seed=1, count=10).save(tmp_path / "small.bin")
         with pytest.raises(cb.CapacityError) as exc:
-            word_blocks(3, 4, path=path)
+            word_blocks(3, 4, path=path, rows=1)
         assert str(exc.value) == f"lambda file {path} holds 10 words, this run needs 12"
 
     def test_file_that_shrinks_while_read(self, tmp_path):
         path = cb.generate_lambda_file(seed=1, count=100).save(tmp_path / "lam.bin")
-        with mock.patch.multiple(lambdafile, CHUNK_WORDS=10, CHUNK_ROWS=1):
-            _, chunks = word_blocks(10, 10, path=path)
-            next(chunks)
-            with path.open("r+b") as fh:
-                fh.truncate(21 + 8 * 15)
-            with pytest.raises(cb.LambdaFormatError, match="ran out after 15 of 100"):
-                list(chunks)
+        _, chunks = word_blocks(10, 10, path=path, rows=1)
+        chunks[0]
+        with path.open("r+b") as fh:
+            fh.truncate(21 + 8 * 15)
+        with pytest.raises(cb.LambdaFormatError, match="ran out after 15 of 100"):
+            list(chunks)
 
     @pytest.mark.parametrize("seed, count", [(-1, 4), (2**64, 4), (1, 0)])
     def test_bad_seed_or_count_rejected_like_generate(self, seed, count):
         with pytest.raises((ValueError, cb.EmptyFileError)) as from_generate:
             cb.generate_lambda_file(seed, count)
         with pytest.raises(type(from_generate.value), match=str(from_generate.value)):
-            word_blocks(count, 1, seed=seed)
+            word_blocks(count, 1, seed=seed, rows=1)
 
 
 EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
@@ -383,29 +373,25 @@ class TestPrefixReads:
         n_blocks=st.integers(1, 40),
         block=st.integers(1, 24),
         data=st.data(),
-        chunk=st.integers(1, 64),
         rows=st.integers(1, 8),
         seed=st.integers(0, 2**64 - 1),
     )
     def test_prefix_chunks_replay_the_leading_words(
-        self, tmp_path_factory, n_blocks, block, data, chunk, rows, seed
+        self, tmp_path_factory, n_blocks, block, data, rows, seed
     ):
         prefix = data.draw(st.integers(1, block), label="prefix")
         dense = cb.generate_lambda_file(seed, n_blocks * block)
         expected = dense.words.reshape(n_blocks, block)[:, :prefix]
         path = dense.save(tmp_path_factory.mktemp("prefix") / "lam.bin")
-        # several chunks per run, sized by words or by rows
-        with mock.patch.multiple(lambdafile, CHUNK_WORDS=chunk, CHUNK_ROWS=rows):
-            step = max(rows, chunk // block)
-            for source in ({"path": path}, {"seed": seed}):
-                available, chunks = word_blocks(n_blocks, block, **source)
-                assert available == n_blocks * block
-                chunks = [c[:, :prefix] for c in chunks]
-                for c in chunks:
-                    assert c.dtype == np.uint64 and c.shape[1] == prefix
-                assert [len(c) for c in chunks[:-1]] == [step] * (len(chunks) - 1)
-                assert 0 < len(chunks[-1]) <= step
-                np.testing.assert_array_equal(np.concatenate(chunks), expected)
+        for source in ({"path": path}, {"seed": seed}):  # several chunks per run
+            available, chunks = word_blocks(n_blocks, block, rows=rows, **source)
+            assert available == n_blocks * block
+            chunks = [c[:, :prefix] for c in chunks]
+            for c in chunks:
+                assert c.dtype == np.uint64 and c.shape[1] == prefix
+            assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+            assert 0 < len(chunks[-1]) <= rows
+            np.testing.assert_array_equal(np.concatenate(chunks), expected)
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
@@ -421,39 +407,41 @@ class TestPrefixReads:
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     @pytest.mark.parametrize("n_blocks, block, prefix", [(5000, 64, 2), (600, 3061, 5), (3, 2, 1)])
     def test_default_chunks_equal_random_raw(self, seed, n_blocks, block, prefix):
-        # 5000 and 600 blocks cross the default chunk edges at 2048 and 512 rows
+        # the chunk heights the consumers pass: covariance's for its 64-word blocks, else
+        # flash's; 5000 and 600 blocks cross their chunk edges at 2048 and 256 rows
+        rows = CHUNK_TRIALS if block == lambdafile.DEFAULT_BLOCK else cb.flash.CHUNK_RUNS
         expected = np.random.PCG64(seed).random_raw(n_blocks * block).reshape(n_blocks, block)
-        _, chunks = word_blocks(n_blocks, block, seed=seed)
+        _, chunks = word_blocks(n_blocks, block, seed=seed, rows=rows)
         got = [chunk[:, :prefix] for chunk in chunks]
         np.testing.assert_array_equal(np.concatenate(got), expected[:, :prefix])
+
+
+def _sources(lf, path, rows, n_blocks=10, block=8):
+    """Chunks of lf's first `n_blocks` blocks of `block` words, from every source, by name."""
+    return {
+        "file": word_blocks(n_blocks, block, path=path, rows=rows)[1],
+        "seed": word_blocks(n_blocks, block, seed=lf.seed_note, rows=rows)[1],
+        "stream": lf.stream().blocks(n_blocks, block, rows),
+    }
 
 
 class TestChunkShapeAndLifetime:
     """`rows` sets a chunk's height; no chunk source keeps a chunk it has yielded."""
 
-    @staticmethod
-    def _sources(lf, path, rows):
-        """Chunks of lf's first 10 blocks of 8 words, from every source, by name."""
-        return {
-            "file": word_blocks(10, 8, path=path, rows=rows)[1],
-            "seed": word_blocks(10, 8, seed=lf.seed_note, rows=rows)[1],
-            "stream": lf.stream().blocks(10, 8, rows),
-        }
-
     @pytest.mark.parametrize("rows", [1, 3, 10, 11])
     def test_rows_set_the_chunk_height(self, tmp_path, rows):
         lf = cb.generate_lambda_file(seed=6, count=10 * 8)
         heights = [min(rows, 10 - lo) for lo in range(0, 10, rows)]
-        for name, chunks in self._sources(lf, lf.save(tmp_path / "lam.bin"), rows).items():
+        for name, chunks in _sources(lf, lf.save(tmp_path / "lam.bin"), rows).items():
             chunks = list(chunks)
-            assert [len(c) for c in chunks] == heights, name
+            assert [c.shape[0] for c in chunks] == heights, name
             np.testing.assert_array_equal(np.concatenate([c[:, :] for c in chunks]),
                                           lf.words.reshape(10, 8))
 
     @pytest.mark.parametrize("name", ["file", "seed", "stream"])
     def test_a_dropped_chunk_is_freed_before_the_next_is_read(self, tmp_path, name):
         lf = cb.generate_lambda_file(seed=6, count=10 * 8)
-        chunks = self._sources(lf, lf.save(tmp_path / "lam.bin"), 2)[name]
+        chunks = iter(_sources(lf, lf.save(tmp_path / "lam.bin"), 2)[name])
         chunk = next(chunks)
         for _ in range(4):
             # the buffer a chunk views, unless that is the stream's file, which stays
@@ -464,14 +452,75 @@ class TestChunkShapeAndLifetime:
             chunk = next(chunks)
 
 
+class TestBlocks:
+    """Every source is one `Blocks`, which finds chunk k by index arithmetic."""
+
+    @pytest.mark.filterwarnings("error")  # numpy warns when uint64 scalars overflow
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_blocks=st.integers(1, 40),
+        block=st.integers(1, 24),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_chunk_k_is_the_kth_chunk_read_in_order(
+        self, tmp_path_factory, n_blocks, block, rows, seed, data
+    ):
+        lf = cb.generate_lambda_file(seed, n_blocks * block)
+        path = lf.save(tmp_path_factory.mktemp("blocks") / "lam.bin")
+        stored = lf.words.reshape(n_blocks, block)
+        generated = np.random.PCG64(seed).random_raw(n_blocks * block).reshape(n_blocks, block)
+        for name, blocks in _sources(lf, path, rows, n_blocks, block).items():
+            assert len(blocks) == -(-n_blocks // rows), name
+            in_order = [chunk[:, :] for chunk in blocks]
+            assert len(in_order) == len(blocks), name
+            k = data.draw(st.integers(0, len(blocks) - 1), label=f"k of {name}")
+            expected = (generated if name == "seed" else stored)[k * rows : (k + 1) * rows]
+            np.testing.assert_array_equal(blocks[k][:, :], in_order[k])
+            np.testing.assert_array_equal(blocks[k][:, :], expected)
+            for past in (len(blocks), -1):
+                with pytest.raises(IndexError, match=rf"chunk {past} is not in \[0, "):
+                    blocks[past]
+
+    def test_the_last_seeded_chunk_past_word_2_to_the_60_is_found_at_once(self):
+        rows, block = 256, 64
+        blocks = word_blocks(2**55, block, seed=7, rows=rows)[1]  # 2**61 words
+        k = len(blocks) - 1
+        start = time.perf_counter()
+        chunk = blocks[k]
+        elapsed = time.perf_counter() - start
+        offset = k * rows * block
+        assert offset >= 2**60 and chunk.shape == (rows, block)
+        bits = np.random.PCG64(7)
+        bits.advance(offset)
+        expected = bits.random_raw(rows * block).reshape(rows, block)
+        np.testing.assert_array_equal(chunk[:, :3], expected[:, :3])
+        assert elapsed < 0.05
+
+    def test_every_source_is_one_blocks_without_an_iterator_of_its_own(self, tmp_path):
+        lf = cb.generate_lambda_file(seed=6, count=10 * 8)
+        for name, blocks in _sources(lf, lf.save(tmp_path / "lam.bin"), 3).items():
+            assert type(blocks) is Blocks, name
+        assert "__iter__" not in vars(Blocks)  # iteration goes through [k]
+
+    @pytest.mark.parametrize("n_blocks, rows", [(4, -1), (4, 0), (-1, 4)])
+    def test_bad_chunk_arguments_rejected_up_front(self, tmp_path, n_blocks, rows):
+        lf = cb.generate_lambda_file(seed=1, count=64)
+        path = lf.save(tmp_path / "lam.bin")
+        with pytest.raises(ValueError, match="chunks need rows >= 1 and n_blocks >= 0"):
+            lf.stream().blocks(n_blocks, 8, rows)
+        with pytest.raises(ValueError, match="chunks need rows >= 1 and n_blocks >= 0"):
+            word_blocks(n_blocks, 8, path=path, rows=rows)
+        with pytest.raises(ValueError):  # a negative count is refused first, as by generate
+            word_blocks(n_blocks, 8, seed=1, rows=rows)
+
+
 class _Checked:
     """A chunk each of whose reads is compared with the same read of the array `dense`."""
 
     def __init__(self, chunk, dense):
         self.chunk, self.dense, self.shape, self.reads = chunk, dense, chunk.shape, []
-
-    def __len__(self):
-        return len(self.chunk)
 
     def __getitem__(self, key):
         got = self.chunk[key]
@@ -514,7 +563,7 @@ class TestSeededFlashChunks:
         lo = 0
         for chunk in chunks:
             expected = dense[lo : lo + rows]
-            assert chunk.shape == expected.shape and len(chunk) == len(expected)
+            assert chunk.shape == expected.shape
             got = _flash_reads(_Checked(chunk, expected), rate, first_run=lo)
             want = _flash_reads(expected, rate, first_run=lo)
             if isinstance(want, cb.StreamExhaustedError):  # a run needs word `block`
@@ -522,7 +571,7 @@ class TestSeededFlashChunks:
                 return
             for g, w in zip(got[:4], want[:4]):
                 np.testing.assert_array_equal(g, w)
-            lo += len(chunk)
+            lo += chunk.shape[0]
         assert lo == runs
 
     def test_windows_refill_for_the_runs_still_active(self):
@@ -577,7 +626,7 @@ class TestSeededFlashChunks:
             np.testing.assert_array_equal(hit, hit_w)
 
     def test_a_dropped_chunk_is_freed_before_the_next_is_made(self):
-        _, chunks = word_blocks(10, 8, seed=6, rows=2)
+        chunks = iter(word_blocks(10, 8, seed=6, rows=2)[1])
         chunk = next(chunks)
         for _ in range(4):
             chunk[np.arange(2), np.arange(3)[:, None]]  # makes words
@@ -596,12 +645,9 @@ class TestStreamBlocks:
         cursor=st.integers(0, 20),
         n_blocks=st.integers(0, 60),
         block=st.integers(1, 16),
-        chunk=st.integers(1, 64),
         rows=st.integers(1, 8),
     )
-    def test_matches_split_take_oracle(
-        self, seed, count, start, cursor, n_blocks, block, chunk, rows
-    ):
+    def test_matches_split_take_oracle(self, seed, count, start, cursor, n_blocks, block, rows):
         lf = cb.generate_lambda_file(seed, count + start)
         stream = cb.LambdaStream(lf, start, count)
         stream.take(min(cursor, count))  # the cursor is ignored, as by split
@@ -609,12 +655,11 @@ class TestStreamBlocks:
             expected = [stream.split(i, block).take(block) for i in range(n_blocks)]
         except cb.CapacityError as exc:
             with pytest.raises(cb.CapacityError, match=re.escape(str(exc))):
-                stream.blocks(n_blocks, block)
+                stream.blocks(n_blocks, block, rows)
             return
-        with mock.patch.multiple(lambdafile, CHUNK_WORDS=chunk, CHUNK_ROWS=rows):
-            chunks = list(stream.blocks(n_blocks, block))
+        chunks = list(stream.blocks(n_blocks, block, rows))
         for c in chunks:
-            assert c.shape[1] == block and len(c) <= max(rows, chunk // block)
+            assert c.shape[1] == block and len(c) <= rows
             assert np.shares_memory(c, lf.words) and not c.flags.writeable
         got = words_to_reals(np.concatenate(chunks)) if chunks else np.zeros((0, block))
         np.testing.assert_array_equal(got, np.reshape(expected, (n_blocks, block)))
@@ -622,12 +667,12 @@ class TestStreamBlocks:
     def test_capacity_error_names_the_first_block_past_the_end(self):
         stream = cb.generate_lambda_file(seed=1, count=64 * 7).stream()
         with pytest.raises(cb.CapacityError, match="substream 7 needs words up to 512"):
-            stream.blocks(8, 64)
+            stream.blocks(8, 64, 1)
 
     def test_bad_block_sizes_rejected(self):
         stream = cb.generate_lambda_file(seed=1, count=64).stream()
         for block in (0, -3):
             with pytest.raises(ValueError, match="block size must be positive"):
-                stream.blocks(4, block)
+                stream.blocks(4, block, 1)
         with pytest.raises(cb.CapacityError):
-            stream.blocks(100, 1)
+            stream.blocks(100, 1, 1)
