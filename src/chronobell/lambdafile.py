@@ -152,17 +152,17 @@ def generate_lambda_file(seed: int, count: int) -> LambdaFile:
 def dense_words(seed: int, count: int, step: int = CHUNK_WORDS):
     """Words [0, count) of ``PCG64(seed)`` as little-endian arrays of `step` words, the
     last maybe fewer, made in order by ``random_raw``. Bad input raises before this returns."""
-    bits = np.random.PCG64(_checked_seed(seed, count))
+    bits = np.random.PCG64(_checked_seed(seed))
+    if count < 1:
+        raise EmptyFileError("count must be at least 1")
     return (bits.random_raw(min(step, count - lo)).astype("<u8", copy=False)
             for lo in range(0, count, step))
 
 
-def _checked_seed(seed, count: int) -> int:
+def _checked_seed(seed) -> int:
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    if count < 1:
-        raise EmptyFileError("count must be at least 1")
     return seed
 
 
@@ -178,7 +178,7 @@ def word_blocks(n_blocks: int, block: int, *, path=None, seed=None, rows: int):
     if path is None:
         from . import pcg64
 
-        read = pcg64.reader(_checked_seed(seed, needed), block, min(rows, n_blocks))
+        read = pcg64.reader(_checked_seed(seed), block, min(rows, n_blocks))
         return needed, Blocks(read, n_blocks, rows)
     with Path(path).open("rb") as fh:
         available, _ = _parse_header(fh.read(_HEADER.size))

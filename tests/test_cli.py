@@ -840,23 +840,25 @@ class TestOut:
 # nogo and covariance digests were re-recorded once, when the exact Born
 # probabilities moved from BLAS to fixed-order float arithmetic (every value
 # moved by at most 1.2e-16)
-GOLDEN_STDOUT = {
-    ("covariance", "--seed", "3", "--trials", "200", "--angles", "0,90/45,135"):
-        "eda27d2e5f8a78715b232bd778a7806819553f691f61a3a1b818a952bddac388",
-    ("flash", "--seed", "1", "--runs", "20"):
-        "22fee53589c02f7e67d203b9c136040e23af12ebacc44fcd33afab13684b5426",
-    ("chsh",): "022c30ca56498800ef3d7c623bdbc1595098e6206eb02c35a87627cce99eae5c",
-    ("nogo", "--alphabet-size", "2"):
-        "92e6bda37d885e5ee07c4b148b0dda785d8b14f78b484e8b0a05ea142a065927",
+# test id -> (argv, sha256 of its stdout). The ids are written out, so a golden added
+# anywhere renames none of the others; argv0..argv14 are the names the first fifteen
+# once took from their place in the table
+GOLDENS = {
+    "argv0": (("covariance", "--seed", "3", "--trials", "200", "--angles", "0,90/45,135"),
+              "eda27d2e5f8a78715b232bd778a7806819553f691f61a3a1b818a952bddac388"),
+    "argv1": (("flash", "--seed", "1", "--runs", "20"),
+              "22fee53589c02f7e67d203b9c136040e23af12ebacc44fcd33afab13684b5426"),
+    "argv2": (("chsh",), "022c30ca56498800ef3d7c623bdbc1595098e6206eb02c35a87627cce99eae5c"),
+    "argv3": (("nogo", "--alphabet-size", "2"),
+              "92e6bda37d885e5ee07c4b148b0dda785d8b14f78b484e8b0a05ea142a065927"),
     # recorded while the search still enumerated every (4**L)^2 table pair
-    ("nogo", "--alphabet-size", "5"):
-        "6236a0411c8df7138805ad990bcf4d360e4926c5de9722bce63aba50421d6b4d",
+    "argv4": (("nogo", "--alphabet-size", "5"),
+              "6236a0411c8df7138805ad990bcf4d360e4926c5de9722bce63aba50421d6b4d"),
 }
 GOLDEN_FLASH_HISTORY = "4b1486defd6f5f27cd34e7d2e21c391fa8724a4ddcc8939a138c154fab976858"
 # recorded while every flash run was still simulated one at a time
-GOLDEN_STDOUT[("flash", "--seed", "1", "--runs", "2", "--rate", "100")] = (
-    "27d75b65a983a8d142b28c116dd439766defb0c156c71888a9b518b5303f5f18"
-)
+GOLDENS["argv5"] = (("flash", "--seed", "1", "--runs", "2", "--rate", "100"),
+                    "27d75b65a983a8d142b28c116dd439766defb0c156c71888a9b518b5303f5f18")
 GRID32_FLASH_ARGV = ("flash", "--seed", "1", "--sites", "32", "--rate", "2", "--runs", "50")
 GOLDEN_GRID32_HISTORY = "81e83044ca6c68d139e70d329baf9f0711e8482f6300a70317d02a623cd045d4"
 # stdout with the --out path replaced by "<out>"
@@ -864,9 +866,8 @@ GOLDEN_GRID32_STDOUT = "ea4b58334dc8bb169408157c717552e73c00b24ed4d3a44a495c9a7f
 GOLDEN_LAMBDA_FILE = "35f4e8bc53035751f2513e970b7c3c97701828482c518f45cbcd4323f2d7e1fc"
 # recorded while covariance, flash and gen-lambda still held every word of the run
 # in memory; the sizes are not multiples of any power-of-two chunk
-GOLDEN_STDOUT[("covariance", "--seed", "17", "--trials", "777", "--angles", "0,90/45,135")] = (
-    "5752fec730c91fa7294805408a1c0c751dffe89a2ed2d243a3d2a1c4e9e2e031"
-)
+GOLDENS["argv6"] = (("covariance", "--seed", "17", "--trials", "777", "--angles", "0,90/45,135"),
+                    "5752fec730c91fa7294805408a1c0c751dffe89a2ed2d243a3d2a1c4e9e2e031")
 # `covariance --trials 777 --angles 0,90/45,135 --chronology ba --lambda-file lam.bin`
 # on a 199912-word file (seed 4), 1000 words more than the run reads
 GOLDEN_OVERSIZED_FILE_STDOUT = "f5aadb9ef6a7ab871594088ef1762681a6877bfc36359ea0e543143082625b49"
@@ -881,30 +882,36 @@ GOLDEN_MULTI_CHUNK_STDOUT = "53cba54951bb912efd26da1f6adaac598c5be1aba86902efaab
 # rests on the last bits of the phase-1 residual), a product state, complex amplitudes
 # with an x:y:z direction, and three random complex states with random angles, made as
 # `benchmark/workloads.py:_random_chsh_inputs(20261019, 3)` makes them
-GOLDEN_STDOUT.update({
-    ("chsh", "--state", "0,0.9772869898252907,-0.2119201253260814,0"):
-        "c3ce41fd72d34b6a7e51865f1100b38adc3cd0c0d944c244a2912dd4890f0d7b",
-    ("chsh", "--state", "0,0.9772869487069313,-0.21192031494666996,0", "--tol", "1e-6"):
-        "b86088095c274524bb3bfd1b4bc3f701e896cedc7b360262380c007af2a4e096",
-    ("chsh", "--state", "product00"):
-        "480a1b67251ccaa7eeb02d29baa2fdbd5a75e974f3f1094df86594ff6c47f748",
-    ("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles", "0,0.3:0.4:0.866,45,135"):
-        "10d60b2ba1befa3f2e92c35bf866101eea3d4e606e90752ea02b705332390fd9",
-    ("chsh", "--state",
-     "(0.033625252022969565-0.24938395894936463j),(-0.5818008339280172-0.46597823887225404j),"
-     "(0.22425988320465437-0.29497145001584607j),(0.3521601426222038+0.3460225952047105j)",
-     "--angles", "141.75746117574664,71.49661254544762,88.51857463511783,25.845179840407457"):
+GOLDENS.update({
+    "argv7": (("chsh", "--state", "0,0.9772869898252907,-0.2119201253260814,0"),
+              "c3ce41fd72d34b6a7e51865f1100b38adc3cd0c0d944c244a2912dd4890f0d7b"),
+    "argv8": (("chsh", "--state", "0,0.9772869487069313,-0.21192031494666996,0", "--tol", "1e-6"),
+              "b86088095c274524bb3bfd1b4bc3f701e896cedc7b360262380c007af2a4e096"),
+    "argv9": (("chsh", "--state", "product00"),
+              "480a1b67251ccaa7eeb02d29baa2fdbd5a75e974f3f1094df86594ff6c47f748"),
+    "argv10": (("chsh", "--state", "0.5,0.5j,-0.5,0.5j", "--angles", "0,0.3:0.4:0.866,45,135"),
+               "10d60b2ba1befa3f2e92c35bf866101eea3d4e606e90752ea02b705332390fd9"),
+    "argv11": (
+        ("chsh", "--state",
+         "(0.033625252022969565-0.24938395894936463j),(-0.5818008339280172-0.46597823887225404j),"
+         "(0.22425988320465437-0.29497145001584607j),(0.3521601426222038+0.3460225952047105j)",
+         "--angles", "141.75746117574664,71.49661254544762,88.51857463511783,25.845179840407457"),
         "943fb2ed93cf651627bbd48e81b9fdb413952bdc92735193e6fcf43ebffdc7ca",
-    ("chsh", "--state",
-     "(-0.0034801276235110518+0.5182502220896203j),(0.4695626787133331-0.29537018809167676j),"
-     "(-0.16393500554888374+0.16618460078470268j),(0.4811170868279293-0.37108796792937476j)",
-     "--angles", "43.200700286363215,82.19481113823348,101.36133182131292,3.516026542094415"):
+    ),
+    "argv12": (
+        ("chsh", "--state",
+         "(-0.0034801276235110518+0.5182502220896203j),(0.4695626787133331-0.29537018809167676j),"
+         "(-0.16393500554888374+0.16618460078470268j),(0.4811170868279293-0.37108796792937476j)",
+         "--angles", "43.200700286363215,82.19481113823348,101.36133182131292,3.516026542094415"),
         "dea24c18fe8ccfec15b0b7a422dd5dca3b28f8083bc0cd24a63a96946920521a",
-    ("chsh", "--state",
-     "(-0.1690291342176227+0.006308192160134411j),(-0.8000326593241721+0.4692951570470935j),"
-     "(0.22005057000808684+0.06302917495813964j),(-0.1007356187879539-0.22035553756320478j)",
-     "--angles", "68.28200723177017,52.46604633741214,10.814029949043586,56.937520794879326"):
+    ),
+    "argv13": (
+        ("chsh", "--state",
+         "(-0.1690291342176227+0.006308192160134411j),(-0.8000326593241721+0.4692951570470935j),"
+         "(0.22005057000808684+0.06302917495813964j),(-0.1007356187879539-0.22035553756320478j)",
+         "--angles", "68.28200723177017,52.46604633741214,10.814029949043586,56.937520794879326"),
         "815a05190fd2c20a3f99660fc3631b501042733aba85787901e3b1e8fbd4ce6b",
+    ),
 })
 # recorded while covariance still gathered thresholds row by row; 6 setting pairs of
 # 3000 trials are 18 000 rows in chunks of 2048, so pairs begin and end inside chunks
@@ -912,17 +919,35 @@ GOLDEN_STDOUT.update({
 CHUNK_EDGE_COVARIANCE_ARGV = (
     "covariance", "--trials", "3000", "--angles", "0,30,60/45,135", "--chronology", "ba",
 )
-GOLDEN_STDOUT[(*CHUNK_EDGE_COVARIANCE_ARGV, "--seed", "5")] = (
-    "ebb4a6720b306f2381147a04920815072fe1b35b1c9118f3c95de3330ae5181a"
-)
-
+GOLDENS["argv14"] = ((*CHUNK_EDGE_COVARIANCE_ARGV, "--seed", "5"),
+                     "ebb4a6720b306f2381147a04920815072fe1b35b1c9118f3c95de3330ae5181a")
+# recorded while flash still stepped one weight vector per particle and run: a grid of
+# two sites under a kernel wide enough to leave both nearly equally likely, and a
+# kernel of width 0.2 on 32 sites, whose squared weights are exact zeros 8 sites out
+GOLDENS.update({
+    "flash-two-sites-wide-kernel": (
+        ("flash", "--seed", "1", "--sites", "2", "--sigma", "5", "--runs", "300"),
+        "3e394d2731ecc0774303c73b3b2e7f0d851100800285509479e00b8bf199034f",
+    ),
+    "flash-grid32-kernel-zeros": (
+        ("flash", "--seed", "3", "--sites", "32", "--sigma", "0.2", "--rate", "3", "--runs", "500"),
+        "43e6de75bb8d04f5b0ffd583a4998f100c8e488822f63b21a972841b72366725",
+    ),
+})
+# recorded alongside them: few hits per run, so most steps hit a handful of runs
+# (stdout with the --out path replaced by "<out>")
+SPARSE_HITS_FLASH_ARGV = ("flash", "--seed", "2", "--sites", "8", "--rate", "0.25", "--runs", "2000")
+GOLDEN_SPARSE_HITS_HISTORY = "5abacf4db7951d35baa0c41f10c97b85862394aef3a1f7430076c38eeae035eb"
+GOLDEN_SPARSE_HITS_STDOUT = "9c3301574988246e7573279a68ebdafae96c0030c6e562939a61c6cfa88c7aac"
+GOLDEN_STDOUT = dict(GOLDENS.values())  # argv -> sha256 of its stdout
+GOLDEN_PARAMS = [pytest.param(argv, id=name) for name, (argv, _) in GOLDENS.items()]
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 class TestGolden:
-    @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+    @pytest.mark.parametrize("argv", GOLDEN_PARAMS)
     def test_stdout(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -935,19 +960,25 @@ class TestGolden:
         assert sha256(out.read_bytes()) == GOLDEN_FLASH_HISTORY
         assert report["results"]["history_sha256"] == GOLDEN_FLASH_HISTORY
 
-    def test_grid32_flash_history_and_stdout(self, capsys, tmp_path):
-        out = tmp_path / "history32.txt"
-        code, stdout, _ = run_cli(capsys, *GRID32_FLASH_ARGV, "--out", str(out))
+    @staticmethod
+    def check_flash_out(capsys, path, argv, history, stdout):
+        """`argv --out path` writes the golden history and stdout, the path read as "<out>"."""
+        code, out, _ = run_cli(capsys, *argv, "--out", str(path))
         assert code == 0
-        assert sha256(out.read_bytes()) == GOLDEN_GRID32_HISTORY
-        assert sha256(stdout.replace(str(out), "<out>").encode()) == GOLDEN_GRID32_STDOUT
+        assert sha256(path.read_bytes()) == history
+        assert sha256(out.replace(str(path), "<out>").encode()) == stdout
+
+    def test_grid32_flash_history_and_stdout(self, capsys, tmp_path):
+        self.check_flash_out(capsys, tmp_path / "history32.txt", GRID32_FLASH_ARGV,
+                             GOLDEN_GRID32_HISTORY, GOLDEN_GRID32_STDOUT)
 
     def test_multi_chunk_flash_history_and_stdout(self, capsys, tmp_path):
-        out = tmp_path / "history.txt"
-        code, stdout, _ = run_cli(capsys, *GOLDEN_MULTI_CHUNK_FLASH_ARGV, "--out", str(out))
-        assert code == 0
-        assert sha256(out.read_bytes()) == GOLDEN_MULTI_CHUNK_HISTORY
-        assert sha256(stdout.replace(str(out), "<out>").encode()) == GOLDEN_MULTI_CHUNK_STDOUT
+        self.check_flash_out(capsys, tmp_path / "history.txt", GOLDEN_MULTI_CHUNK_FLASH_ARGV,
+                             GOLDEN_MULTI_CHUNK_HISTORY, GOLDEN_MULTI_CHUNK_STDOUT)
+
+    def test_sparse_hits_flash_history_and_stdout(self, capsys, tmp_path):
+        self.check_flash_out(capsys, tmp_path / "history.txt", SPARSE_HITS_FLASH_ARGV,
+                             GOLDEN_SPARSE_HITS_HISTORY, GOLDEN_SPARSE_HITS_STDOUT)
 
     def test_gen_lambda_writes_and_hashes_the_same_bytes(self, capsys, tmp_path):
         out = tmp_path / "lam.bin"
@@ -1184,7 +1215,7 @@ def _run_module(cwd, *argv, **env) -> subprocess.CompletedProcess:
 class TestProcessExit:
     """`python -m chronobell` ends through `cli.run`, with `os._exit` after `cli.main`."""
 
-    @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+    @pytest.mark.parametrize("argv", GOLDEN_PARAMS)
     def test_golden_stdout(self, tmp_path, argv):
         proc = _run_module(tmp_path, *argv)
         assert proc.returncode == 0, proc.stderr

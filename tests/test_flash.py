@@ -30,9 +30,14 @@ def fix_global_phase(amps):
     return _normalize(amps.real, amps.imag, 1.0)
 
 
-def random_grid_state(rng, n_sites, n_particles=1):
+def random_grid_state(rng, n_sites, n_particles=1, nonzero=None):
+    """A random unit state, with `nonzero` of its cells (every cell if None) not zero."""
     shape = (n_sites,) * n_particles
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if nonzero is not None:
+        kept = np.zeros(amps.size, dtype=bool)
+        kept[rng.choice(amps.size, min(nonzero, amps.size), replace=False)] = True
+        amps = np.where(kept.reshape(shape), amps, 0.0)
     return cb.GridWavefunction(amps / np.linalg.norm(amps))
 
 
@@ -361,6 +366,8 @@ class TestRunFlashProcesses:
     @given(
         n_particles=st.sampled_from([1, 2]),
         n_sites=st.integers(2, 32),
+        # nonzero cells: a product state, two as in the entangled pair, a few, or all
+        nonzero=st.sampled_from([1, 2]) | st.integers(3, 6) | st.none(),
         width=st.floats(0.5, 4.0),
         rate=st.floats(0.05, 8.0),
         duration=st.floats(0.05, 4.0),
@@ -372,10 +379,10 @@ class TestRunFlashProcesses:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_scalar_runs(
-        self, n_particles, n_sites, width, rate, duration, runs, start, cursor, short_block,
-        chunk, seed,
+        self, n_particles, n_sites, nonzero, width, rate, duration, runs, start, cursor,
+        short_block, chunk, seed,
     ):
-        psi = random_grid_state(np.random.default_rng(seed), n_sites, n_particles)
+        psi = random_grid_state(np.random.default_rng(seed), n_sites, n_particles, nonzero)
         kernel = cb.make_hit_kernel(n_sites, width)
         block = short_block or flash_block(rate * duration * n_particles)
         lf = cb.generate_lambda_file(seed, start + runs * block + 7)

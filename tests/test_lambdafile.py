@@ -352,7 +352,9 @@ class TestWordBlocks:
         with pytest.raises(cb.LambdaFormatError, match="ran out after 15 of 100"):
             list(chunks)
 
-    @pytest.mark.parametrize("seed, count", [(-1, 4), (2**64, 4), (1, 0)])
+    # a count of 0 is refused by generate, but no blocks from a seed is an empty `Blocks`,
+    # as from a file or a stream (TestBlocks::test_bad_chunk_arguments_rejected_up_front)
+    @pytest.mark.parametrize("seed, count", [(-1, 4), (2**64, 4)])
     def test_bad_seed_or_count_rejected_like_generate(self, seed, count):
         with pytest.raises((ValueError, cb.EmptyFileError)) as from_generate:
             cb.generate_lambda_file(seed, count)
@@ -512,8 +514,11 @@ class TestBlocks:
             lf.stream().blocks(n_blocks, 8, rows)
         with pytest.raises(ValueError, match="chunks need rows >= 1 and n_blocks >= 0"):
             word_blocks(n_blocks, 8, path=path, rows=rows)
-        with pytest.raises(ValueError):  # a negative count is refused first, as by generate
+        with pytest.raises(ValueError, match="chunks need rows >= 1 and n_blocks >= 0"):
             word_blocks(n_blocks, 8, seed=1, rows=rows)
+        # no blocks at all is no bad argument: every source gives the same empty sequence
+        for name, blocks in _sources(lf, path, 4, n_blocks=0).items():
+            assert type(blocks) is Blocks and len(blocks) == 0 and list(blocks) == [], name
 
 
 class _Checked:
