@@ -48,7 +48,7 @@ from .lambdafile import LambdaStream, check_real, words_to_reals
 from .values import _SKIP_BRANCH, _ZERO_BRANCH, ATOL, MAX_EXACT_SITES, Frozen, _frozen, _phase
 
 MIN_FLASH_BLOCK = 256  # words per run at default parameters; keeps their layout
-MAX_CHUNK_WORDS = 1 << 27  # lambda words of one chunk of runs at most: 1 GiB
+MAX_CHUNK_WORDS = 1 << 24  # words per chunk of runs at most: 128 MiB, and 6-8 times that in use
 CHUNK_RUNS = 256  # runs per chunk of lambda words, whatever their block
 OVERRUN_PROBABILITY = 1e-12  # per run, that its hits need more words than its block
 FORMAT_SLICE = 1024  # history lines FlashEnsemble.history_bytes formats at a time

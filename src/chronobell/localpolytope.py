@@ -23,7 +23,7 @@ import math
 
 from .errors import OracleDisagreementError, SearchSpaceError
 from .quantum import LOCAL_BOUND, OUTCOMES, BlochSetting, Chronology, TwoQubitState
-from .quantum import _cell_sum, _nested, correlation, exact_table, signaling_defect
+from .quantum import _check_tables, _nested, correlation, exact_table, signaling_defect
 from .simplex import solve_feasibility
 from .values import MAX_SEARCH_ALPHABET, Frozen, _frozen
 
@@ -31,7 +31,6 @@ N_SETTINGS = 2
 N_OUTCOMES = 2
 BOUNDARY_ROUNDING = 1e-12  # |S| - 2 this close to tol is rounding: the oracles may differ
 
-_ENTRY_FLOOR = -1e-12
 _BLOCK_TOL = 1e-9
 _NS_TOL = 1e-9
 # the phase-1 residual of local_membership_lp is 5/2 of the CHSH violation |S| - 2
@@ -52,11 +51,7 @@ class BehaviorVector(Frozen):
 
     def __init__(self, probs) -> None:
         p = _nested(probs, (N_SETTINGS, N_SETTINGS, N_OUTCOMES, N_OUTCOMES), "behavior")
-        # `not ... >=` and `not ... <=` refuse NaN and the infinities too
-        if any(not x >= _ENTRY_FLOOR for row in p for t in row for pair in t for x in pair):
-            raise ValueError("behavior entries must be nonnegative (within 1e-12)")
-        if any(not abs(_cell_sum(t) - 1.0) <= _BLOCK_TOL for row in p for t in row):
-            raise ValueError("each conditional block must sum to 1")
+        _check_tables((t for row in p for t in row), _BLOCK_TOL, "each conditional block")
         vars(self).update(values=p)
         defect = self.no_signaling_defect()
         if defect > _NS_TOL:

@@ -77,6 +77,15 @@ def _cell_sum(t) -> float:
     return 0.0 + t[0][0] + t[0][1] + t[1][0] + t[1][1]
 
 
+def _check_tables(tables, tol: float, what: str) -> None:
+    """Refuse any (2, 2) outcome table with an entry outside [-ATOL, 1 + tol], or whose
+    _cell_sum is off 1 by more than tol; the `not ... <=` form refuses NaN and infinities."""
+    for t in tables:
+        if not (all(-ATOL <= x <= 1.0 + tol for row in t for x in row)
+                and abs(_cell_sum(t) - 1.0) <= tol):
+            raise ValueError(f"{what} must lie in [0, 1] and sum to 1, got {t!r}")
+
+
 def correlation(t) -> float:
     """E = sum over outcomes of alpha * beta * P, for one (2, 2) outcome table t[i][j]."""
     return t[0][0] - t[0][1] - t[1][0] + t[1][1]
@@ -208,10 +217,7 @@ class JointDistribution(Frozen, eq=True):
 
     def __init__(self, probs) -> None:
         p = _nested(probs, (2, 2), "joint distribution")
-        if any(x < -ATOL or x > 1.0 + ATOL for row in p for x in row):
-            raise ValueError("joint probabilities must lie in [0, 1]")
-        if abs(_cell_sum(p) - 1.0) > ATOL:
-            raise ValueError(f"joint probabilities must sum to 1, got {_cell_sum(p)!r}")
+        _check_tables((p,), ATOL, "joint probabilities")
         vars(self).update(values=p)
 
     probs = cached_property(lambda self: _frozen(self.values))
@@ -283,8 +289,7 @@ class CorrelationTable(Frozen):
     def __init__(self, settings_a, settings_b, cells, trials=None) -> None:
         settings_a, settings_b = tuple(settings_a), tuple(settings_b)
         values = _nested(cells, (len(settings_a), len(settings_b), 2, 2), "cells")
-        if any(abs(_cell_sum(t) - 1.0) > 1e-9 for row in values for t in row):
-            raise ValueError("each setting pair's probabilities must sum to 1")
+        _check_tables((t for row in values for t in row), 1e-9, "each setting pair's probabilities")
         vars(self).update(settings_a=settings_a, settings_b=settings_b, values=values,
                           trials=trials)
 

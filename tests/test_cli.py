@@ -9,6 +9,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -507,8 +508,27 @@ class TestFlash:
         assert err == ("error: --rate and --duration: mean hit count must be positive and "
                        f"finite, got {mean}\n")
 
-    def test_chunk_cap_holds_a_gib(self):
-        assert flash.MAX_CHUNK_WORDS * 8 <= 2**30
+    def test_rate_whose_chunk_working_set_exceeds_a_gib_rejected_before_any_word(self, capsys,
+                                                                              no_words):
+        # 256 runs of 75484 words: 147 MiB of words, about 1 GiB in use
+        code, stdout, err = run_cli(capsys, "flash", "--seed", "1", "--rate", "3000",
+                                    "--runs", "256")
+        assert code == 2 and stdout == ""
+        assert "--rate and --duration" in err and str(flash.MAX_CHUNK_WORDS) in err
+
+    def test_chunk_cap_holds_a_gib(self, capsys):
+        # a chunk's working set is 6 to 8 times its words' bytes: the per-hit gathers that end
+        # flash._draw_hits peak there. 64 runs of the benchmark's --rate 100 op (3061 words
+        # each) peak at about 6.5 times, traced
+        words = 64 * flash.flash_block(800.0)
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "flash", "--seed", "1", "--rate", "100", "--runs", "64")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= 8 * (words * 8)
+        assert flash.MAX_CHUNK_WORDS * 8 * 8 <= 2**30
         # the benchmark's --rate 100 op: 256 runs of 3061 words per chunk
         assert flash.CHUNK_RUNS * flash.flash_block(800.0) <= flash.MAX_CHUNK_WORDS
 
@@ -1098,7 +1118,8 @@ class TestCrossCpuReplay:
     @pytest.mark.xfail(
         strict=True,
         reason="glibc's libm picks FMA or plain builds of log1p, exp, sin and cos by CPU, and "
-        "flash._run_chunk's math.log1p moves the time on line 625 of this history by one ulp",
+        "the math.log1p of flash._draw_hits's waiting times moves the time on line 625 of "
+        "this history by one ulp",
     )
     def test_flash_is_identical_with_the_plain_libm(self, capsys):
         """The libm a CPU without FMA gets: glibc selects its functions by these hwcaps."""

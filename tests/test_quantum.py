@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 
 import chronobell as cb
 from chronobell import flash, localpolytope, quantum
+from chronobell.values import ATOL
 from support import marginal, random_pure_state, random_setting, table_max_abs_diff
 
 SQRT2 = math.sqrt(2.0)
@@ -356,6 +357,79 @@ class TestCorrelationTable:
         two = cb.exact_table(singlet, [A(0), A(90)], [B(0)])
         with pytest.raises(ValueError):
             table_max_abs_diff(one, two)
+
+
+# entries at the edges of [0, 1] and just past them, and the non-finite ones
+EDGE_ENTRIES = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -0.5, 2.0,
+    -1e-13, -ATOL, -2e-12, -1e-9, 1.0 + 1e-13, 1.0 + 2e-12, 1.0 + 1e-9, 1.0 + 2e-9,
+])
+# off 1 by 0, or by 1e-13 to 1e-8 of either sign
+SUM_OFFSETS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([1, -1]), st.floats(-13, -8)),
+)
+
+
+@st.composite
+def edge_tables(draw):
+    """(2, 2) tables of entries in [0, 1/4], up to two of them swapped for edge entries, most
+    with one entry then completing the sum to 1 up to a SUM_OFFSETS offset."""
+    x = draw(st.lists(st.floats(0.0, 0.25), min_size=4, max_size=4))
+    for i in draw(st.lists(st.integers(0, 3), max_size=2)):
+        x[i] = draw(EDGE_ENTRIES)
+    if (k := draw(st.integers(0, 4))) < 4:
+        x[k] = 1.0 - sum(v for i, v in enumerate(x) if i != k) + draw(SUM_OFFSETS)
+    return (x[0], x[1]), (x[2], x[3])
+
+
+def flat_and_sum(t):
+    """The table's four entries and numpy's sum of them (0.0 plus each, row by row)."""
+    x = [v for row in t for v in row]
+    return x, 0.0 + x[0] + x[1] + x[2] + x[3]
+
+
+# each outcome-table type: its constructor on one table, its tolerance, and the rule it
+# refused tables by before all three shared one check
+OUTCOME_TYPES = {
+    "JointDistribution": (
+        cb.JointDistribution, ATOL,
+        lambda x, s: any(v < -ATOL or v > 1.0 + ATOL for v in x) or abs(s - 1.0) > ATOL,
+    ),
+    "CorrelationTable": (
+        lambda t: cb.CorrelationTable([A(0)], [B(0)], [[t]]), 1e-9,
+        lambda x, s: abs(s - 1.0) > 1e-9,
+    ),
+    "BehaviorVector": (
+        lambda t: cb.BehaviorVector([[t, t], [t, t]]), 1e-9,
+        lambda x, s: any(not v >= -1e-12 for v in x) or not abs(s - 1.0) <= 1e-9,
+    ),
+}
+
+
+class TestOutcomeTableRule:
+    """JointDistribution, CorrelationTable and BehaviorVector accept a (2, 2) outcome table
+    exactly when every entry lies in [-ATOL, 1 + tol] and the entries sum to 1 within tol,
+    at the type's own tol, and accept nothing their earlier hand-written checks refused."""
+
+    @pytest.mark.parametrize("kind", OUTCOME_TYPES)
+    @settings(max_examples=150, deadline=None)
+    @given(table=edge_tables())
+    # JointDistribution and CorrelationTable once accepted the first, CorrelationTable the second
+    @example(table=((math.nan, 0.5), (0.25, 0.25)))
+    @example(table=((-0.5, 1.0), (0.25, 0.25)))
+    @example(table=((0.25, 0.25), (0.25, 0.25)))
+    @example(table=((1.0 + 1.5e-12, -5e-13), (-5e-13, -5e-13)))  # at ATOL only the ceiling refuses
+    def test_accepts_exactly_the_one_rule(self, kind, table):
+        make, tol, refused_before = OUTCOME_TYPES[kind]
+        x, s = flat_and_sum(table)
+        try:
+            make(table)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (all(-ATOL <= v <= 1.0 + tol for v in x) and abs(s - 1.0) <= tol)
+        assert not (accepted and refused_before(x, s))
 
 
 # finite floats of every scale, exact zeros of both signs among them
